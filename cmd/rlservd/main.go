@@ -38,10 +38,18 @@
 //	curl -s 'localhost:9090/v1/decide?cluster=small' -d '...'
 //	curl -s -X POST localhost:9090/reload -d '{"cluster": "small", "policy": "F1"}'
 //
+// Each cluster state may also carry "now", "queue_len" (the full backlog
+// when longer than "jobs") and "running_work": the committed remaining work
+// of its running jobs in seconds·procs (finite, >= 0; default 0), which the
+// load-based scorers add to the queued work. /place and /migrate answer
+// with the fleet simulator's own placement code (internal/fleet).
+//
 // With -migrate, POST /migrate asks whether a queued job should move off
 // its current cluster (post the states with the job already excluded from
-// its own queue; the answer applies the hysteresis margin and the
-// drained-destination gate of the fleet migration controller):
+// its own queue). The answer is fleet.MoveVerdict's — the hysteresis margin
+// and the start-now gate of the fleet migration controller — and its
+// "reason" says why: moved, incumbent-best, hysteresis, not-drained or
+// no-feasible:
 //
 //	curl -s localhost:9090/migrate -d '{
 //	  "job": [-600, 3600, 32], "from": "large",
@@ -114,6 +122,31 @@ func (s *shardFlags) Set(v string) error {
 	}
 	*s = append(*s, sc)
 	return nil
+}
+
+// Connection limits of the daemon's listener. A client that stalls while
+// sending a request is cut off instead of pinning its connection forever;
+// constants, because no deployment wants a slow-client hole. WriteTimeout
+// stays unset: /debug/pprof/profile legitimately writes for tens of
+// seconds, and every other handler answers from memory.
+const (
+	readHeaderTimeout = 5 * time.Second  // request line + headers
+	readTimeout       = 30 * time.Second // headers + body (bodies cap at 8 MiB)
+	idleTimeout       = 2 * time.Minute  // keep-alive connection between requests
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps the daemon's handler in a listener with the limits
+// above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 func main() {
@@ -193,7 +226,7 @@ func main() {
 	}
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
 

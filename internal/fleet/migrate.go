@@ -227,6 +227,36 @@ func (f *Fleet) sweep(mig *migrator, now float64) error {
 	return nil
 }
 
+// MoveVerdict is the move-or-stay decision for one re-scored pending job —
+// the only place the hysteresis margin and the start-now gate are compared,
+// shared by the sweep controller (tryMove) and the serving daemon's
+// /migrate. scores are PlaceScored's per-candidate totals (NaN = filtered
+// out), from is the job's current candidate and best PlaceScored's argmax
+// (-1 = nothing feasible). startNow says whether the best candidate can start
+// the job immediately with nobody queued ahead of it; it is asked only once
+// the margin has cleared, so it may be costly. It returns the destination (from when the job
+// stays), the obs.Reason* saying why, and the best-minus-incumbent margin
+// (0 when either side is unscored).
+func MoveVerdict(scores []float64, from, best int, hysteresis float64, startNow func() bool) (dst int, reason string, margin float64) {
+	switch {
+	case best < 0:
+		return from, obs.ReasonInfeasible, 0
+	case best == from:
+		return from, obs.ReasonIncumbent, 0
+	}
+	// An incumbent the filters now reject (NaN score) always loses.
+	if cur := scores[from]; !math.IsNaN(cur) {
+		margin = scores[best] - cur
+		if !(margin > hysteresis) { // negated: a NaN margin stays too
+			return from, obs.ReasonHysteresis, margin
+		}
+	}
+	if !startNow() {
+		return from, obs.ReasonNotDrained, margin
+	}
+	return best, obs.ReasonMoved, margin
+}
+
 // tryMove withdraws j from member src, re-scores it across the fleet, and
 // either re-places it (margin over the incumbent exceeds the hysteresis)
 // or resubmits it in place. Withdrawing before scoring keeps the job's own
@@ -245,29 +275,10 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 	scores := mig.scores[:len(cands)]
 	best := mig.router.PlaceScored(j, cands, scores)
 
-	dst := src
-	reason := obs.ReasonIncumbent
-	margin := 0.0
-	if best < 0 {
-		reason = obs.ReasonInfeasible
-	} else if best != src {
-		// An incumbent the filters now reject (NaN score) always loses.
-		cur := scores[src]
-		if !math.IsNaN(cur) {
-			margin = scores[best] - cur
-		}
-		if math.IsNaN(cur) || scores[best]-cur > mig.cfg.Hysteresis {
-			if !mig.cfg.RequireStartNow ||
-				(cands[best].Pending == 0 && f.members[best].sim.CanStartNow(j)) {
-				dst = best
-				reason = obs.ReasonMoved
-			} else {
-				reason = obs.ReasonNotDrained
-			}
-		} else {
-			reason = obs.ReasonHysteresis
-		}
-	}
+	dst, reason, margin := MoveVerdict(scores, src, best, mig.cfg.Hysteresis, func() bool {
+		return !mig.cfg.RequireStartNow ||
+			(cands[best].Pending == 0 && f.members[best].sim.CanStartNow(j))
+	})
 	if mig.rec != nil {
 		p := &mig.probe
 		*p = obs.MigrationProbe{

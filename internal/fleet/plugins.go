@@ -101,6 +101,19 @@ func (p *Pipeline) PlaceExplained(j *job.Job, cands []*Candidate, scores []float
 	return p.place(j, cands, scores, ex)
 }
 
+// Feasible reports whether any candidate passes every filter — exactly the
+// condition under which Place returns a pick rather than -1. Callers with
+// side effects to commit before placing (the serving daemon folds posted
+// completions first) use it to reject an unplaceable job up front.
+func (p *Pipeline) Feasible(j *job.Job, cands []*Candidate) bool {
+	sc, _ := p.pool.Get().(*pipelineScratch)
+	if sc == nil {
+		sc = &pipelineScratch{}
+	}
+	defer p.pool.Put(sc)
+	return len(p.filterPass(j, cands, sc, nil)) > 0
+}
+
 // place is the shared placement pass; ex == nil skips all tracing.
 func (p *Pipeline) place(j *job.Job, cands []*Candidate, scores []float64, ex *obs.Explain) int {
 	sc, _ := p.pool.Get().(*pipelineScratch)

@@ -88,6 +88,19 @@ func (c *decisionCache) appendCacheKey(buf []byte, tag int, st *QueueState) []by
 	return buf
 }
 
+// probe encodes st's key into *buf (reused across calls) and looks it up —
+// the one cache read of /v1/decide and the /place engine scorer. A nil
+// cache (disabled) never hits and returns an empty key, which put ignores.
+func (c *decisionCache) probe(buf *[]byte, tag int, st *QueueState) (key string, e cacheEntry, hit bool) {
+	if c == nil {
+		return "", cacheEntry{}, false
+	}
+	*buf = c.appendCacheKey((*buf)[:0], tag, st)
+	key = string(*buf)
+	e, hit = c.get(key)
+	return key, e, hit
+}
+
 // get returns the cached answer for key, counting the hit or miss.
 func (c *decisionCache) get(key string) (cacheEntry, bool) {
 	c.mu.Lock()
@@ -105,6 +118,9 @@ func (c *decisionCache) get(key string) (cacheEntry, bool) {
 // The cached Decision (including its Scores slice) is shared by every
 // future hit; engines return fresh slices and readers never mutate them.
 func (c *decisionCache) put(key string, e cacheEntry) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
@@ -134,13 +150,11 @@ func (s *Server) decideCached(ctx context.Context, batcher *Batcher, tag int, st
 	decs := make([]Decision, len(states))
 	var missIdx []int
 	var keyBuf []byte
-	policy := ""
 	for i, st := range states {
-		keyBuf = s.cache.appendCacheKey(keyBuf[:0], tag, st)
-		keys[i] = string(keyBuf)
-		if e, ok := s.cache.get(keys[i]); ok {
+		key, e, hit := s.cache.probe(&keyBuf, tag, st)
+		keys[i] = key
+		if hit {
 			decs[i] = e.dec
-			policy = e.policy
 		} else {
 			missIdx = append(missIdx, i)
 		}

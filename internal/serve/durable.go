@@ -336,6 +336,14 @@ func (d *durability) appendLocked(rec *walRecord) error {
 	return nil
 }
 
+// walHealth reports the sticky append failure poisoning the current WAL
+// segment (nil when healthy); the next checkpoint's fresh segment clears it.
+func (d *durability) walHealth() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.walErr
+}
+
 // commitBatch makes one /place completion batch durable and folds it into
 // the tracker. Returns applied=false (and no state change) when the
 // client's batch_seq says the batch was already absorbed — the retry

@@ -83,6 +83,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 	write("FuzzSnapshotRestore", "live-snapshot", snap)
 	write("FuzzSnapshotRestore", "empty-v1", []byte(`{"version":1}`))
+	writePlacementFuzzCorpus(t)
 }
 
 // FuzzSnapshotRestore throws arbitrary bytes at the snapshot decoder:

@@ -509,3 +509,64 @@ func TestMigrateDrained(t *testing.T) {
 		t.Errorf("drained shard recommended as destination: %d %s", code, resp)
 	}
 }
+
+// TestPoisonedWALIsVisible: an append failure makes the daemon refuse
+// completion batches (500) until a checkpoint rotates the segment — and
+// that state must show from outside: /readyz 503 naming the WAL error,
+// rlserv_wal_healthy 0. The tracker holds exactly the acked prefix, here
+// and after a restart on the same directory.
+func TestPoisonedWALIsVisible(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, durableConfig(dir))
+	batch := func(seq int64) []byte {
+		return placeBodySeq(t, `[0, 600, 1, 3]`, "feed", seq,
+			fairClusterState("a", 64, 64, `[7, 9000, 60]`),
+			fairClusterState("b", 64, 64, `[3, 12, 600]`))
+	}
+	probe := func(wantReady int, wantGauge string) {
+		t.Helper()
+		code, out := getJSON(t, ts.URL+"/readyz")
+		if code != wantReady || (code != http.StatusOK && !strings.Contains(string(out), "wal")) {
+			t.Errorf("/readyz = %d %q, want %d (naming the WAL when not ready)", code, out, wantReady)
+		}
+		if _, page := getJSON(t, ts.URL+"/metrics"); !strings.Contains(string(page), wantGauge) {
+			t.Errorf("/metrics lacks %q", wantGauge)
+		}
+	}
+
+	if code, out := postJSON(t, ts.URL+"/place", batch(1)); code != http.StatusOK {
+		t.Fatalf("healthy batch: %d %s", code, out)
+	}
+	probe(http.StatusOK, "rlserv_wal_healthy 1\n")
+	acked := srv.fairness.ExportState()
+
+	// The disk fault: the segment's descriptor goes away under the daemon.
+	srv.durable.mu.Lock()
+	srv.durable.wal.Close()
+	srv.durable.mu.Unlock()
+	for seq := int64(2); seq <= 3; seq++ { // sticky: every later batch too
+		if code, out := postJSON(t, ts.URL+"/place", batch(seq)); code != http.StatusInternalServerError {
+			t.Fatalf("batch %d on a poisoned WAL: %d %s, want 500", seq, code, out)
+		}
+	}
+	probe(http.StatusServiceUnavailable, "rlserv_wal_healthy 0\n")
+	if got := srv.fairness.ExportState(); !reflect.DeepEqual(acked, got) {
+		t.Errorf("refused batches reached the tracker:\n acked %+v\n now   %+v", acked, got)
+	}
+	dir2 := t.TempDir()
+	copyDir(t, dir, dir2)
+	restored, _ := newTestServer(t, durableConfig(dir2))
+	if got := restored.fairness.ExportState(); !reflect.DeepEqual(acked, got) {
+		t.Errorf("restart restored more than the acked prefix:\n acked %+v\n now   %+v", acked, got)
+	}
+
+	// A checkpoint opens a fresh segment: healthy again, and the client's
+	// retry of the refused batch is absorbed exactly once.
+	if err := srv.durable.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	probe(http.StatusOK, "rlserv_wal_healthy 1\n")
+	if code, out := postJSON(t, ts.URL+"/place", batch(2)); code != http.StatusOK || strings.Contains(string(out), "deduped") {
+		t.Errorf("retry after recovery: %d %s, want a fresh 200", code, out)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -42,14 +43,16 @@ type ShardConfig struct {
 
 // shard is one served cluster: its own batcher (so /decide load on one
 // cluster never queues behind another) behind its own hot-swappable
-// engine.
+// engine. cordoned is the /drain flag, read lock-free on the request path
+// and by /readyz; the durability layer re-applies it on restore.
 type shard struct {
-	name    string
-	procs   int
-	batcher *Batcher
+	name     string
+	procs    int
+	batcher  *Batcher
+	cordoned atomic.Bool
 }
 
-// newShards builds the shard set and the placement router.
+// initFleet builds the shard set and the placement router.
 func (s *Server) initFleet(cfg Config) error {
 	s.migrateMargin = -1
 	if len(cfg.Shards) == 0 {
@@ -106,7 +109,6 @@ func (s *Server) initFleet(cfg Config) error {
 		})
 		names = append(names, sc.Name)
 	}
-	s.drained = make([]atomic.Bool, len(s.shards))
 	s.metrics.RegisterPlaceClusters(names)
 
 	router := cfg.PlaceRouter
@@ -131,6 +133,8 @@ func (s *Server) initFleet(cfg Config) error {
 	default:
 		return fmt.Errorf("serve: unknown place router %q (engine|least-loaded|binpack)", router)
 	}
+	// The cordon gate (cordonTaints): a nil Source tolerates nothing.
+	s.placer.Filters = append(s.placer.Filters, fleet.TaintFilter{})
 	if !(cfg.FairWeight >= 0) {
 		return fmt.Errorf("serve: fairness weight must be non-negative, got %g", cfg.FairWeight)
 	}
@@ -143,8 +147,8 @@ func (s *Server) initFleet(cfg Config) error {
 	if cfg.FairWeight > 0 {
 		// The stateful per-user fairness plugin rides on the selected
 		// pipeline. Its state grows from the completed-job records clusters
-		// post with /place — the serving twin of the fleet simulator's
-		// completion feed — and is exported as rlserv_fairness_score.
+		// post with /place — what Fleet.observeCompletions feeds it in a
+		// simulated run — and is exported as rlserv_fairness_score.
 		s.fairness = fleet.NewFairnessScorer(fleet.FairnessConfig{DecayWindow: cfg.FairWindow})
 		s.placer.Scorers = append(s.placer.Scorers,
 			fleet.WeightedScorer{Scorer: s.fairness, Weight: cfg.FairWeight})
@@ -161,21 +165,6 @@ func (s *Server) shardByName(name string) (int, *shard) {
 	return -1, nil
 }
 
-// readLimitedBody reads a request body up to the configured cap, writing
-// the 4xx itself and reporting ok=false on failure.
-func (s *Server) readLimitedBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	if int64(len(body)) > s.maxBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
-		return nil, false
-	}
-	return body, true
-}
-
 // shardEngineScorer adapts the fleet Scorer interface onto the daemon's
 // per-cluster engines: candidate i is scored by shard i's currently
 // served engine. The score is the log-softmax of the new job's engine
@@ -184,14 +173,18 @@ func (s *Server) readLimitedBody(w http.ResponseWriter, r *http.Request) (body [
 // (certainty, the best possible placement); a cluster whose backlog would
 // bury the job scores deeply negative. The softmax makes heterogeneous
 // engines (logits vs negated heuristic priorities) comparable after the
-// pipeline's per-plugin normalization, mirroring fleet.RLScorer.
+// pipeline's per-plugin normalization. With every shard serving the same
+// network this is fleet.RLScorer's score (pinned by the conformance test).
 type shardEngineScorer struct{ s *Server }
 
 // Name implements fleet.Scorer.
 func (*shardEngineScorer) Name() string { return "shard-engine" }
 
-// Score implements fleet.Scorer.
+// Score implements fleet.Scorer. Engines are stateless by contract, so one
+// queue state (and its job buffer) is reused across the candidates.
 func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []float64) {
+	st := QueueState{WantScores: true}
+	states := []*QueueState{&st}
 	var one [1]Decision
 	var keyBuf []byte
 	cache := sc.s.cache
@@ -201,155 +194,183 @@ func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []f
 		if max := eng.MaxJobs(); max > 0 && len(vis) > max-1 {
 			vis = vis[:max-1] // keep a slot for the candidate job
 		}
-		jobs := make([]*job.Job, 0, len(vis)+1)
-		jobs = append(jobs, vis...)
-		jobs = append(jobs, j)
-		st := &QueueState{
-			Jobs:       jobs,
-			Now:        c.Now,
-			View:       c.View,
-			QueueLen:   c.Pending + 1,
-			WantScores: true,
-		}
+		st.Jobs = append(append(st.Jobs[:0], vis...), j)
+		st.Now, st.View, st.QueueLen = c.Now, c.View, c.Pending+1
 		// The same (queue, job) pair is re-scored on every /place a
 		// cluster's queue sits still for, so this inner decision shares
 		// the /v1/decide cache — keyed by the shard whose engine answers.
-		if cache != nil {
-			keyBuf = cache.appendCacheKey(keyBuf[:0], c.Index, st)
-			key := string(keyBuf)
-			if e, ok := cache.get(key); ok {
-				out[i] = fleet.LastLogSoftmax(e.dec.Scores)
-				continue
-			}
-			eng.DecideBatch([]*QueueState{st}, one[:])
-			cache.put(key, cacheEntry{dec: one[0], policy: eng.Name()})
-			out[i] = fleet.LastLogSoftmax(one[0].Scores)
-			continue
+		key, e, hit := cache.probe(&keyBuf, c.Index, &st)
+		if !hit {
+			eng.DecideBatch(states, one[:])
+			e = cacheEntry{dec: one[0], policy: eng.Name()}
+			cache.put(key, e)
 		}
-		eng.DecideBatch([]*QueueState{st}, one[:])
-		out[i] = fleet.LastLogSoftmax(one[0].Scores)
+		out[i] = fleet.LastLogSoftmax(e.dec.Scores)
 	}
 }
 
-// placeCluster is one cluster's state in a /place request: a named queue
-// state. Unlike /v1/decide states, an empty jobs list is legal (an idle
-// cluster is the best possible placement). Completed carries the jobs the
-// cluster finished since its last report — the fairness tracker's
-// incremental feed (ignored unless the daemon runs with a fairness
-// weight).
+// placeCluster is one cluster's state in a /place or /migrate request: a
+// named queue state. Unlike /v1/decide states, an empty jobs list is legal
+// (an idle cluster is the best possible placement). RunningWork is the
+// committed remaining work of the cluster's running jobs in seconds·procs
+// (fleet.Candidate.RunningWork; 0 when the caller does not track it).
+// Completed carries the jobs the cluster finished since its last report —
+// the fairness tracker's incremental feed (/place with a fairness weight).
 type placeCluster struct {
-	Name      string     `json:"name"`
-	Completed []wireDone `json:"completed"`
+	Name        string     `json:"name"`
+	RunningWork float64    `json:"running_work"`
+	Completed   []wireDone `json:"completed"`
 	wireState
 }
 
-// placeRequest is the /place body. Client and BatchSeq are the optional
-// dedup identity of the completed-records batch: a client that tags each
-// batch with a monotonically increasing sequence can retry a /place
-// request (timeout, 5xx) without double-counting its completions — a
-// batch whose seq is not above the client's highest absorbed seq is
-// acknowledged but not re-observed.
+// placeRequest is the body /place and /migrate share: a job and every
+// cluster's state. From is /migrate's alone (/place ignores it): the cluster
+// whose queue holds the job; like the offline migration controller, the
+// caller reports states as if the job were already withdrawn — its own
+// footprint must not bias the incumbent's score. Client and BatchSeq
+// (/place) are the optional dedup identity of the completed-records batch: a
+// client that tags each batch with a monotonically increasing sequence can
+// retry a /place request (timeout, 5xx) without double-counting its
+// completions — a batch whose seq is not above the client's highest absorbed
+// seq is acknowledged but not re-observed.
 type placeRequest struct {
 	Job      wireJob        `json:"job"`
+	From     string         `json:"from"`
 	Clusters []placeCluster `json:"clusters"`
 	Client   string         `json:"client"`
 	BatchSeq *int64         `json:"batch_seq"`
 }
 
-func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: POST only"))
-		return
-	}
-	if len(s.shards) == 0 {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: not running in fleet mode"))
-		return
-	}
-	start := time.Now()
-	body, ok := s.readLimitedBody(w, r)
-	if !ok {
-		return
-	}
-	var req placeRequest
-	req.Job.UserID = -1
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad place request: %w", err))
-		return
-	}
-	if req.Job.ReqProcs <= 0 || req.Job.ReqTime <= 0 {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("serve: job needs positive requested_time and requested_procs"))
-		return
-	}
-	if len(req.Clusters) == 0 {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: place request carries no clusters"))
-		return
-	}
-	if req.BatchSeq != nil {
-		if req.Client == "" {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: batch_seq needs a client id"))
-			return
-		}
-		if *req.BatchSeq < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: batch_seq must be non-negative, got %d", *req.BatchSeq))
-			return
-		}
-	}
+// cordonTaints marks a shard cordoned by /drain. No job tolerates it, so
+// fleet.TaintFilter — the last of s.placer's filters — is the one hard gate
+// keeping cordoned shards off the menu, and explain traces name it.
+var cordonTaints = []fleet.Taint{{Key: "cordoned"}}
 
-	cands, err := s.placeCandidates(req.Clusters)
+// decodePlacement is the request half /place and /migrate share: the bounded
+// read and unmarshal, then the posted cluster states validated against the registered shards
+// and turned into the placement core's terms — the job and one candidate
+// per posted cluster (it writes the 4xx itself and returns a nil request).
+// Everything after it is internal/fleet's: the daemon is a stateless
+// transport over the simulator's placement core. A cordoned shard stays a
+// candidate — its posted state and completions are real, only the
+// destination is closed — but carries cordonTaints. Only with migrate set
+// does From count: from is its candidate's index (required), and that one
+// candidate is spared the taint — migrating OFF a cordoned member is what
+// /migrate is for during a drain.
+func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate bool) (p *placeRequest, j *job.Job, cands []*fleet.Candidate, from int) {
+	fail := func(code int, format string, args ...interface{}) (*placeRequest, *job.Job, []*fleet.Candidate, int) {
+		s.fail(w, code, fmt.Errorf("serve: "+format, args...))
+		return nil, nil, nil, -1
+	}
+	bad := func(format string, args ...interface{}) (*placeRequest, *job.Job, []*fleet.Candidate, int) {
+		return fail(http.StatusBadRequest, format, args...)
+	}
+	if r.Method != http.MethodPost {
+		return fail(http.StatusMethodNotAllowed, "POST only")
+	}
+	if len(s.shards) == 0 || (migrate && s.migrateMargin < 0) {
+		return fail(http.StatusNotFound, "%s not enabled (needs fleet mode; /migrate also needs -migrate)", r.URL.Path)
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+		return bad("%v", err)
 	}
-	// Cordoned shards are off the placement menu but stay in cands: their
-	// posted states (and completions) are real, only the destination is
-	// closed. With nothing drained, active IS cands — the common path
-	// allocates and branches exactly as before.
-	active := cands
-	for _, c := range cands {
-		if s.drained[c.Index].Load() {
-			active = make([]*fleet.Candidate, 0, len(cands))
-			for _, c := range cands {
-				if !s.drained[c.Index].Load() {
-					active = append(active, c)
-				}
-			}
-			break
+	if int64(len(body)) > s.maxBody {
+		return fail(http.StatusRequestEntityTooLarge, "body over %d bytes", s.maxBody)
+	}
+	p = new(placeRequest)
+	p.Job.UserID = -1
+	if err := json.Unmarshal(body, p); err != nil {
+		return bad("bad %s request: %v", r.URL.Path, err)
+	}
+	if p.Job.ReqProcs <= 0 || p.Job.ReqTime <= 0 {
+		return bad("job needs positive requested_time and requested_procs")
+	}
+	jb := p.Job.toJob()
+	if len(p.Clusters) == 0 {
+		return bad("%s request carries no clusters", r.URL.Path)
+	}
+	cands = make([]*fleet.Candidate, 0, len(p.Clusters))
+	from = -1
+	seen := map[string]bool{}
+	for i := range p.Clusters {
+		pc := &p.Clusters[i]
+		idx, sh := s.shardByName(pc.Name)
+		switch {
+		case sh == nil:
+			return bad("unknown cluster %q", pc.Name)
+		case seen[pc.Name]:
+			return bad("cluster %q listed twice", pc.Name)
+		case pc.TotalProcs != sh.procs:
+			return bad("cluster %q reports %d procs, shard has %d", pc.Name, pc.TotalProcs, sh.procs)
+		case pc.FreeProcs < 0 || pc.FreeProcs > pc.TotalProcs:
+			return bad("cluster %q free_procs out of range", pc.Name)
+		case !(pc.RunningWork >= 0) || math.IsInf(pc.RunningWork, 1):
+			return bad("cluster %q running_work must be finite and non-negative", pc.Name)
 		}
+		seen[pc.Name] = true
+		c := &fleet.Candidate{
+			Index:       idx,
+			Name:        pc.Name,
+			Now:         pc.Now,
+			View:        sim.ClusterView{FreeProcs: pc.FreeProcs, TotalProcs: pc.TotalProcs},
+			Visible:     make([]*job.Job, 0, len(pc.Jobs)),
+			Pending:     pc.QueueLen,
+			RunningWork: pc.RunningWork,
+		}
+		if c.Pending < len(pc.Jobs) {
+			c.Pending = len(pc.Jobs)
+		}
+		for k := range pc.Jobs {
+			wj := &pc.Jobs[k]
+			if wj.ReqProcs <= 0 || wj.ReqTime <= 0 {
+				return bad("cluster %q job %d needs positive requested_time and requested_procs", pc.Name, k)
+			}
+			qj := wj.toJob()
+			c.Visible = append(c.Visible, &qj)
+			c.PendingWork += wj.ReqTime * float64(wj.ReqProcs)
+		}
+		if migrate && pc.Name == p.From {
+			from = i
+		} else if sh.cordoned.Load() {
+			c.Attrs.Taints = cordonTaints
+		}
+		cands = append(cands, c)
 	}
-	if len(active) == 0 {
-		s.fail(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("serve: every posted cluster is drained"))
+	if migrate && from < 0 {
+		return bad("current cluster %q missing from posted states", p.From)
+	}
+	return p, &jb, cands, from
+}
+
+func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	p, j, cands, _ := s.decodePlacement(w, r, false)
+	if p == nil {
 		return
 	}
-	jv := req.Job.toJob()
-	j := &jv
+	// The tracker is persistent state: a batch that is half-folded when the
+	// request errors out would be double-counted when the client repairs
+	// and re-posts it. So EVERY rejection — a bad dedup identity or record
+	// (400), a job no posted cluster can take (422, the pipeline's own
+	// filters: exactly the condition under which it would return no pick)
+	// — fires before the fold.
+	if p.BatchSeq != nil && (p.Client == "" || *p.BatchSeq < 0) {
+		s.fail(w, http.StatusBadRequest,
+			fmt.Errorf("serve: batch_seq needs a client id and a non-negative value"))
+		return
+	}
+	if !s.placer.Feasible(j, cands) {
+		s.fail(w, http.StatusUnprocessableEntity,
+			fmt.Errorf("serve: job (%d procs) fits no posted cluster that is not cordoned", j.RequestedProcs))
+		return
+	}
 	deduped := false
 	if s.fairness != nil {
-		// The tracker is persistent state: a batch that is half-folded
-		// when the request errors out would be double-counted when the
-		// client repairs and re-posts it. So EVERY rejection — bad
-		// records (400) and infeasible jobs (422, pre-checked here
-		// against the pipeline's own filters, which is exactly the
-		// PlaceScored < 0 condition) — must fire before any Observe.
-		feasible := false
-	next:
-		for _, c := range active {
-			for _, flt := range s.placer.Filters {
-				if !flt.Feasible(j, c) {
-					continue next
-				}
-			}
-			feasible = true
-			break
-		}
-		if !feasible {
-			s.fail(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("serve: job (%d procs) fits no cluster", j.RequestedProcs))
-			return
-		}
-		for i := range req.Clusters {
-			pc := &req.Clusters[i]
+		var wcs []walCluster
+		var idxs []int
+		for i := range p.Clusters {
+			pc := &p.Clusters[i]
 			for k := range pc.Completed {
 				if wd := &pc.Completed[k]; wd.Wait < 0 || wd.Run < 0 {
 					s.fail(w, http.StatusBadRequest,
@@ -357,22 +378,16 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
+			if len(pc.Completed) > 0 {
+				wcs = append(wcs, walCluster{Name: pc.Name, Done: pc.Completed})
+				idxs = append(idxs, cands[i].Index)
+			}
 		}
 		// Fold them in before scoring, so the placement below already sees
 		// them. The durability layer owns the fold: WAL append (when
 		// configured) strictly before Observe, and the batch_seq dedup
 		// check strictly before both — a replayed batch changes nothing.
-		var wcs []walCluster
-		var idxs []int
-		for i := range req.Clusters {
-			pc := &req.Clusters[i]
-			if len(pc.Completed) == 0 {
-				continue
-			}
-			wcs = append(wcs, walCluster{Name: pc.Name, Done: pc.Completed})
-			idxs = append(idxs, cands[i].Index)
-		}
-		applied, err := s.durable.commitBatch(req.Client, req.BatchSeq, wcs, idxs)
+		applied, err := s.durable.commitBatch(p.Client, p.BatchSeq, wcs, idxs)
 		if err != nil {
 			// The WAL refused the batch; acking it would promise a
 			// durability the disk did not deliver.
@@ -389,20 +404,15 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if wantExplain || s.ring != nil {
 		ex = new(obs.Explain)
 	}
-	scores := make([]float64, len(active))
-	pick := s.placer.PlaceExplained(j, active, scores, ex)
-	if pick < 0 {
-		s.fail(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("serve: job (%d procs) fits no cluster", j.RequestedProcs))
-		return
-	}
+	scores := make([]float64, len(cands))
+	pick := cands[s.placer.PlaceExplained(j, cands, scores, ex)]
 	if s.ring != nil {
 		s.ring.Placement(&obs.PlacementDecision{
 			Time:       time.Since(s.start).Seconds(),
 			Router:     s.placer.Name(),
 			Job:        obs.Ref(j),
-			Winner:     active[pick].Index,
-			Cluster:    active[pick].Name,
+			Winner:     pick.Index,
+			Cluster:    pick.Name,
 			TieBreak:   ex.TieBreak,
 			Candidates: ex.Candidates,
 		})
@@ -410,9 +420,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 
 	resp := make([]byte, 0, 256)
 	resp = append(resp, `{"cluster":`...)
-	resp = strconv.AppendQuote(resp, active[pick].Name)
+	resp = strconv.AppendQuote(resp, pick.Name)
 	resp = append(resp, `,"shard":`...)
-	resp = strconv.AppendInt(resp, int64(active[pick].Index), 10)
+	resp = strconv.AppendInt(resp, int64(pick.Index), 10)
 	resp = append(resp, `,"router":`...)
 	resp = strconv.AppendQuote(resp, s.placer.Name())
 	if deduped {
@@ -432,9 +442,33 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		resp = strconv.AppendFloat(resp, fleetMean, 'g', 6, 64)
 		resp = append(resp, '}')
 	}
-	resp = append(resp, `,"scores":`...)
-	resp = appendScoresJSON(resp, active, scores)
-	if wantExplain {
+	if !wantExplain {
+		ex = nil
+	}
+	s.metrics.CountPlacement(pick.Index)
+	s.finishPlacement(w, r, start, &s.metrics.PlaceLatency, resp, cands, scores, ex)
+}
+
+// finishPlacement is the response half /place and /migrate share: the
+// "scores" object covering every unfiltered (non-NaN) candidate, the
+// ?explain=1 trace when ex is set, the write, and the latency accounting.
+func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start time.Time, lat *Histogram, resp []byte, cands []*fleet.Candidate, scores []float64, ex *obs.Explain) {
+	resp = append(resp, `,"scores":{`...)
+	first := true
+	for i, c := range cands {
+		if scores[i] != scores[i] { // NaN: filtered out
+			continue
+		}
+		if !first {
+			resp = append(resp, ',')
+		}
+		first = false
+		resp = strconv.AppendQuote(resp, c.Name)
+		resp = append(resp, ':')
+		resp = strconv.AppendFloat(resp, scores[i], 'g', 6, 64)
+	}
+	resp = append(resp, '}')
+	if ex != nil {
 		// The full pipeline trace: per candidate, each plugin's weight and
 		// normalized score plus filter verdicts — json.Marshal here, off
 		// the default fast path.
@@ -450,203 +484,56 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(resp)
 
-	s.metrics.CountPlacement(active[pick].Index)
-	s.metrics.PlaceLatency.ObserveDuration(time.Since(start))
+	lat.ObserveDuration(time.Since(start))
 	if s.slo != nil {
-		s.slo.observe("/place", time.Since(start))
+		s.slo.observe(r.URL.Path, time.Since(start))
 	}
 }
 
-// appendScoresJSON appends the {"name":score,...} object covering every
-// unfiltered (non-NaN) candidate — the shared tail of the /place and
-// /migrate responses.
-func appendScoresJSON(buf []byte, cands []*fleet.Candidate, scores []float64) []byte {
-	buf = append(buf, '{')
-	first := true
-	for i, c := range cands {
-		if scores[i] != scores[i] { // NaN: filtered out
-			continue
-		}
-		if !first {
-			buf = append(buf, ',')
-		}
-		first = false
-		buf = strconv.AppendQuote(buf, c.Name)
-		buf = append(buf, ':')
-		buf = strconv.AppendFloat(buf, scores[i], 'g', 6, 64)
-	}
-	return append(buf, '}')
-}
-
-// migrateRequest is the /migrate body: the queued job, the name of the
-// cluster currently holding it, and every cluster's state. Like the
-// offline migration controller, the caller reports states as if the job
-// were already withdrawn — its current cluster's jobs list must not
-// include it, so its own footprint cannot bias the incumbent's score.
-type migrateRequest struct {
-	Job      wireJob        `json:"job"`
-	From     string         `json:"from"`
-	Clusters []placeCluster `json:"clusters"`
-}
-
-// handleMigrate is the serving twin of the fleet migration controller's
-// per-job decision: re-score the job through the placement pipeline and
-// recommend a move only when the best alternative beats the incumbent by
-// the configured hysteresis margin AND is drained enough to start the job
-// immediately (free capacity, empty queue) — the same
-// stranded-job-rescue gate fleet.HysteresisMigration applies. The daemon
+// handleMigrate answers whether a queued job should move off its current
+// cluster: re-score it through the placement pipeline and hand the scores
+// to fleet.MoveVerdict — the hysteresis margin and the start-now gate
+// (free capacity and an empty queue at the destination) the offline
+// migration controller applies under fleet.HysteresisMigration. The daemon
 // is stateless: it recommends; the caller moves.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: POST only"))
-		return
-	}
-	if len(s.shards) == 0 || s.migrateMargin < 0 {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: migration endpoint not enabled (fleet mode with -migrate)"))
-		return
-	}
 	start := time.Now()
-	body, ok := s.readLimitedBody(w, r)
-	if !ok {
+	p, j, cands, from := s.decodePlacement(w, r, true)
+	if p == nil {
 		return
 	}
-	var req migrateRequest
-	req.Job.UserID = -1
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad migrate request: %w", err))
-		return
-	}
-	if req.Job.ReqProcs <= 0 || req.Job.ReqTime <= 0 {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("serve: job needs positive requested_time and requested_procs"))
-		return
-	}
-	cands, err := s.placeCandidates(req.Clusters)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// Drained shards cannot be migration destinations, but the job's
-	// current cluster stays in the set — migrating OFF a cordoned member
-	// is the endpoint's whole purpose during a drain.
-	for _, c := range cands {
-		if c.Name != req.From && s.drained[c.Index].Load() {
-			act := make([]*fleet.Candidate, 0, len(cands))
-			for _, c := range cands {
-				if c.Name == req.From || !s.drained[c.Index].Load() {
-					act = append(act, c)
-				}
-			}
-			cands = act
-			break
-		}
-	}
-	from := -1
-	for i, c := range cands {
-		if c.Name == req.From {
-			from = i
-		}
-	}
-	if from < 0 {
-		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("serve: current cluster %q missing from posted states", req.From))
-		return
-	}
-
-	jv := req.Job.toJob()
-	j := &jv
 	scores := make([]float64, len(cands))
 	best := s.placer.PlaceScored(j, cands, scores)
-	move := false
-	dst := from
-	if best >= 0 && best != from {
-		cur := scores[from]
-		drained := cands[best].Pending == 0 &&
-			cands[best].View.FreeProcs >= j.RequestedProcs
-		if drained && (cur != cur || scores[best]-cur > s.migrateMargin) {
-			move = true
-			dst = best
-		}
-	}
+	// The wire carries no per-user quota, so "can start now" is free
+	// capacity behind an empty queue — sim.CanStartNow without a quota.
+	dst, reason, margin := fleet.MoveVerdict(scores, from, best, s.migrateMargin, func() bool {
+		return cands[best].Pending == 0 && cands[best].View.FreeProcs >= j.RequestedProcs
+	})
+	move := dst != from
 
 	resp := make([]byte, 0, 256)
 	resp = append(resp, `{"migrate":`...)
 	resp = strconv.AppendBool(resp, move)
+	resp = append(resp, `,"reason":`...)
+	resp = strconv.AppendQuote(resp, reason)
 	resp = append(resp, `,"cluster":`...)
 	resp = strconv.AppendQuote(resp, cands[dst].Name)
 	resp = append(resp, `,"from":`...)
-	resp = strconv.AppendQuote(resp, cands[from].Name)
-	if cur, bst := scores[from], scores[dst]; cur == cur && bst == bst {
+	resp = strconv.AppendQuote(resp, p.From)
+	if cur := scores[from]; cur == cur {
+		// "margin" is the recommended cluster's lead over a scored
+		// incumbent: the verdict's margin on a move, 0 on a stay.
+		if !move {
+			margin = 0
+		}
 		resp = append(resp, `,"margin":`...)
-		resp = strconv.AppendFloat(resp, bst-cur, 'g', 6, 64)
+		resp = strconv.AppendFloat(resp, margin, 'g', 6, 64)
 	}
 	resp = append(resp, `,"router":`...)
 	resp = strconv.AppendQuote(resp, s.placer.Name())
-	resp = append(resp, `,"scores":`...)
-	resp = appendScoresJSON(resp, cands, scores)
-	resp = append(resp, '}', '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(resp)
-
 	s.metrics.MigrateChecksTotal.Add(1)
-	s.metrics.MigrateLatency.ObserveDuration(time.Since(start))
-	if s.slo != nil {
-		s.slo.observe("/migrate", time.Since(start))
-	}
 	if move {
 		s.metrics.CountMigration(cands[dst].Index)
 	}
-}
-
-// placeCandidates turns the posted cluster states into fleet candidates,
-// validating each against the registered shards.
-func (s *Server) placeCandidates(clusters []placeCluster) ([]*fleet.Candidate, error) {
-	cands := make([]*fleet.Candidate, 0, len(clusters))
-	seen := map[string]bool{}
-	for i := range clusters {
-		pc := &clusters[i]
-		idx, sh := s.shardByName(pc.Name)
-		if sh == nil {
-			return nil, fmt.Errorf("serve: unknown cluster %q", pc.Name)
-		}
-		if seen[pc.Name] {
-			return nil, fmt.Errorf("serve: cluster %q listed twice", pc.Name)
-		}
-		seen[pc.Name] = true
-		if pc.TotalProcs != sh.procs {
-			return nil, fmt.Errorf("serve: cluster %q reports %d procs, shard has %d",
-				pc.Name, pc.TotalProcs, sh.procs)
-		}
-		if pc.FreeProcs < 0 || pc.FreeProcs > pc.TotalProcs {
-			return nil, fmt.Errorf("serve: cluster %q free_procs out of range", pc.Name)
-		}
-		visible := make([]*job.Job, 0, len(pc.Jobs))
-		pendingWork := 0.0
-		for k := range pc.Jobs {
-			wj := &pc.Jobs[k]
-			if wj.ReqProcs <= 0 || wj.ReqTime <= 0 {
-				return nil, fmt.Errorf("serve: cluster %q job %d needs positive requested_time and requested_procs",
-					pc.Name, k)
-			}
-			jb := wj.toJob()
-			visible = append(visible, &jb)
-			pendingWork += wj.ReqTime * float64(wj.ReqProcs)
-		}
-		pending := pc.QueueLen
-		if pending < len(pc.Jobs) {
-			pending = len(pc.Jobs)
-		}
-		cands = append(cands, &fleet.Candidate{
-			Index:       idx,
-			Name:        pc.Name,
-			Now:         pc.Now,
-			View:        sim.ClusterView{FreeProcs: pc.FreeProcs, TotalProcs: pc.TotalProcs},
-			Visible:     visible,
-			Pending:     pending,
-			PendingWork: pendingWork,
-			// RunningWork is unknowable from a posted snapshot; the
-			// queue signals above carry the load information.
-		})
-	}
-	return cands, nil
+	s.finishPlacement(w, r, start, &s.metrics.MigrateLatency, resp, cands, scores, nil)
 }

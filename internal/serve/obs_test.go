@@ -274,6 +274,7 @@ func TestMetricsHelpAndType(t *testing.T) {
 		"rlserv_uptime_seconds ",
 		"rlserv_migrate_latency_seconds_count 1",
 		`rlserv_fairness_score{stat="jain"}`,
+		"rlserv_wal_healthy 1",
 		"rlserv_degradation_level 0",
 		"rlserv_slo_breaches_total ",
 		`rlserv_request_latency_seconds{path="/place",quantile="0.99"}`,

@@ -1,0 +1,232 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"rlsched/internal/obs"
+)
+
+// TestMigrateReason: /migrate shows the shared verdict — every response
+// names the obs.Reason* fleet.MoveVerdict returned.
+func TestMigrateReason(t *testing.T) {
+	_, ts := newMigrateServer(t, 0.25)
+	buried := clusterState("large", 0, 256, `[0,30000,128],[0,30000,128]`)
+	cases := []struct {
+		name   string
+		body   []byte
+		reason string
+	}{
+		{"rescue onto an idle cluster", migrateBody(t, `[-600,600,32]`, "large",
+			buried, clusterState("small", 64, 64, "")), obs.ReasonMoved},
+		{"best alternative is busy", migrateBody(t, `[-600,600,32]`, "large",
+			buried, clusterState("mid", 64, 128, `[0,30000,64]`)), obs.ReasonNotDrained},
+		{"incumbent is the best pick", migrateBody(t, `[-600,600,32]`, "small",
+			buried, clusterState("small", 64, 64, "")), obs.ReasonIncumbent},
+		{"lead below the margin", migrateBody(t, `[-600,600,32]`, "mid",
+			clusterState("mid", 0, 128, `[0,1000,64]`),
+			clusterState("small", 64, 64, `[0,900,32]`),
+			buried), obs.ReasonHysteresis},
+		{"fits nowhere", migrateBody(t, `[-600,600,512]`, "large",
+			buried, clusterState("small", 64, 64, "")), obs.ReasonInfeasible},
+	}
+	for _, tc := range cases {
+		code, out := postJSON(t, ts.URL+"/migrate", tc.body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.name, code, out)
+		}
+		var resp struct {
+			migrateResp
+			Reason string `json:"reason"`
+		}
+		if err := json.Unmarshal(out, &resp); err != nil {
+			t.Fatalf("%s: %v in %s", tc.name, err, out)
+		}
+		if resp.Reason != tc.reason || resp.Migrate != (tc.reason == obs.ReasonMoved) {
+			t.Errorf("%s: want reason %q, got %s", tc.name, tc.reason, out)
+		}
+	}
+}
+
+// TestCordonIsAFilterVerdict: a cordoned shard is still a candidate, and
+// the taint filter's rejection is visible in ?explain=1 and
+// /debug/decisions instead of the cluster silently disappearing.
+func TestCordonIsAFilterVerdict(t *testing.T) {
+	_, ts := newFleetServer(t, "binpack")
+	if code, out := postJSON(t, ts.URL+"/drain", []byte(`{"cluster":"mid"}`)); code != http.StatusOK {
+		t.Fatalf("drain: %d %s", code, out)
+	}
+	// "from" is /migrate's field: on /place it must not lift the cordon the
+	// way it does for a /migrate request's own cluster.
+	mid := clusterState("mid", 8, 128, "") // the tightest fit, were it open
+	if code, out := postJSON(t, ts.URL+"/place", migrateBody(t, `[0,60,8]`, "mid", mid)); code != http.StatusUnprocessableEntity {
+		t.Fatalf("place with only the cordoned shard posted and from naming it: %d %s, want 422", code, out)
+	}
+	body := migrateBody(t, `[0,60,8]`, "mid",
+		clusterState("large", 256, 256, ""), mid, clusterState("small", 64, 64, ""))
+	code, out := postJSON(t, ts.URL+"/place?explain=1", body)
+	if code != http.StatusOK {
+		t.Fatalf("place: %d %s", code, out)
+	}
+	var resp explainResp
+	if err := json.Unmarshal(out, &resp); err != nil {
+		t.Fatalf("%v in %s", err, out)
+	}
+	if resp.Cluster == "mid" {
+		t.Fatalf("placed on the cordoned shard: %s", out)
+	}
+	if _, scored := resp.Scores["mid"]; scored {
+		t.Errorf("cordoned shard carries a score: %s", out)
+	}
+	var log struct {
+		Decisions []obs.PlacementDecision `json:"decisions"`
+	}
+	code, ring := getJSON(t, ts.URL+"/debug/decisions?n=1")
+	if code != http.StatusOK {
+		t.Fatalf("debug/decisions: %d %s", code, ring)
+	}
+	if err := json.Unmarshal(ring, &log); err != nil || len(log.Decisions) != 1 {
+		t.Fatalf("debug/decisions: %v in %s", err, ring)
+	}
+	for name, cands := range map[string][]obs.CandidateTrace{
+		"explain": resp.Explain.Candidates, "debug/decisions": log.Decisions[0].Candidates,
+	} {
+		if len(cands) != 3 {
+			t.Fatalf("%s lists %d candidates, want all 3 posted: %+v", name, len(cands), cands)
+		}
+		for _, c := range cands {
+			if c.Name == "mid" && (c.Feasible || c.FilteredBy != "taint") {
+				t.Errorf("%s: cordoned shard not marked filtered by the taint plugin: %+v", name, c)
+			}
+			if c.Name != "mid" && !c.Feasible {
+				t.Errorf("%s: open shard %q filtered: %+v", name, c.Name, c)
+			}
+		}
+	}
+}
+
+// TestRunningWork: the optional running_work moves the load-based scorers
+// exactly like a busy simulated cluster does, defaults to 0 (the answer a
+// caller that does not track it always got), and is validated.
+func TestRunningWork(t *testing.T) {
+	_, ts := newFleetServer(t, "least-loaded")
+	state := func(name string, total int, running string) string {
+		return fmt.Sprintf(`{"name":%q,"free_procs":0,"total_procs":%d,"jobs":[]%s}`, name, total, running)
+	}
+	for _, tc := range []struct {
+		large, mid string
+		code       int
+		want       string
+	}{
+		{``, ``, 200, "large"}, // both look idle: the lowest index wins the tie
+		{`,"running_work":512`, `,"running_work":0`, 200, "mid"},      // 2 s/proc vs 0
+		{`,"running_work":512`, `,"running_work":1000`, 200, "large"}, // 2 s/proc vs 7.8
+		{``, `,"running_work":-1`, 400, ""},
+		{``, `,"running_work":1e999`, 400, ""},
+		{``, `,"running_work":"lots"`, 400, ""},
+	} {
+		code, out := postJSON(t, ts.URL+"/place", placeBody(t, `[0,60,8]`,
+			state("large", 256, tc.large), state("mid", 128, tc.mid)))
+		if code != tc.code {
+			t.Fatalf("large%s mid%s: %d %s, want %d", tc.large, tc.mid, code, out, tc.code)
+		}
+		if code == http.StatusOK && !strings.Contains(string(out), `"cluster":"`+tc.want+`"`) {
+			t.Errorf("large%s mid%s: want %s, got %s", tc.large, tc.mid, tc.want, out)
+		}
+	}
+}
+
+// placementFuzzSeeds is the shared seed corpus of FuzzPlaceRequest and
+// FuzzMigrateRequest (checked in under testdata/fuzz by
+// TestWriteFuzzCorpus): the hostile shapes a /place or /migrate body takes.
+func placementFuzzSeeds() map[string][]byte {
+	a := func(extra string) string {
+		return `{"name":"a","free_procs":8,"total_procs":64,"jobs":[[0,600,4,3,11]]` + extra + `}`
+	}
+	b := `{"name":"b","now":5,"free_procs":64,"total_procs":64,"queue_len":3,"jobs":[{"id":7,"submit_time":-30,"requested_time":3600,"requested_procs":4,"user_id":2}]}`
+	rows := strings.TrimSuffix(strings.Repeat(`[3,10,600],`, 2000), ",")
+	return map[string][]byte{
+		"valid-array-job":     []byte(`{"job":[0,60,4,3],"from":"a","clusters":[` + a(`,"completed":[[7,9000,60],{"user_id":3,"wait":10,"run_time":600}]`) + `,` + b + `]}`),
+		"valid-object-job":    []byte(`{"job":{"id":9,"submit_time":1,"requested_time":60,"requested_procs":4,"user_id":5},"from":"b","client":"c0","batch_seq":1,"clusters":[` + a(`,"running_work":1200.5`) + `,` + b + `]}`),
+		"duplicate-cluster":   []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a("") + `,` + a("") + `]}`),
+		"unknown-cluster":     []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a("") + `,{"name":"zz","free_procs":1,"total_procs":1,"jobs":[]}]}`),
+		"from-missing":        []byte(`{"job":[0,60,4],"from":"b","clusters":[` + a("") + `]}`),
+		"negative-wait":       []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"completed":[[7,-1,60]]`) + `]}`),
+		"seq-without-client":  []byte(`{"job":[0,60,4],"from":"a","batch_seq":4,"clusters":[` + a(`,"completed":[[7,5,60]]`) + `]}`),
+		"thousands-completed": []byte(`{"job":[0,60,4],"from":"a","client":"c1","batch_seq":2,"clusters":[` + a(`,"completed":[`+rows+`]`) + `]}`),
+		"running-work-range":  []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"running_work":-3`) + `,` + b + `]}`),
+		"running-work-huge":   []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"running_work":1e999`) + `]}`),
+		"fits-nowhere":        []byte(`{"job":[0,60,4096],"from":"a","clusters":[` + a(`,"completed":[[7,5,60]]`) + `]}`),
+		"not-json":            []byte(`{"job":[0,60,4],"clusters":[`),
+		"empty":               {},
+	}
+}
+
+// fuzzPlacement drives arbitrary bodies through the real handler of a
+// fairness-tracking fleet daemon (engine router, /migrate on, one shard
+// cordoned): no panic, no 5xx, and any non-200 leaves the fairness tracker
+// exactly as it was — a rejected request must never half-fold its batch.
+func fuzzPlacement(f *testing.F, path string) {
+	for _, seed := range placementFuzzSeeds() {
+		f.Add(seed)
+	}
+	srv, err := NewServer(Config{
+		BatchWindow: time.Microsecond,
+		Migrate:     true,
+		FairWeight:  1,
+		Shards: []ShardConfig{
+			{Name: "a", Procs: 64, PolicyName: "SJF"},
+			{Name: "b", Procs: 64, PolicyName: "F1"},
+			{Name: "c", Procs: 64, PolicyName: "FCFS"},
+		},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	drain := httptest.NewRecorder()
+	h.ServeHTTP(drain, httptest.NewRequest(http.MethodPost, "/drain", strings.NewReader(`{"cluster":"c"}`)))
+	if drain.Code != http.StatusOK {
+		f.Fatalf("drain: %d %s", drain.Code, drain.Body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := fmt.Sprintf("%+v", srv.fairness.ExportState())
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body))))
+		if w.Code >= 500 {
+			t.Fatalf("%s answered %d: %s", path, w.Code, w.Body)
+		}
+		if after := fmt.Sprintf("%+v", srv.fairness.ExportState()); w.Code != http.StatusOK && after != before {
+			t.Fatalf("%s answered %d but the fairness tracker changed:\n%s\n%s", path, w.Code, before, after)
+		}
+	})
+}
+
+func FuzzPlaceRequest(f *testing.F)   { fuzzPlacement(f, "/place") }
+func FuzzMigrateRequest(f *testing.F) { fuzzPlacement(f, "/migrate") }
+
+// writePlacementFuzzCorpus is TestWriteFuzzCorpus's share for the two
+// placement fuzz targets.
+func writePlacementFuzzCorpus(t *testing.T) {
+	t.Helper()
+	for _, target := range []string{"FuzzPlaceRequest", "FuzzMigrateRequest"} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range placementFuzzSeeds() {
+			content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rlsched/internal/fleet"
@@ -124,11 +123,6 @@ type Server struct {
 	migrateMargin float64
 	fairness      *fleet.FairnessScorer
 
-	// drained mirrors the durable cordon set onto the request path: one
-	// flag per shard, read lock-free by /place, /migrate and /readyz,
-	// written by /drain and by restore. Allocated alongside shards.
-	drained []atomic.Bool
-
 	// durable owns the fairness tracker's checkpoint/WAL lifecycle and
 	// the /place batch_seq dedup table (nil unless FairWeight > 0; the
 	// dedup table works with or without a CheckpointDir).
@@ -197,7 +191,7 @@ func NewServer(cfg Config) (*Server, error) {
 				}
 				return s.shards[idx].name
 			},
-			markDrained: func(idx int) { s.drained[idx].Store(true) },
+			markDrained: func(idx int) { s.shards[idx].cordoned.Store(true) },
 			metrics:     s.metrics,
 		})
 		if err != nil {
@@ -539,12 +533,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			s.metrics.WALRecordsTotal.Load())
 		promCounter(w, "rlserv_checkpoints_total", "Fairness snapshots written.",
 			s.metrics.CheckpointsTotal.Load())
+		healthy := 1
+		if s.durable.walHealth() != nil {
+			healthy = 0
+		}
+		promFamily(w, "rlserv_wal_healthy", "0 while a failed append poisons the WAL segment (batches and drains answer 500), else 1.", "gauge")
+		fmt.Fprintf(w, "rlserv_wal_healthy %d\n", healthy)
 	}
 	if len(s.shards) > 0 {
 		promFamily(w, "rlserv_shard_drained", "1 when the shard is cordoned by /drain, else 0.", "gauge")
-		for i, sh := range s.shards {
+		for _, sh := range s.shards {
 			v := 0
-			if s.drained[i].Load() {
+			if sh.cordoned.Load() {
 				v = 1
 			}
 			fmt.Fprintf(w, "rlserv_shard_drained{cluster=%q} %d\n", sh.name, v)
@@ -621,7 +621,7 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: unknown cluster %q", spec.Cluster))
 		return
 	}
-	already := s.drained[idx].Load()
+	already := sh.cordoned.Load()
 	if !already && s.durable != nil {
 		// Make the cordon durable and retire the shard's fairness state
 		// BEFORE the serving flag flips: once a placement can see the
@@ -631,20 +631,9 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.drained[idx].Store(true)
+	sh.cordoned.Store(true)
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"cluster\":%q,\"drained\":true,\"already\":%t}\n", sh.name, already)
-}
-
-// drainedShards lists the currently cordoned shard names.
-func (s *Server) drainedShards() []string {
-	var names []string
-	for i := range s.drained {
-		if s.drained[i].Load() {
-			names = append(names, s.shards[i].name)
-		}
-	}
-	return names
 }
 
 // handleHealthz is the liveness probe: ok until the degradation ladder
@@ -670,7 +659,22 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "degraded level=%d\n", level)
 		return
 	}
-	if names := s.drainedShards(); len(names) > 0 {
+	if s.durable != nil {
+		if err := s.durable.walHealth(); err != nil {
+			// Completion batches are being refused; take the daemon out of
+			// rotation until a checkpoint opens a fresh segment.
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintf(w, "wal unhealthy: %v\n", err)
+			return
+		}
+	}
+	var names []string
+	for _, sh := range s.shards {
+		if sh.cordoned.Load() {
+			names = append(names, sh.name)
+		}
+	}
+	if len(names) > 0 {
 		// A cordoned shard means the fleet serves below strength; report
 		// not-ready so the control plane replaces the member (there is no
 		// online undrain).
