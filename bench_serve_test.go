@@ -38,9 +38,6 @@ func newBenchServer(b *testing.B, policyName string, cacheSize int) *httptest.Se
 		}
 		cfg.Engine = eng
 	}
-	// No batch window: latency benchmarks measure the request itself, not
-	// the coalescing wait.
-	cfg.BatchWindow = time.Nanosecond
 	srv, err := serve.NewServer(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -1,7 +1,8 @@
 // Command rlservd is the online scheduling-decision daemon: it loads a
 // trained model snapshot (or a named heuristic) and serves scheduling
-// decisions over an HTTP JSON API, batching concurrent requests into
-// single policy-network forward passes.
+// decisions over an HTTP JSON API. Requests that queue behind busy workers
+// share one policy-network forward pass; an idle daemon answers a request
+// at once and never holds it back to wait for company.
 //
 // Serve a trained snapshot:
 //
@@ -149,95 +150,85 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-func main() {
-	model := flag.String("model", "", "model snapshot path (rlsched train output)")
-	policy := flag.String("policy", "", "heuristic name instead of a model (FCFS|WFP3|UNICEP|SJF|F1|SAF|LJF)")
-	addr := flag.String("addr", ":9090", "listen address")
-	batchWindow := flag.Duration("batch-window", 200*time.Microsecond,
-		"how long a lone request waits for company before a solo forward pass")
-	workers := flag.Int("workers", 0, "decision workers (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", 64, "max queue states per forward pass")
-	var shards shardFlags
-	flag.Var(&shards, "shard",
+// options is what the command line configures: the listen address and the
+// serve.Config the flags fill in directly.
+type options struct {
+	addr string
+	cfg  serve.Config
+}
+
+// registerFlags declares the daemon's whole flag surface on fs. The README
+// flag table is held to exactly these names (main_test.go).
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	c := &o.cfg
+	fs.StringVar(&c.ModelPath, "model", "", "model snapshot path (rlsched train output)")
+	fs.StringVar(&c.PolicyName, "policy", "", "heuristic name instead of a model (FCFS|WFP3|UNICEP|SJF|F1|SAF|LJF)")
+	fs.StringVar(&o.addr, "addr", ":9090", "listen address")
+	fs.IntVar(&c.Workers, "workers", 0, "decision workers (0 = GOMAXPROCS)")
+	fs.IntVar(&c.MaxBatch, "max-batch", 64, "max queue states per forward pass")
+	fs.Var((*shardFlags)(&c.Shards), "shard",
 		"fleet shard spec name=X,procs=N,model=PATH|policy=NAME (repeatable; enables /place)")
-	placeRouter := flag.String("place-router", "",
+	fs.StringVar(&c.PlaceRouter, "place-router", "",
 		"fleet placement pipeline: engine (default) | least-loaded | binpack")
-	migrate := flag.Bool("migrate", false,
+	fs.BoolVar(&c.Migrate, "migrate", false,
 		"fleet mode: enable the POST /migrate re-placement endpoint and its /metrics counters")
-	migrateMargin := flag.Float64("migrate-margin", 0.25,
+	fs.Float64Var(&c.MigrateMargin, "migrate-margin", 0.25,
 		"hysteresis margin a recommended move must clear (normalized score scale)")
-	fairWeight := flag.Float64("fair-weight", 0,
+	fs.Float64Var(&c.FairWeight, "fair-weight", 0,
 		"fleet mode: weight of the per-user fairness plugin in the /place pipeline (0 disables); "+
 			"clusters feed it by posting completed jobs with their /place states")
-	fairWindow := flag.Float64("fair-window", 0,
+	fs.Float64Var(&c.FairWindow, "fair-window", 0,
 		"fleet mode: decay the fairness tracker's shares over roughly this many completions "+
 			"(0 = full history; needs -fair-weight)")
-	sloP99 := flag.Duration("slo-p99", 0,
+	fs.DurationVar(&c.SLO.P99Budget, "slo-p99", 0,
 		"p99 latency budget per endpoint; enables SLO monitoring, /readyz, and the "+
 			"degradation ladder (RL scoring -> SJF fallback -> static shedding) when set")
-	sloWindow := flag.Duration("slo-window", 30*time.Second,
+	fs.DurationVar(&c.SLO.Window, "slo-window", 30*time.Second,
 		"sliding window the SLO latency quantiles are computed over")
-	sloQueueHigh := flag.Int("slo-queue-high", 0,
+	fs.IntVar(&c.SLO.QueueHigh, "slo-queue-high", 0,
 		"batcher queue depth treated as overload by the SLO monitor (0 = latency signal only)")
-	healthzLevel := flag.Int("healthz", 2,
+	fs.IntVar(&c.SLO.HealthzLevel, "healthz", 2,
 		"degradation level at which /healthz flips to 503 (needs -slo-p99)")
-	pprofOn := flag.Bool("pprof", false,
+	fs.BoolVar(&c.Pprof, "pprof", false,
 		"mount the net/http/pprof profiling handlers under /debug/pprof/")
-	decisionLog := flag.Int("decision-log", 0,
+	fs.IntVar(&c.DecisionLog, "decision-log", 0,
 		"fleet mode: /debug/decisions ring size (0 = default 256, negative disables)")
-	checkpointDir := flag.String("checkpoint-dir", "",
+	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "",
 		"durability directory for the fairness tracker (snapshot + WAL, restored on "+
 			"restart; needs -fair-weight)")
-	checkpointInterval := flag.Duration("checkpoint-interval", 30*time.Second,
+	fs.DurationVar(&c.CheckpointInterval, "checkpoint-interval", 30*time.Second,
 		"period between fairness snapshots (0 disables the loop; the WAL still "+
 			"persists every batch)")
-	decisionCache := flag.Int("decision-cache", 0,
+	fs.IntVar(&c.DecisionCache, "decision-cache", 0,
 		"entries in the exact-match decision cache in front of the engines "+
 			"(0 disables; invalidated on /reload)")
+	return o
+}
+
+func main() {
+	opts := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	srv, err := serve.NewServer(serve.Config{
-		ModelPath:          *model,
-		PolicyName:         *policy,
-		Workers:            *workers,
-		BatchWindow:        *batchWindow,
-		MaxBatch:           *maxBatch,
-		Shards:             shards,
-		PlaceRouter:        *placeRouter,
-		Migrate:            *migrate,
-		MigrateMargin:      *migrateMargin,
-		FairWeight:         *fairWeight,
-		FairWindow:         *fairWindow,
-		Pprof:              *pprofOn,
-		DecisionLog:        *decisionLog,
-		CheckpointDir:      *checkpointDir,
-		CheckpointInterval: *checkpointInterval,
-		DecisionCache:      *decisionCache,
-		SLO: serve.SLOConfig{
-			P99Budget:    *sloP99,
-			Window:       *sloWindow,
-			QueueHigh:    *sloQueueHigh,
-			HealthzLevel: *healthzLevel,
-		},
-	})
+	srv, err := serve.NewServer(opts.cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rlservd: %v\n", err)
 		os.Exit(1)
 	}
 	defer srv.Close()
 
-	httpSrv := newHTTPServer(*addr, srv.Handler())
+	httpSrv := newHTTPServer(opts.addr, srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if names := srv.Shards(); len(names) > 0 {
-		fmt.Printf("rlservd: fleet mode, shards %v, serving policy %q on %s (batch-window=%v max-batch=%d)\n",
-			names, srv.Engine().Name(), *addr, *batchWindow, *maxBatch)
+		fmt.Printf("rlservd: fleet mode, shards %v, serving policy %q on %s (max-batch=%d)\n",
+			names, srv.Engine().Name(), opts.addr, opts.cfg.MaxBatch)
 	} else {
-		fmt.Printf("rlservd: serving policy %q on %s (batch-window=%v max-batch=%d)\n",
-			srv.Engine().Name(), *addr, *batchWindow, *maxBatch)
+		fmt.Printf("rlservd: serving policy %q on %s (max-batch=%d)\n",
+			srv.Engine().Name(), opts.addr, opts.cfg.MaxBatch)
 	}
 
 	select {

@@ -1,12 +1,56 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestFlagsMatchREADME: the flags registerFlags declares and the flags the
+// README's "### `rlservd`" table documents are exactly the same set — a
+// flag cannot be added, renamed or removed on one side only.
+func TestFlagsMatchREADME(t *testing.T) {
+	fs := flag.NewFlagSet("rlservd", flag.ContinueOnError)
+	registerFlags(fs)
+	var registered []string
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name) })
+	sort.Strings(registered)
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n### `rlservd`\n")
+	if !ok {
+		t.Fatal("README.md has no \"### `rlservd`\" section")
+	}
+	if i := strings.Index(section, "\n#"); i >= 0 {
+		section = section[:i]
+	}
+	flagName := regexp.MustCompile("`-([a-z0-9-]+)`")
+	var documented []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 {
+			continue
+		}
+		// cells[1] is the Flag column; a row may document several flags.
+		for _, m := range flagName.FindAllStringSubmatch(cells[1], -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	sort.Strings(documented)
+	if got, want := strings.Join(documented, " "), strings.Join(registered, " "); got != want {
+		t.Errorf("README rlservd flag table and registerFlags disagree\n  README:     %s\n  registered: %s", got, want)
+	}
+}
 
 // TestStalledHeaderIsCutOff: a client that opens a connection, sends half
 // a request header and then goes quiet must be disconnected by the server

@@ -14,43 +14,44 @@ import (
 // channel hop per state) keeps the per-decision synchronization cost
 // constant under pipelined load.
 type group struct {
-	states []*QueueState
-	out    []Decision
-	policy string // name of the engine that decided the group
-	done   chan struct{}
+	states   []*QueueState
+	out      []Decision
+	policy   string // name of the engine that decided the group
+	enqueued time.Time
+	done     chan struct{}
 }
 
 // engineBox makes the Engine interface value swappable via atomic.Pointer.
 type engineBox struct{ e Engine }
 
 // Batcher coalesces concurrent decision requests into batched engine
-// calls. A fixed pool of workers pulls groups off one queue; each worker
-// greedily drains whatever is queued (up to MaxBatch states) into a single
-// DecideBatch call, and only when it holds a lone group does it wait up to
-// Window for company. Under load batches fill with zero added latency;
-// when idle the window bounds the wait.
+// calls. A fixed pool of workers pulls groups off one queue; a worker that
+// dequeues a group greedily drains whatever else is already queued (up to
+// MaxBatch states) into a single DecideBatch call and runs it at once.
+// The batcher is work-conserving: batches form from requests queueing
+// behind busy workers, never from an idle worker waiting for company — a
+// batched forward pass costs no less per state than a solo one (DESIGN.md
+// §14), so waiting could only add latency.
 type Batcher struct {
 	queue    chan *group
 	quit     chan struct{}
-	window   time.Duration
 	maxBatch int
 	engine   atomic.Pointer[engineBox]
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
-	// decisions and batches feed the /metrics histograms.
-	onBatch func(states int)
+	metrics *Metrics
 }
 
 // BatcherConfig sizes a Batcher. Zero values take defaults: workers =
-// GOMAXPROCS, window = 200µs, maxBatch = 64 states.
+// GOMAXPROCS, maxBatch = 64 states.
 type BatcherConfig struct {
 	Workers  int
-	Window   time.Duration
 	MaxBatch int
-	// OnBatch, when set, observes every engine call's batch size.
-	OnBatch func(states int)
+	// Metrics, when set, receives every engine call's batch size
+	// (BatchSize) and every group's time in the queue (BatchQueue).
+	Metrics *Metrics
 }
 
 // NewBatcher starts the worker pool serving the given engine.
@@ -58,18 +59,14 @@ func NewBatcher(e Engine, cfg BatcherConfig) *Batcher {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 200 * time.Microsecond
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
 	b := &Batcher{
 		queue:    make(chan *group, 4*cfg.MaxBatch),
 		quit:     make(chan struct{}),
-		window:   cfg.Window,
 		maxBatch: cfg.MaxBatch,
-		onBatch:  cfg.OnBatch,
+		metrics:  cfg.Metrics,
 	}
 	b.engine.Store(&engineBox{e})
 	b.wg.Add(cfg.Workers)
@@ -106,7 +103,7 @@ func (b *Batcher) Close() {
 // Decide answers all states of one request, blocking until the batcher has
 // run them (or ctx expires, leaving the work to be discarded when served).
 // It also returns the name of the engine that decided the request, which
-// during a hot-swap window can differ from the currently served engine.
+// during a hot swap can differ from the currently served engine.
 func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision, string, error) {
 	if len(states) == 0 {
 		return nil, "", nil
@@ -114,7 +111,7 @@ func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision,
 	if b.closed.Load() {
 		return nil, "", fmt.Errorf("serve: batcher is shut down")
 	}
-	g := &group{states: states, out: make([]Decision, len(states)), done: make(chan struct{})}
+	g := &group{states: states, out: make([]Decision, len(states)), enqueued: time.Now(), done: make(chan struct{})}
 	select {
 	case b.queue <- g:
 	case <-b.quit:
@@ -145,11 +142,7 @@ func (b *Batcher) worker() {
 		groups []*group
 		states []*QueueState
 		out    []Decision
-		timer  = time.NewTimer(time.Hour)
 	)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	runBatch := func(groups []*group) {
 		states = states[:0]
 		for _, g := range groups {
@@ -160,10 +153,14 @@ func (b *Batcher) worker() {
 		}
 		out = out[:len(states)]
 		eng := b.engine.Load().e
-		eng.DecideBatch(states, out)
-		if b.onBatch != nil {
-			b.onBatch(len(states))
+		if b.metrics != nil {
+			start := time.Now()
+			for _, g := range groups {
+				b.metrics.BatchQueue.ObserveDuration(start.Sub(g.enqueued))
+			}
+			b.metrics.BatchSize.Observe(float64(len(states)))
 		}
+		eng.DecideBatch(states, out)
 		i := 0
 		for _, g := range groups {
 			copy(g.out, out[i:i+len(g.states)])
@@ -200,28 +197,6 @@ func (b *Batcher) worker() {
 				n += len(g.states)
 			default:
 				break drain
-			}
-		}
-		// A lone small group waits up to the window for company once.
-		if len(groups) == 1 && n < b.maxBatch && b.window > 0 {
-			timer.Reset(b.window)
-		wait:
-			for n < b.maxBatch {
-				select {
-				case g := <-b.queue:
-					groups = append(groups, g)
-					n += len(g.states)
-				case <-timer.C:
-					break wait
-				case <-b.quit:
-					break wait
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
 			}
 		}
 		runBatch(groups)

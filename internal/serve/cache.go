@@ -62,11 +62,23 @@ func newDecisionCache(capacity int, m *Metrics) *decisionCache {
 // them as new keys arrive.
 func (c *decisionCache) invalidate() { c.gen.Add(1) }
 
+// generation is the key generation to probe and put under (0 for a nil
+// cache). A caller must read it BEFORE it loads the engine that will answer
+// a miss: /reload swaps the engine and then invalidates, so a generation
+// read first can only ever be too old — the answer lands under a dead key —
+// never pair the old engine's answer with the new generation.
+func (c *decisionCache) generation() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.gen.Load()
+}
+
 // appendCacheKey encodes one queue state's cache identity onto buf. tag is
 // the shard index the serving engine belongs to (-1 for the base engine),
 // keeping per-shard engines in disjoint key spaces within a generation.
-func (c *decisionCache) appendCacheKey(buf []byte, tag int, st *QueueState) []byte {
-	buf = binary.AppendUvarint(buf, c.gen.Load())
+func appendCacheKey(buf []byte, gen uint64, tag int, st *QueueState) []byte {
+	buf = binary.AppendUvarint(buf, gen)
 	buf = binary.AppendVarint(buf, int64(tag))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Now))
 	buf = binary.AppendVarint(buf, int64(st.View.FreeProcs))
@@ -88,14 +100,15 @@ func (c *decisionCache) appendCacheKey(buf []byte, tag int, st *QueueState) []by
 	return buf
 }
 
-// probe encodes st's key into *buf (reused across calls) and looks it up —
-// the one cache read of /v1/decide and the /place engine scorer. A nil
-// cache (disabled) never hits and returns an empty key, which put ignores.
-func (c *decisionCache) probe(buf *[]byte, tag int, st *QueueState) (key string, e cacheEntry, hit bool) {
+// probe encodes st's key under generation gen into *buf (reused across
+// calls) and looks it up — the one cache read of /v1/decide and the /place
+// engine scorer. A nil cache (disabled) never hits and returns an empty
+// key, which put ignores.
+func (c *decisionCache) probe(buf *[]byte, gen uint64, tag int, st *QueueState) (key string, e cacheEntry, hit bool) {
 	if c == nil {
 		return "", cacheEntry{}, false
 	}
-	*buf = c.appendCacheKey((*buf)[:0], tag, st)
+	*buf = appendCacheKey((*buf)[:0], gen, tag, st)
 	key = string(*buf)
 	e, hit = c.get(key)
 	return key, e, hit
@@ -150,8 +163,9 @@ func (s *Server) decideCached(ctx context.Context, batcher *Batcher, tag int, st
 	decs := make([]Decision, len(states))
 	var missIdx []int
 	var keyBuf []byte
+	gen := s.cache.generation() // before the batcher loads the engine
 	for i, st := range states {
-		key, e, hit := s.cache.probe(&keyBuf, tag, st)
+		key, e, hit := s.cache.probe(&keyBuf, gen, tag, st)
 		keys[i] = key
 		if hit {
 			decs[i] = e.dec

@@ -3,9 +3,10 @@ package serve
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 )
 
 // TestDecisionCacheDecide: identical /v1/decide requests hit the cache
@@ -14,10 +15,9 @@ import (
 func TestDecisionCacheDecide(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		PolicyName:    "SJF",
-		BatchWindow:   time.Microsecond,
 		DecisionCache: 8,
 	})
-	_, plain := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond})
+	_, plain := newTestServer(t, Config{PolicyName: "SJF"})
 
 	body := []byte(`{"now":10,"free_procs":8,"total_procs":64,` +
 		`"jobs":[[0,600,4],[-30,60,2],[-60,3600,32]],"scores":true}`)
@@ -89,7 +89,6 @@ func TestDecisionCacheDecide(t *testing.T) {
 // scoring, and the answer never changes.
 func TestDecisionCachePlace(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		BatchWindow:   time.Microsecond,
 		DecisionCache: 64,
 		Shards: []ShardConfig{
 			{Name: "a", Procs: 64, PolicyName: "SJF"},
@@ -135,5 +134,79 @@ func TestDecisionCacheEviction(t *testing.T) {
 	c.put("k4", cacheEntry{policy: "d"}) // evicts k2
 	if _, ok := c.get("k2"); ok {
 		t.Error("k2 survived past capacity")
+	}
+}
+
+// reloadInsideScore is an Engine whose first MaxJobs call — which the
+// /place engine scorer makes after it has loaded the shard's engine and
+// before it probes the cache — runs a hook: the test's /reload of that
+// very shard, landed deterministically in the middle of one scoring.
+type reloadInsideScore struct {
+	Engine
+	once sync.Once
+	hook func()
+}
+
+func (e *reloadInsideScore) MaxJobs() int {
+	e.once.Do(e.hook)
+	return e.Engine.MaxJobs()
+}
+
+// TestPlaceReloadCacheRace: a shard /reload that lands while /place is
+// scoring that shard must not leave the old engine's decision cached as the
+// new engine's. The scoring in flight may still answer with the old engine;
+// the next identical /place must be scored by the new one.
+func TestPlaceReloadCacheRace(t *testing.T) {
+	sjf, err := LoadEngine("", "SJF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ts *httptest.Server
+	racing := &reloadInsideScore{Engine: sjf, hook: func() {
+		if code, out := postJSON(t, ts.URL+"/reload", []byte(`{"cluster":"a","policy":"LJF"}`)); code != http.StatusOK {
+			t.Errorf("reload inside Score: %d %s", code, out)
+		}
+	}}
+	var srv *Server
+	srv, ts = newTestServer(t, Config{
+		DecisionCache: 64,
+		Shards: []ShardConfig{
+			{Name: "a", Procs: 64, Engine: racing},
+			{Name: "b", Procs: 64, PolicyName: "FCFS"},
+		},
+	})
+	// What a daemon that served LJF on shard a all along answers.
+	_, ljf := newTestServer(t, Config{
+		Shards: []ShardConfig{
+			{Name: "a", Procs: 64, PolicyName: "LJF"},
+			{Name: "b", Procs: 64, PolicyName: "FCFS"},
+		},
+	})
+
+	// SJF and LJF give the arriving 600 s job different odds of running next
+	// in shard a's queue; b, serving FCFS throughout, is the yardstick.
+	body := placeBody(t, `[0,600,4]`,
+		clusterState("a", 32, 64, `[-30,60,2],[-60,36000,16]`),
+		clusterState("b", 32, 64, `[-30,60,2],[-60,36000,16]`))
+	code, during := postJSON(t, ts.URL+"/place", body)
+	if code != http.StatusOK {
+		t.Fatalf("place: %d %s", code, during)
+	}
+	if got := srv.shards[0].batcher.Engine().Name(); got != "LJF" {
+		t.Fatalf("shard a serves %q after the first /place, want the reloaded LJF", got)
+	}
+	_, want := postJSON(t, ljf.URL+"/place", body)
+	if bytes.Equal(during, want) {
+		t.Fatal("SJF and LJF place this request identically: the test cannot tell the engines apart")
+	}
+	hits := srv.Metrics().CacheHits.Load()
+	code, after := postJSON(t, ts.URL+"/place", body)
+	if code != http.StatusOK || !bytes.Equal(after, want) {
+		t.Errorf("the /place after the reload was not scored by the new engine:\n got  %s\n want %s", after, want)
+	}
+	// Shard b was scored after the reload, so its entry is live; shard a's
+	// was computed by the engine the reload replaced and must miss.
+	if h := srv.Metrics().CacheHits.Load() - hits; h != 1 {
+		t.Errorf("second /place took %d cache hits, want 1 (shard b only)", h)
 	}
 }

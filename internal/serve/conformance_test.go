@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net/http"
 	"testing"
-	"time"
 
 	"rlsched/internal/fleet"
 	"rlsched/internal/job"
@@ -197,7 +196,6 @@ func TestSimServeConformance(t *testing.T) {
 
 			mig := fleet.HysteresisMigration(interval)
 			cfg := Config{
-				BatchWindow:   time.Microsecond,
 				PlaceRouter:   tc.router,
 				Migrate:       true,
 				MigrateMargin: mig.Hysteresis,

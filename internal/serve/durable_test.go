@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"rlsched/internal/fleet"
 )
@@ -122,7 +121,6 @@ func TestPlaceBatchSeqDedup(t *testing.T) {
 // directory and no periodic loop (tests trigger snapshots explicitly).
 func durableConfig(dir string) Config {
 	return Config{
-		BatchWindow:   time.Microsecond,
 		PlaceRouter:   "least-loaded",
 		FairWeight:    2,
 		CheckpointDir: dir,
@@ -480,7 +478,6 @@ func TestDrainEndpoint(t *testing.T) {
 // cordoned member while refusing it as a destination.
 func TestMigrateDrained(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		BatchWindow:   time.Microsecond,
 		PlaceRouter:   "least-loaded",
 		Migrate:       true,
 		MigrateMargin: 0,

@@ -1,8 +1,8 @@
 // Package serve is the online scheduling-decision service: it loads a
 // trained nn.Snapshot (or a named heuristic from internal/sched) and serves
 // scheduling decisions over an HTTP JSON API. The design goal is
-// throughput on the decision hot path — concurrent requests are coalesced
-// into single batched forward passes through the policy network, models
+// throughput on the decision hot path — requests that queue behind busy
+// workers share one batched forward pass through the policy network, models
 // hot-swap atomically under load, and the whole pipeline reuses buffers
 // instead of allocating per decision.
 package serve
@@ -67,8 +67,7 @@ type Engine interface {
 }
 
 // PolicyEngine serves a trained policy network. One forward pass scores a
-// whole batch of states, which is where the request batcher's coalescing
-// pays off.
+// whole batch of states: whatever the request batcher found queued.
 type PolicyEngine struct {
 	net    nn.PolicyNet
 	inf    nn.Inferer // the shared graph-free fast path (nn.AsInferer)

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // newFairServer runs a two-shard fleet daemon with the per-user fairness
@@ -16,7 +15,6 @@ import (
 func newFairServer(t *testing.T, fairWeight float64) (*Server, *httptest.Server) {
 	t.Helper()
 	return newTestServer(t, Config{
-		BatchWindow: time.Microsecond,
 		PlaceRouter: "least-loaded",
 		FairWeight:  fairWeight,
 		Shards: []ShardConfig{

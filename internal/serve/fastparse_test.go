@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Negative-path coverage for the hand-rolled fast parser guarding the
@@ -93,7 +92,6 @@ func TestParseFastAcceptsEdgeShapes(t *testing.T) {
 func TestDecideNegativePaths(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		PolicyName:          "SJF",
-		BatchWindow:         time.Microsecond,
 		MaxBodyBytes:        4 << 10,
 		MaxStatesPerRequest: 8,
 	})

@@ -102,9 +102,8 @@ func (s *Server) initFleet(cfg Config) error {
 			procs: sc.Procs,
 			batcher: NewBatcher(eng, BatcherConfig{
 				Workers:  cfg.Workers,
-				Window:   cfg.BatchWindow,
 				MaxBatch: cfg.MaxBatch,
-				OnBatch:  func(states int) { s.metrics.BatchSize.Observe(float64(states)) },
+				Metrics:  s.metrics,
 			}),
 		})
 		names = append(names, sc.Name)
@@ -189,6 +188,7 @@ func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []f
 	var keyBuf []byte
 	cache := sc.s.cache
 	for i, c := range cands {
+		gen := cache.generation() // before the engine: see generation
 		eng := sc.s.shards[c.Index].batcher.Engine()
 		vis := c.Visible
 		if max := eng.MaxJobs(); max > 0 && len(vis) > max-1 {
@@ -199,7 +199,7 @@ func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []f
 		// The same (queue, job) pair is re-scored on every /place a
 		// cluster's queue sits still for, so this inner decision shares
 		// the /v1/decide cache — keyed by the shard whose engine answers.
-		key, e, hit := cache.probe(&keyBuf, c.Index, &st)
+		key, e, hit := cache.probe(&keyBuf, gen, c.Index, &st)
 		if !hit {
 			eng.DecideBatch(states, one[:])
 			e = cacheEntry{dec: one[0], policy: eng.Name()}

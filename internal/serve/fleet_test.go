@@ -21,7 +21,6 @@ func newFleetServer(t *testing.T, router string) (*Server, *httptest.Server) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "kernel", 32)
 	return newTestServer(t, Config{
-		BatchWindow: time.Microsecond,
 		PlaceRouter: router,
 		Shards: []ShardConfig{
 			{Name: "large", Procs: 256, ModelPath: path},
@@ -176,7 +175,7 @@ func TestPlaceValidation(t *testing.T) {
 		t.Errorf("GET /place = %d, want 405", resp.StatusCode)
 	}
 
-	_, plain := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond})
+	_, plain := newTestServer(t, Config{PolicyName: "SJF"})
 	code, _ := postJSON(t, plain.URL+"/place", placeBody(t, `[0,60,4]`, ok))
 	if code != http.StatusNotFound {
 		t.Errorf("/place outside fleet mode = %d, want 404", code)
@@ -187,7 +186,6 @@ func TestPlaceValidation(t *testing.T) {
 func newMigrateServer(t *testing.T, margin float64) (*Server, *httptest.Server) {
 	t.Helper()
 	return newTestServer(t, Config{
-		BatchWindow:   time.Microsecond,
 		PlaceRouter:   "least-loaded",
 		Migrate:       true,
 		MigrateMargin: margin,

@@ -158,12 +158,11 @@ func TestDebugDecisions(t *testing.T) {
 
 	// Outside fleet mode there is no ring; a negative DecisionLog disables
 	// it explicitly.
-	_, plain := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond})
+	_, plain := newTestServer(t, Config{PolicyName: "SJF"})
 	if code, _ = getJSON(t, plain.URL+"/debug/decisions"); code != http.StatusNotFound {
 		t.Fatalf("/debug/decisions outside fleet mode = %d, want 404", code)
 	}
 	_, off := newTestServer(t, Config{
-		BatchWindow: time.Microsecond,
 		DecisionLog: -1,
 		Shards:      []ShardConfig{{Name: "a", Procs: 8, PolicyName: "SJF"}},
 	})
@@ -174,11 +173,11 @@ func TestDebugDecisions(t *testing.T) {
 
 // TestPprofOptIn: the profiling surface exists only when asked for.
 func TestPprofOptIn(t *testing.T) {
-	_, off := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond})
+	_, off := newTestServer(t, Config{PolicyName: "SJF"})
 	if code, _ := getJSON(t, off.URL+"/debug/pprof/"); code != http.StatusNotFound {
 		t.Fatalf("pprof without -pprof = %d, want 404", code)
 	}
-	_, on := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond, Pprof: true})
+	_, on := newTestServer(t, Config{PolicyName: "SJF", Pprof: true})
 	code, out := getJSON(t, on.URL+"/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(string(out), "goroutine") {
 		t.Fatalf("pprof index: %d %.80s", code, out)
@@ -195,7 +194,6 @@ func TestPprofOptIn(t *testing.T) {
 // endpoint.
 func TestMetricsHelpAndType(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		BatchWindow:   time.Microsecond,
 		PlaceRouter:   "least-loaded",
 		Migrate:       true,
 		MigrateMargin: 0.25,
@@ -275,6 +273,7 @@ func TestMetricsHelpAndType(t *testing.T) {
 		"rlserv_migrate_latency_seconds_count 1",
 		`rlserv_fairness_score{stat="jain"}`,
 		"rlserv_wal_healthy 1",
+		`rlserv_batch_queue_seconds_bucket{le="1e-06"}`, // the µs floor
 		"rlserv_degradation_level 0",
 		"rlserv_slo_breaches_total ",
 		`rlserv_request_latency_seconds{path="/place",quantile="0.99"}`,

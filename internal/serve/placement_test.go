@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rlsched/internal/obs"
 )
@@ -178,9 +177,8 @@ func fuzzPlacement(f *testing.F, path string) {
 		f.Add(seed)
 	}
 	srv, err := NewServer(Config{
-		BatchWindow: time.Microsecond,
-		Migrate:     true,
-		FairWeight:  1,
+		Migrate:    true,
+		FairWeight: 1,
 		Shards: []ShardConfig{
 			{Name: "a", Procs: 64, PolicyName: "SJF"},
 			{Name: "b", Procs: 64, PolicyName: "F1"},

@@ -130,7 +130,7 @@ func TestHeuristicEngineParity(t *testing.T) {
 	states := testStates(t, 8, 24)
 	for _, h := range sched.Serveable() {
 		h := h
-		_, ts := newTestServer(t, Config{PolicyName: h.Name, BatchWindow: time.Microsecond})
+		_, ts := newTestServer(t, Config{PolicyName: h.Name})
 		for i, st := range states {
 			code, out := postJSON(t, ts.URL+"/v1/decide", EncodeStates([]*QueueState{st}))
 			if code != http.StatusOK {
@@ -158,7 +158,7 @@ func TestHeuristicEngineParity(t *testing.T) {
 func TestFlexibleAndCompactFormatsAgree(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "kernel", 16)
-	_, ts := newTestServer(t, Config{ModelPath: path, BatchWindow: time.Microsecond})
+	_, ts := newTestServer(t, Config{ModelPath: path})
 
 	st := testStates(t, 1, 16)[0]
 	st.WantScores = true
@@ -206,7 +206,7 @@ func TestFlexibleAndCompactFormatsAgree(t *testing.T) {
 func TestBatchRequest(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "kernel", 32)
-	_, ts := newTestServer(t, Config{ModelPath: path, BatchWindow: time.Microsecond})
+	_, ts := newTestServer(t, Config{ModelPath: path})
 
 	states := testStates(t, 9, 32)
 	code, out := postJSON(t, ts.URL+"/v1/decide", EncodeStates(states))
@@ -247,7 +247,7 @@ func TestConcurrentDecideAndReload(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "kernel", 32)
 	path2 := writeSnapshot(t, dir, "mlp-v2", 32)
-	srv, ts := newTestServer(t, Config{ModelPath: path, BatchWindow: 50 * time.Microsecond})
+	srv, ts := newTestServer(t, Config{ModelPath: path})
 
 	states := testStates(t, 16, 32)
 	bodies := make([][]byte, len(states))
@@ -300,7 +300,7 @@ func TestConcurrentDecideAndReload(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{PolicyName: "FCFS", BatchWindow: time.Microsecond})
+	_, ts := newTestServer(t, Config{PolicyName: "FCFS"})
 	states := testStates(t, 4, 8)
 	for i := 0; i < 3; i++ {
 		if code, out := postJSON(t, ts.URL+"/v1/decide", EncodeStates(states)); code != 200 {
@@ -328,7 +328,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestDecideValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{PolicyName: "SJF", BatchWindow: time.Microsecond})
+	_, ts := newTestServer(t, Config{PolicyName: "SJF"})
 	bad := [][]byte{
 		[]byte(`not json`),
 		[]byte(`{}`),
@@ -405,7 +405,7 @@ func TestLoadGenAgainstServer(t *testing.T) {
 // requests instead of forcing an unbounded forward pass.
 func TestMaxStatesPerRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		PolicyName: "SJF", BatchWindow: time.Microsecond, MaxStatesPerRequest: 4,
+		PolicyName: "SJF", MaxStatesPerRequest: 4,
 	})
 	states := testStates(t, 5, 2)
 	code, out := postJSON(t, ts.URL+"/v1/decide", EncodeStates(states))

@@ -28,9 +28,8 @@ type Config struct {
 	ModelPath  string
 	PolicyName string
 	// Batcher sizing (zero values take BatcherConfig defaults).
-	Workers     int
-	BatchWindow time.Duration
-	MaxBatch    int
+	Workers  int
+	MaxBatch int
 	// MaxBodyBytes caps decision request bodies (default 8 MiB).
 	MaxBodyBytes int64
 	// MaxStatesPerRequest caps the queue states one request may carry
@@ -215,9 +214,8 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.batcher = NewBatcher(eng, BatcherConfig{
 			Workers:  cfg.Workers,
-			Window:   cfg.BatchWindow,
 			MaxBatch: cfg.MaxBatch,
-			OnBatch:  func(states int) { s.metrics.BatchSize.Observe(float64(states)) },
+			Metrics:  s.metrics,
 		})
 	}
 	if len(s.shards) > 0 && cfg.DecisionLog >= 0 {

@@ -37,7 +37,7 @@ start_daemon() {
   "$WORK/rlservd" -addr "$ADDR" \
     -shard name=a,procs=64,policy=SJF -shard name=b,procs=64,policy=F1 \
     -fair-weight 2 -checkpoint-dir "$CKPT" -checkpoint-interval 1s \
-    -decision-cache 256 -batch-window 100us &
+    -decision-cache 256 &
   PID=$!
   for _ in $(seq 1 50); do
     if curl -sf "$URL/healthz" >/dev/null 2>&1; then return 0; fi
