@@ -1,8 +1,8 @@
 // Command rlservd is the online scheduling-decision daemon: it loads a
 // trained model snapshot (or a named heuristic) and serves scheduling
-// decisions over an HTTP JSON API. Requests that queue behind busy workers
-// share one policy-network forward pass; an idle daemon answers a request
-// at once and never holds it back to wait for company.
+// decisions over an HTTP JSON API. Every request runs its own
+// policy-network forward pass on its handler goroutine, at most -workers
+// of them at a time per engine.
 //
 // Serve a trained snapshot:
 //
@@ -165,8 +165,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&c.ModelPath, "model", "", "model snapshot path (rlsched train output)")
 	fs.StringVar(&c.PolicyName, "policy", "", "heuristic name instead of a model (FCFS|WFP3|UNICEP|SJF|F1|SAF|LJF)")
 	fs.StringVar(&o.addr, "addr", ":9090", "listen address")
-	fs.IntVar(&c.Workers, "workers", 0, "decision workers (0 = GOMAXPROCS)")
-	fs.IntVar(&c.MaxBatch, "max-batch", 64, "max queue states per forward pass")
+	fs.IntVar(&c.Workers, "workers", 0, "engine calls in flight per engine (0 = GOMAXPROCS)")
 	fs.Var((*shardFlags)(&c.Shards), "shard",
 		"fleet shard spec name=X,procs=N,model=PATH|policy=NAME (repeatable; enables /place)")
 	fs.StringVar(&c.PlaceRouter, "place-router", "",
@@ -187,7 +186,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&c.SLO.Window, "slo-window", 30*time.Second,
 		"sliding window the SLO latency quantiles are computed over")
 	fs.IntVar(&c.SLO.QueueHigh, "slo-queue-high", 0,
-		"batcher queue depth treated as overload by the SLO monitor (0 = latency signal only)")
+		"requests waiting for an engine slot treated as overload by the SLO monitor (0 = latency signal only)")
 	fs.IntVar(&c.SLO.HealthzLevel, "healthz", 2,
 		"degradation level at which /healthz flips to 503 (needs -slo-p99)")
 	fs.BoolVar(&c.Pprof, "pprof", false,
@@ -224,11 +223,10 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	if names := srv.Shards(); len(names) > 0 {
-		fmt.Printf("rlservd: fleet mode, shards %v, serving policy %q on %s (max-batch=%d)\n",
-			names, srv.Engine().Name(), opts.addr, opts.cfg.MaxBatch)
+		fmt.Printf("rlservd: fleet mode, shards %v, serving policy %q on %s\n",
+			names, srv.Engine().Name(), opts.addr)
 	} else {
-		fmt.Printf("rlservd: serving policy %q on %s (max-batch=%d)\n",
-			srv.Engine().Name(), opts.addr, opts.cfg.MaxBatch)
+		fmt.Printf("rlservd: serving policy %q on %s\n", srv.Engine().Name(), opts.addr)
 	}
 
 	select {

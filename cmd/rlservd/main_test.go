@@ -52,6 +52,21 @@ func TestFlagsMatchREADME(t *testing.T) {
 	}
 }
 
+// TestDeletedFlagsAreRefused: the knobs of the deleted batch window and
+// batcher queue are gone, not ignored — flag.CommandLine (ExitOnError)
+// turns this parse error into exit status 2.
+func TestDeletedFlagsAreRefused(t *testing.T) {
+	for _, args := range [][]string{{"-batch-window", "1us"}, {"-max-batch", "64"}} {
+		fs := flag.NewFlagSet("rlservd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs)
+		err := fs.Parse(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("rlservd %s: parse error %v, want \"flag provided but not defined\"", strings.Join(args, " "), err)
+		}
+	}
+}
+
 // TestStalledHeaderIsCutOff: a client that opens a connection, sends half
 // a request header and then goes quiet must be disconnected by the server
 // once readHeaderTimeout passes — without the limit it would hold the

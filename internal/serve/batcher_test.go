@@ -1,23 +1,31 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"rlsched/internal/sched"
 )
 
 // gatedEngine is an Engine whose every DecideBatch call announces the
 // states it was handed and then blocks until the test lets it go, so a
-// test decides what is queued while a worker is busy. A state is
+// test decides who is waiting while the slots are taken. A state is
 // identified by its Now; the answer for it is Pick = base + Now.
 type gatedEngine struct {
 	name    string
 	base    int
 	entered chan []float64 // one send per call: the Now of each state, in order
 	release chan struct{}  // one receive per call; close it to open the gate for good
+
+	inFlight, peak atomic.Int32 // calls inside DecideBatch now, and the most ever
 }
 
 func newGatedEngine(name string, base int) *gatedEngine {
@@ -29,6 +37,10 @@ func newGatedEngine(name string, base int) *gatedEngine {
 func (e *gatedEngine) Name() string { return e.name }
 func (e *gatedEngine) MaxJobs() int { return 0 }
 func (e *gatedEngine) DecideBatch(states []*QueueState, out []Decision) {
+	n := e.inFlight.Add(1)
+	defer e.inFlight.Add(-1)
+	for p := e.peak.Load(); n > p && !e.peak.CompareAndSwap(p, n); p = e.peak.Load() {
+	}
 	tags := make([]float64, len(states))
 	for i, st := range states {
 		tags[i] = st.Now
@@ -66,7 +78,7 @@ func (e *gatedEngine) noCall(t *testing.T) {
 	}
 }
 
-// taggedStates builds one request group whose states carry the given tags.
+// taggedStates builds one request whose states carry the given tags.
 func taggedStates(tags ...float64) []*QueueState {
 	states := make([]*QueueState, len(tags))
 	for i, tag := range tags {
@@ -107,23 +119,14 @@ func await(t *testing.T, ch <-chan answer) answer {
 	}
 }
 
-// enqueue starts one Decide per group, in order: each is in the queue
-// before the next starts, so the worker finds them in this order.
-func enqueue(t *testing.T, b *Batcher, groups ...[]float64) []<-chan answer {
+// awaitDepth waits until exactly n callers are waiting for a slot.
+func awaitDepth(t *testing.T, b *Batcher, n int) {
 	t.Helper()
-	base := b.QueueDepth()
-	out := make([]<-chan answer, len(groups))
-	deadline := time.Now().Add(hang)
-	for i, tags := range groups {
-		out[i] = decideAsync(context.Background(), b, tags...)
-		for b.QueueDepth() != base+i+1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("group %d never reached the queue", i)
-			}
-			runtime.Gosched()
+	for deadline := time.Now().Add(hang); b.QueueDepth() != n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueDepth() = %d, never reached %d", b.QueueDepth(), n)
 		}
 	}
-	return out
 }
 
 func wantAnswer(t *testing.T, got answer, policy string, picks ...int) {
@@ -133,83 +136,113 @@ func wantAnswer(t *testing.T, got answer, policy string, picks ...int) {
 	}
 }
 
-// TestBatcherLoneRequestRunsAtOnce: a request that arrives at an idle
-// batcher reaches the engine as a batch of its own states, with no second
-// request ever arriving to release it.
-func TestBatcherLoneRequestRunsAtOnce(t *testing.T) {
+// TestBatcherLoneDecideRunsOnCaller: a lone Decide is one engine call of
+// exactly its own states, made on the goroutine that called Decide.
+func TestBatcherLoneDecideRunsOnCaller(t *testing.T) {
+	eng := newGatedEngine("A", 100)
+	close(eng.release)
+	var stack []byte
+	b := NewBatcher(hookEngine{eng, func() {
+		buf := make([]byte, 16<<10)
+		stack = buf[:runtime.Stack(buf, false)]
+	}}, BatcherConfig{Workers: 1})
+	defer b.Close()
+
+	decs, policy, err := b.Decide(context.Background(), taggedStates(1, 2))
+	if err != nil || policy != "A" || len(decs) != 2 || decs[0].Pick != 101 || decs[1].Pick != 102 {
+		t.Fatalf("Decide = %v %q %v, want picks 101 102 by A", decs, policy, err)
+	}
+	if got := eng.nextCall(t); !reflect.DeepEqual(got, []float64{1, 2}) {
+		t.Fatalf("engine call carried states %v, want the request's own [1 2]", got)
+	}
+	eng.noCall(t)
+	if !bytes.Contains(stack, []byte("TestBatcherLoneDecideRunsOnCaller")) {
+		t.Fatalf("the engine did not run on the calling goroutine; its stack:\n%s", stack)
+	}
+}
+
+// hookEngine calls before at the top of every DecideBatch, on the goroutine
+// that makes the call.
+type hookEngine struct {
+	Engine
+	before func()
+}
+
+func (e hookEngine) DecideBatch(states []*QueueState, out []Decision) {
+	e.before()
+	e.Engine.DecideBatch(states, out)
+}
+
+// TestBatcherLimitsConcurrentCalls: with Workers k and N > k callers, k
+// engine calls run, N-k callers wait (QueueDepth), and each finished call
+// admits exactly one waiter — never more than k at once.
+func TestBatcherLimitsConcurrentCalls(t *testing.T) {
+	const k, n = 3, 8
+	eng := newGatedEngine("A", 100)
+	m := NewMetrics()
+	b := NewBatcher(eng, BatcherConfig{Workers: k, Metrics: m})
+	defer b.Close()
+
+	callers := make([]<-chan answer, n)
+	for i := range callers {
+		callers[i] = decideAsync(context.Background(), b, float64(i))
+	}
+	for i := 0; i < k; i++ {
+		eng.nextCall(t)
+	}
+	for waiting := n - k; waiting > 0; waiting-- {
+		awaitDepth(t, b, waiting)
+		eng.noCall(t) // all k slots are taken
+		eng.release <- struct{}{}
+		eng.nextCall(t) // the freed slot admits one waiter
+	}
+	awaitDepth(t, b, 0)
+	close(eng.release)
+	for i, ch := range callers {
+		wantAnswer(t, await(t, ch), "A", 100+i)
+	}
+	if peak := eng.peak.Load(); peak != k {
+		t.Fatalf("at most %d engine calls ran at once, want exactly Workers = %d", peak, k)
+	}
+	if got := m.BatchQueue.Count(); got != n {
+		t.Fatalf("BatchQueue saw %d slot waits, want one per call = %d", got, n)
+	}
+}
+
+// TestBatcherCancelledWaiter: a caller whose context ends while it waits
+// for a slot returns without an engine call, and gives back no slot — it
+// never held one — so the next caller still has to wait.
+func TestBatcherCancelledWaiter(t *testing.T) {
 	eng := newGatedEngine("A", 100)
 	b := NewBatcher(eng, BatcherConfig{Workers: 1})
 	defer b.Close()
 
-	lone := decideAsync(context.Background(), b, 1, 2)
-	if got := eng.nextCall(t); !reflect.DeepEqual(got, []float64{1, 2}) {
-		t.Fatalf("engine call carried states %v, want the lone request's [1 2]", got)
-	}
-	eng.release <- struct{}{}
-	wantAnswer(t, await(t, lone), "A", 101, 102)
-	eng.noCall(t)
-}
-
-// TestBatcherCoalescesBehindBusyWorker: everything that queues while the
-// only worker is inside an engine call goes out as one further call, the
-// groups' states in arrival order, each group answered with its own rows.
-func TestBatcherCoalescesBehindBusyWorker(t *testing.T) {
-	eng := newGatedEngine("A", 100)
-	m := NewMetrics()
-	b := NewBatcher(eng, BatcherConfig{Workers: 1, Metrics: m})
-	defer b.Close()
-
-	first := decideAsync(context.Background(), b, 1)
-	eng.nextCall(t) // the worker is now blocked inside call 1
-	queued := enqueue(t, b, []float64{2}, []float64{3, 4}, []float64{5}, []float64{6, 7, 8}, []float64{9})
-
-	eng.release <- struct{}{}
-	wantAnswer(t, await(t, first), "A", 101)
-	if got, want := eng.nextCall(t), []float64{2, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("call 2 carried states %v, want all five queued groups %v", got, want)
-	}
-	eng.release <- struct{}{}
-	wantAnswer(t, await(t, queued[0]), "A", 102)
-	wantAnswer(t, await(t, queued[1]), "A", 103, 104)
-	wantAnswer(t, await(t, queued[2]), "A", 105)
-	wantAnswer(t, await(t, queued[3]), "A", 106, 107, 108)
-	wantAnswer(t, await(t, queued[4]), "A", 109)
-	eng.noCall(t)
-
-	if calls, groups := m.BatchSize.Count(), m.BatchQueue.Count(); calls != 2 || groups != 6 {
-		t.Fatalf("metrics saw %d engine calls and %d queued groups, want 2 and 6", calls, groups)
-	}
-	if got := m.BatchSize.Sum(); got != 9 {
-		t.Fatalf("batch sizes sum to %g states, want 9", got)
-	}
-}
-
-// TestBatcherMaxBatchSplitsBacklog: a backlog over MaxBatch states is cut
-// into several engine calls at group boundaries.
-func TestBatcherMaxBatchSplitsBacklog(t *testing.T) {
-	eng := newGatedEngine("A", 100)
-	b := NewBatcher(eng, BatcherConfig{Workers: 1, MaxBatch: 4})
-	defer b.Close()
-
-	first := decideAsync(context.Background(), b, 1)
+	holder := decideAsync(context.Background(), b, 1)
 	eng.nextCall(t)
-	queued := enqueue(t, b, []float64{2, 3}, []float64{4, 5}, []float64{6, 7})
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := decideAsync(ctx, b, 2)
+	awaitDepth(t, b, 1)
+	cancel()
+	if got := await(t, waiter); !errors.Is(got.err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned err %v, want context.Canceled", got.err)
+	}
+	awaitDepth(t, b, 0)
 
-	close(eng.release)
-	wantAnswer(t, await(t, first), "A", 101)
-	if got, want := eng.nextCall(t), []float64{2, 3, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("call 2 carried states %v, want %v (MaxBatch 4)", got, want)
+	next := decideAsync(context.Background(), b, 3)
+	awaitDepth(t, b, 1)
+	eng.noCall(t) // the one slot is still the holder's
+	eng.release <- struct{}{}
+	wantAnswer(t, await(t, holder), "A", 101)
+	if got := eng.nextCall(t); !reflect.DeepEqual(got, []float64{3}) {
+		t.Fatalf("engine call carried states %v, want the next caller's [3]", got)
 	}
-	if got, want := eng.nextCall(t), []float64{6, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("call 3 carried states %v, want the remainder %v", got, want)
-	}
-	wantAnswer(t, await(t, queued[0]), "A", 102, 103)
-	wantAnswer(t, await(t, queued[1]), "A", 104, 105)
-	wantAnswer(t, await(t, queued[2]), "A", 106, 107)
+	eng.release <- struct{}{}
+	wantAnswer(t, await(t, next), "A", 103)
+	eng.noCall(t) // the cancelled request never reached the engine
 }
 
-// TestBatcherSwapMidFlight: a batch in flight finishes on the engine it
-// started with; work still queued at the Swap is decided — and named — by
+// TestBatcherSwapMidFlight: a call in flight finishes on the engine it
+// loaded; a caller still waiting at the Swap is decided — and named — by
 // the new engine.
 func TestBatcherSwapMidFlight(t *testing.T) {
 	oldEng, newEng := newGatedEngine("old", 100), newGatedEngine("new", 200)
@@ -218,7 +251,8 @@ func TestBatcherSwapMidFlight(t *testing.T) {
 
 	inFlight := decideAsync(context.Background(), b, 1, 2)
 	oldEng.nextCall(t)
-	queued := enqueue(t, b, []float64{3}, []float64{4, 5})
+	waiting := decideAsync(context.Background(), b, 3)
+	awaitDepth(t, b, 1)
 	b.Swap(newEng)
 	if b.Engine() != Engine(newEng) {
 		t.Fatal("Engine() does not report the swapped-in engine")
@@ -227,81 +261,104 @@ func TestBatcherSwapMidFlight(t *testing.T) {
 	close(newEng.release)
 	close(oldEng.release)
 	wantAnswer(t, await(t, inFlight), "old", 101, 102)
-	wantAnswer(t, await(t, queued[0]), "new", 203)
-	wantAnswer(t, await(t, queued[1]), "new", 204, 205)
-	if got, want := newEng.nextCall(t), []float64{3, 4, 5}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("new engine's call carried states %v, want %v", got, want)
-	}
+	wantAnswer(t, await(t, waiting), "new", 203)
 	oldEng.noCall(t)
 }
 
-// TestBatcherCloseAnswersQueuedWork: Close returns only after every group
-// already queued has been through the engine; no caller hangs, and a
-// caller that got rows got its own; later Decide calls error.
-func TestBatcherCloseAnswersQueuedWork(t *testing.T) {
+// TestBatcherClose: Close turns waiting callers away, returns only once
+// the call in flight has finished (and answered), and no engine call
+// starts after it.
+func TestBatcherClose(t *testing.T) {
 	eng := newGatedEngine("A", 100)
 	b := NewBatcher(eng, BatcherConfig{Workers: 1})
 
-	first := decideAsync(context.Background(), b, 1)
+	inFlight := decideAsync(context.Background(), b, 1)
 	eng.nextCall(t)
-	queued := enqueue(t, b, []float64{2}, []float64{3, 4}, []float64{5})
+	waiting := decideAsync(context.Background(), b, 2)
+	awaitDepth(t, b, 1)
 
 	closed := make(chan struct{})
 	go func() {
 		b.Close()
 		close(closed)
 	}()
-	close(eng.release)
+	if got := await(t, waiting); !errors.Is(got.err, errShutDown) {
+		t.Fatalf("waiting caller got err %v at Close, want errShutDown", got.err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned with an engine call still in flight")
+	default:
+	}
+	eng.release <- struct{}{}
+	wantAnswer(t, await(t, inFlight), "A", 101)
 	select {
 	case <-closed:
 	case <-time.After(hang):
 		t.Fatal("Close did not return")
 	}
+	if _, _, err := b.Decide(context.Background(), taggedStates(9)); !errors.Is(err, errShutDown) {
+		t.Fatalf("Decide after Close returned err %v, want errShutDown", err)
+	}
+	b.Close() // idempotent
+	eng.noCall(t)
+}
 
-	var decided []float64
-	for len(eng.entered) > 0 {
-		decided = append(decided, <-eng.entered...)
+// TestBatcherCloseRacesDecide (run under -race): callers racing Close get
+// their own answer or the shut-down error, and once Close has returned the
+// engine is never entered again.
+func TestBatcherCloseRacesDecide(t *testing.T) {
+	var calls atomic.Int64
+	b := NewBatcher(hookEngine{NewHeuristicEngine(sched.FCFS()), func() { calls.Add(1) }}, BatcherConfig{Workers: 2})
+
+	states := testStates(t, 1, 4) // only read, so shared
+	var wg sync.WaitGroup
+	started := make(chan struct{}, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				decs, policy, err := b.Decide(context.Background(), states)
+				if errors.Is(err, errShutDown) {
+					return
+				}
+				if err != nil || policy != "FCFS" || len(decs) != 1 {
+					t.Errorf("Decide racing Close = %v %q %v", decs, policy, err)
+					return
+				}
+				if i == 0 {
+					started <- struct{}{}
+				}
+			}
+		}()
 	}
-	if want := []float64{2, 3, 4, 5}; !reflect.DeepEqual(decided, want) {
-		t.Fatalf("engine decided states %v after call 1, want every queued state %v", decided, want)
+	for g := 0; g < 8; g++ {
+		<-started
 	}
-	// A caller racing Close may be told the batcher shut down instead of
-	// being handed its (computed) rows; it must never get another group's.
-	callers := append([]<-chan answer{first}, queued...)
-	for i, want := range [][]int{{101}, {102}, {103, 104}, {105}} {
-		if got := await(t, callers[i]); got.err == nil {
-			wantAnswer(t, got, "A", want...)
-		}
-	}
-	if _, _, err := b.Decide(context.Background(), taggedStates(9)); err == nil {
-		t.Fatal("Decide after Close should error")
+	b.Close()
+	atClose := calls.Load()
+	wg.Wait()
+	if got := calls.Load(); got != atClose {
+		t.Fatalf("%d engine calls started after Close returned", got-atClose)
 	}
 }
 
-// TestBatcherCancelledContext: a caller whose context ends stops waiting —
-// for its answer, or for room in a full queue — while the worker carries
-// on, serves later requests and exits on Close.
-func TestBatcherCancelledContext(t *testing.T) {
-	eng := newGatedEngine("A", 100)
-	b := NewBatcher(eng, BatcherConfig{Workers: 1, MaxBatch: 1}) // queue capacity 4
-
-	ctx, cancel := context.WithCancel(context.Background())
-	abandoned := decideAsync(ctx, b, 1)
-	eng.nextCall(t) // the worker is inside the abandoned request's call
-	cancel()
-	if got := await(t, abandoned); !errors.Is(got.err, context.Canceled) {
-		t.Fatalf("cancelled Decide returned err %v, want context.Canceled", got.err)
+// TestServerStartsNoGoroutines: engine calls run on their callers, so a
+// fleet of batchers costs no goroutines to build and leaves none behind.
+func TestServerStartsNoGoroutines(t *testing.T) {
+	cfg := Config{}
+	for i := 0; i < 8; i++ {
+		cfg.Shards = append(cfg.Shards, ShardConfig{Name: fmt.Sprint("c", i), Procs: 64, PolicyName: "SJF"})
 	}
-
-	queued := enqueue(t, b, []float64{2}, []float64{3}, []float64{4}, []float64{5})
-	if got := await(t, decideAsync(ctx, b, 6)); !errors.Is(got.err, context.Canceled) {
-		t.Fatalf("Decide on a full queue with a dead context returned err %v, want context.Canceled", got.err)
+	before := runtime.NumGoroutine()
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	close(eng.release)
-	for i, ch := range queued {
-		wantAnswer(t, await(t, ch), "A", 102+i)
+	running := runtime.NumGoroutine()
+	srv.Close()
+	if after := runtime.NumGoroutine(); running > before || after > before {
+		t.Fatalf("goroutines: %d before NewServer, %d while serving, %d after Close; want no growth", before, running, after)
 	}
-	wantAnswer(t, await(t, decideAsync(context.Background(), b, 7)), "A", 107)
-	b.Close() // returns only once the worker has exited
 }

@@ -151,7 +151,7 @@ func (c *decisionCache) put(key string, e cacheEntry) {
 }
 
 // decideCached is batcher.Decide behind the decision cache: cached states
-// are answered without touching the batcher, misses go through it in one
+// are answered without an engine call, misses go to the engine in one
 // sub-batch and are stored on the way out. With the cache disabled this
 // IS batcher.Decide — the serve path stays byte-identical. tag is the
 // batcher's shard index (-1 for the base engine).
@@ -163,7 +163,7 @@ func (s *Server) decideCached(ctx context.Context, batcher *Batcher, tag int, st
 	decs := make([]Decision, len(states))
 	var missIdx []int
 	var keyBuf []byte
-	gen := s.cache.generation() // before the batcher loads the engine
+	gen := s.cache.generation() // before Decide loads the engine
 	for i, st := range states {
 		key, e, hit := s.cache.probe(&keyBuf, gen, tag, st)
 		keys[i] = key

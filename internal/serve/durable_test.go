@@ -398,6 +398,15 @@ func TestDrainEndpoint(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/drain", []byte(`{"cluster":"nope"}`)); code != http.StatusNotFound {
 		t.Errorf("unknown cluster drain answered %d, want 404", code)
 	}
+	// A body over the cap is refused as such, not parsed from its first MiB
+	// (which here names a real shard).
+	overCap := `{"cluster":"b"}` + strings.Repeat(" ", maxSpecBytes)
+	if code, _ := postJSON(t, ts.URL+"/drain", []byte(overCap)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("over-cap drain answered %d, want 413", code)
+	}
+	if code, _ := postJSON(t, ts.URL+"/drain", nil); code != http.StatusBadRequest {
+		t.Errorf("empty drain answered %d, want 400", code)
+	}
 
 	// Placement now lands on "b" even though "a" would win the tie-break,
 	// and the response's score table no longer mentions "a".

@@ -1,10 +1,10 @@
 // Package serve is the online scheduling-decision service: it loads a
 // trained nn.Snapshot (or a named heuristic from internal/sched) and serves
 // scheduling decisions over an HTTP JSON API. The design goal is
-// throughput on the decision hot path — requests that queue behind busy
-// workers share one batched forward pass through the policy network, models
-// hot-swap atomically under load, and the whole pipeline reuses buffers
-// instead of allocating per decision.
+// throughput on the decision hot path — each request runs one forward pass
+// through the policy network on its own handler goroutine, models hot-swap
+// atomically under load, and the whole pipeline reuses buffers instead of
+// allocating per decision.
 package serve
 
 import (
@@ -67,7 +67,7 @@ type Engine interface {
 }
 
 // PolicyEngine serves a trained policy network. One forward pass scores a
-// whole batch of states: whatever the request batcher found queued.
+// whole batch of states: everything one request carried.
 type PolicyEngine struct {
 	net    nn.PolicyNet
 	inf    nn.Inferer // the shared graph-free fast path (nn.AsInferer)
@@ -227,4 +227,13 @@ func LoadEngine(modelPath, policyName string) (Engine, error) {
 		return NewHeuristicEngine(h), nil
 	}
 	return nil, fmt.Errorf("serve: need a model path or a heuristic name")
+}
+
+// engineOrLoad is how the base engine and every fleet shard start: a
+// ready-made Engine (the test hook) wins, otherwise LoadEngine.
+func engineOrLoad(eng Engine, modelPath, policyName string) (Engine, error) {
+	if eng != nil {
+		return eng, nil
+	}
+	return LoadEngine(modelPath, policyName)
 }

@@ -41,10 +41,10 @@ type ShardConfig struct {
 	PolicyName string
 }
 
-// shard is one served cluster: its own batcher (so /decide load on one
-// cluster never queues behind another) behind its own hot-swappable
-// engine. cordoned is the /drain flag, read lock-free on the request path
-// and by /readyz; the durability layer re-applies it on restore.
+// shard is one served cluster: its own hot-swappable engine under its own
+// concurrency limit (so /decide load on one cluster never waits behind
+// another's). cordoned is the /drain flag, read lock-free on the request
+// path and by /readyz; the durability layer re-applies it on restore.
 type shard struct {
 	name     string
 	procs    int
@@ -89,22 +89,14 @@ func (s *Server) initFleet(cfg Config) error {
 		if _, dup := s.shardByName(sc.Name); dup != nil {
 			return fmt.Errorf("serve: duplicate shard name %q", sc.Name)
 		}
-		eng := sc.Engine
-		if eng == nil {
-			var err error
-			eng, err = LoadEngine(sc.ModelPath, sc.PolicyName)
-			if err != nil {
-				return fmt.Errorf("serve: shard %q: %w", sc.Name, err)
-			}
+		eng, err := engineOrLoad(sc.Engine, sc.ModelPath, sc.PolicyName)
+		if err != nil {
+			return fmt.Errorf("serve: shard %q: %w", sc.Name, err)
 		}
 		s.shards = append(s.shards, &shard{
-			name:  sc.Name,
-			procs: sc.Procs,
-			batcher: NewBatcher(eng, BatcherConfig{
-				Workers:  cfg.Workers,
-				MaxBatch: cfg.MaxBatch,
-				Metrics:  s.metrics,
-			}),
+			name:    sc.Name,
+			procs:   sc.Procs,
+			batcher: NewBatcher(eng, BatcherConfig{Workers: cfg.Workers, Metrics: s.metrics}),
 		})
 		names = append(names, sc.Name)
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -395,6 +396,44 @@ func TestDecideShardRouting(t *testing.T) {
 	code, _ = postJSON(t, ts.URL+"/v1/decide?cluster=nope", body)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown cluster = %d, want 404", code)
+	}
+}
+
+// TestReloadSpecs: what /reload accepts and refuses, base engine and shard
+// alike — and a refused reload leaves the old engine serving.
+func TestReloadSpecs(t *testing.T) {
+	srv, ts := newFleetServer(t, "") // fleet-only: no -model path to re-read
+	overCap := []byte(`{"cluster":"mid","policy":"F1"}` + strings.Repeat(" ", maxSpecBytes))
+	for _, c := range []struct {
+		name string
+		body []byte
+		code int
+		want string
+	}{
+		{"over the cap, though its first MiB parses", overCap, http.StatusRequestEntityTooLarge, "body over"},
+		{"not JSON", []byte(`{"policy":`), http.StatusBadRequest, "bad /reload spec"},
+		{"unknown cluster", []byte(`{"cluster":"nope","policy":"F1"}`), http.StatusNotFound, "unknown cluster"},
+		{"bare shard reload", []byte(`{"cluster":"mid"}`), http.StatusBadRequest, "need a model path or a heuristic name"},
+		{"bare base reload without -model", nil, http.StatusBadRequest, "need a model path or a heuristic name"},
+		{"unknown heuristic", []byte(`{"cluster":"mid","policy":"bogus"}`), http.StatusBadRequest, "unknown heuristic"},
+		{"shard swap", []byte(`{"cluster":"mid","policy":"F1"}`), http.StatusOK, `{"cluster":"mid","policy":"F1"}`},
+		{"base swap", []byte(`{"policy":"LJF"}`), http.StatusOK, `{"policy":"LJF"}`},
+	} {
+		code, out := postJSON(t, ts.URL+"/reload", c.body)
+		if code != c.code || !strings.Contains(string(out), c.want) {
+			t.Errorf("%s: got %d %s, want %d mentioning %q", c.name, code, out, c.code, c.want)
+		}
+	}
+	// The base engine of a fleet-only daemon is its first shard's.
+	var got []string
+	for _, sh := range srv.shards {
+		got = append(got, sh.batcher.Engine().Name())
+	}
+	if !reflect.DeepEqual(got, []string{"LJF", "F1", "F1"}) {
+		t.Errorf("engines after the reloads: %v, want [LJF F1 F1]", got)
+	}
+	if got := srv.Metrics().ReloadsTotal.Load(); got != 2 {
+		t.Errorf("reloads_total = %d, want the 2 accepted", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Metrics is the daemon's instrumentation: decision-latency and batch-size
+// Metrics is the daemon's instrumentation: latency and slot-wait
 // histograms plus monotonic counters, exposed in Prometheus text format.
 // Everything is lock-free atomics so the hot path never serializes on a
 // metrics mutex.
@@ -19,8 +19,7 @@ type Metrics struct {
 	ReloadsTotal   atomic.Uint64 // successful engine swaps
 
 	Latency    Histogram // per-request decision latency (seconds)
-	BatchSize  Histogram // states per engine forward pass
-	BatchQueue Histogram // per-group wait in the batching queue (seconds)
+	BatchQueue Histogram // per-request wait for an engine slot (seconds)
 
 	// Fleet-mode placement instrumentation: total placement decisions,
 	// the per-request placement latency histogram, and one counter per
@@ -94,10 +93,9 @@ func (m *Metrics) Placements() []uint64 {
 	return out
 }
 
-// NewMetrics returns a registry with latency buckets spanning 50µs–1s,
-// power-of-two batch-size buckets, and batch-queue buckets from 1µs: an
-// idle batcher hands a group to a worker in a few µs, which the latency
-// floor would clip.
+// NewMetrics returns a registry with latency buckets spanning 50µs–1s and
+// batch-queue buckets from 1µs: an idle batcher grants a slot in a
+// microsecond or two, which the latency floor would clip.
 func NewMetrics() *Metrics {
 	m := &Metrics{}
 	m.Latency.bounds = []float64{
@@ -105,8 +103,6 @@ func NewMetrics() *Metrics {
 		1e-3, 2e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1,
 	}
 	m.Latency.counts = make([]atomic.Uint64, len(m.Latency.bounds)+1)
-	m.BatchSize.bounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-	m.BatchSize.counts = make([]atomic.Uint64, len(m.BatchSize.bounds)+1)
 	m.BatchQueue.bounds = []float64{
 		1e-6, 2e-6, 5e-6, 10e-6, 20e-6, 50e-6, 100e-6, 200e-6, 500e-6,
 		1e-3, 2e-3, 5e-3, 10e-3, 100e-3, 1,
@@ -217,8 +213,7 @@ func (m *Metrics) WriteProm(w io.Writer, policy string) {
 	promCounter(w, "rlserv_errors_total", "Rejected or failed requests.", m.ErrorsTotal.Load())
 	promCounter(w, "rlserv_reloads_total", "Successful engine hot-swaps.", m.ReloadsTotal.Load())
 	m.Latency.writeProm(w, "rlserv_decision_latency_seconds", "Per-request decision latency in seconds.")
-	m.BatchSize.writeProm(w, "rlserv_batch_size", "Queue states per engine forward pass.")
-	m.BatchQueue.writeProm(w, "rlserv_batch_queue_seconds", "Per-request wait in the batching queue, enqueue to engine call, in seconds.")
+	m.BatchQueue.writeProm(w, "rlserv_batch_queue_seconds", "Per-request wait for an engine slot in seconds.")
 	if len(m.placeNames) > 0 {
 		promFamily(w, "rlserv_placements_total", "Placement decisions per destination cluster.", "counter")
 		for i, name := range m.placeNames {

@@ -319,7 +319,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rlserv_requests_total 3",
 		"rlserv_model_info{policy=\"FCFS\"} 1",
 		"rlserv_decision_latency_seconds_bucket",
-		"rlserv_batch_size_count",
+		"rlserv_batch_queue_seconds_count 3",
 	} {
 		if !strings.Contains(text, s) {
 			t.Errorf("metrics output missing %q:\n%s", s, text)

@@ -27,9 +27,8 @@ type Config struct {
 	// place" workflow.
 	ModelPath  string
 	PolicyName string
-	// Batcher sizing (zero values take BatcherConfig defaults).
-	Workers  int
-	MaxBatch int
+	// Workers caps the engine calls in flight per engine (0 = GOMAXPROCS).
+	Workers int
 	// MaxBodyBytes caps decision request bodies (default 8 MiB).
 	MaxBodyBytes int64
 	// MaxStatesPerRequest caps the queue states one request may carry
@@ -96,14 +95,15 @@ type Config struct {
 	DecisionLog int
 	// SLO configures latency-budget monitoring and the degradation ladder
 	// (slo.go). The zero value disables both; with SLO.P99Budget set, the
-	// daemon watches windowed per-endpoint p99 latency and batcher queue
-	// depth, degrades /v1/decide through heuristic and static fallbacks
-	// under sustained overload, and exports the ladder state on /metrics.
+	// daemon watches windowed per-endpoint p99 latency and the number of
+	// requests waiting for an engine slot, degrades /v1/decide through
+	// heuristic and static fallbacks under sustained overload, and exports
+	// the ladder state on /metrics.
 	SLO SLOConfig
 }
 
-// Server is the decision service: an Engine behind a Batcher behind an
-// http.Handler. Create with NewServer, mount Handler, Close when done.
+// Server is the decision service: an http.Handler that runs a swappable
+// Engine under a Batcher's limit. NewServer, mount Handler, Close when done.
 type Server struct {
 	batcher   *Batcher
 	metrics   *Metrics
@@ -142,7 +142,7 @@ type Server struct {
 	slo *sloMonitor
 }
 
-// NewServer builds the service and starts its worker pool.
+// NewServer builds the service.
 func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		metrics:   NewMetrics(),
@@ -159,7 +159,6 @@ func NewServer(cfg Config) (*Server, error) {
 		s.maxStates = 1024
 	}
 	if err := s.initFleet(cfg); err != nil {
-		// Shards built before the failure already run worker pools.
 		s.Close()
 		return nil, err
 	}
@@ -203,20 +202,12 @@ func NewServer(cfg Config) (*Server, error) {
 		// Fleet-only daemon: bare /v1/decide serves the first shard.
 		s.batcher = s.shards[0].batcher
 	} else {
-		eng := cfg.Engine
-		if eng == nil {
-			var err error
-			eng, err = LoadEngine(cfg.ModelPath, cfg.PolicyName)
-			if err != nil {
-				s.Close()
-				return nil, err
-			}
+		eng, err := engineOrLoad(cfg.Engine, cfg.ModelPath, cfg.PolicyName)
+		if err != nil {
+			s.Close()
+			return nil, err
 		}
-		s.batcher = NewBatcher(eng, BatcherConfig{
-			Workers:  cfg.Workers,
-			MaxBatch: cfg.MaxBatch,
-			Metrics:  s.metrics,
-		})
+		s.batcher = NewBatcher(eng, BatcherConfig{Workers: cfg.Workers, Metrics: s.metrics})
 	}
 	if len(s.shards) > 0 && cfg.DecisionLog >= 0 {
 		n := cfg.DecisionLog
@@ -264,9 +255,9 @@ func (s *Server) Engine() Engine { return s.batcher.Engine() }
 // Metrics exposes the instrumentation registry (read-only use intended).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close drains and stops every batcher's workers (Batcher.Close is
-// idempotent, so the fleet-only aliasing of the base batcher onto shard 0
-// is harmless).
+// Close shuts the durability layer and the SLO monitor down and closes
+// every batcher (Batcher.Close is idempotent, so the fleet-only aliasing of
+// the base batcher onto shard 0 is harmless).
 func (s *Server) Close() {
 	if s.durable != nil {
 		// Final snapshot: a graceful shutdown restores without replay.
@@ -283,13 +274,10 @@ func (s *Server) Close() {
 	}
 }
 
-// maxQueueDepth reports the deepest batching queue across the base batcher
-// and every fleet shard — the SLO monitor's backpressure signal.
+// maxQueueDepth reports the most callers waiting for an engine slot on any
+// one batcher, base or fleet shard — the SLO monitor's backpressure signal.
 func (s *Server) maxQueueDepth() int {
-	depth := 0
-	if s.batcher != nil {
-		depth = s.batcher.QueueDepth()
-	}
+	depth := s.batcher.QueueDepth()
 	for _, sh := range s.shards {
 		if d := sh.batcher.QueueDepth(); d > depth {
 			depth = d
@@ -324,13 +312,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	rb := reqBufPool.Get().(*reqBuf)
-	// A request abandoned mid-queue (client gone) may still be read by a
-	// batcher worker later; such buffers must not be recycled.
-	defer func() {
-		if rb != nil {
-			reqBufPool.Put(rb)
-		}
-	}()
+	defer reqBufPool.Put(rb)
 	rb.reset()
 
 	body, err := readAllInto(rb.body[:0], io.LimitReader(r.Body, s.maxBody+1))
@@ -357,10 +339,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	states := rb.finalize()
-	// The degradation ladder (slo.go): full service decides through the
-	// batcher; level 1 swaps in the synchronous heuristic fallback; level
-	// 2 sheds to a static FCFS answer with no engine call, so the shed
-	// path's latency is just parsing and encoding.
+	// The degradation ladder (slo.go): full service runs the served engine
+	// under the batcher's limit; level 1 swaps in the heuristic fallback,
+	// which needs no limit; level 2 sheds to a static FCFS answer with no
+	// engine call, so the shed path's latency is just parsing and encoding.
 	var decs []Decision
 	var policy string
 	switch level := s.sloLevel(); {
@@ -373,11 +355,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.slo.fallback.DecideBatch(states, decs)
 		policy = s.slo.fallback.Name()
 	default:
-		var err error
 		decs, policy, err = s.decideCached(r.Context(), batcher, tag, states)
 		if err != nil {
 			s.fail(w, http.StatusServiceUnavailable, err)
-			rb = nil
 			return
 		}
 	}
@@ -411,57 +391,55 @@ type reloadSpec struct {
 	Cluster string `json:"cluster"`
 }
 
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+// maxSpecBytes caps the /reload and /drain request bodies.
+const maxSpecBytes = 1 << 20
+
+// readSpec is the front /reload and /drain share: POST only, the body cap
+// decided before anything is parsed (413 over it, as on /v1/decide), then
+// the JSON decoded into spec; with emptyOK an empty body is a zero spec. It
+// writes the error response itself and reports whether to go on.
+func (s *Server) readSpec(w http.ResponseWriter, r *http.Request, spec any, emptyOK bool) bool {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: POST only"))
-		return
+		return false
 	}
-	var spec reloadSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	switch {
+	case err != nil:
 		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &spec); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad reload spec: %w", err))
-			return
+	case len(body) > maxSpecBytes:
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", maxSpecBytes))
+	case len(body) == 0 && emptyOK:
+		return true
+	default:
+		if err = json.Unmarshal(body, spec); err == nil {
+			return true
 		}
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s spec: %w", r.URL.Path, err))
+	}
+	return false
+}
+
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	var spec reloadSpec
+	if !s.readSpec(w, r, &spec, true) {
+		return
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	// A bare reload re-reads the base engine's -model path; where there is
+	// none (a shard, a -policy daemon) LoadEngine refuses the empty spec.
+	target, reread, prefix := s.batcher, s.modelPath, ""
 	if spec.Cluster != "" {
 		_, sh := s.shardByName(spec.Cluster)
 		if sh == nil {
 			s.fail(w, http.StatusNotFound, fmt.Errorf("serve: unknown cluster %q", spec.Cluster))
 			return
 		}
-		if spec.Model == "" && spec.Policy == "" {
-			s.fail(w, http.StatusBadRequest,
-				fmt.Errorf("serve: shard reload needs a model or policy"))
-			return
-		}
-		eng, err := LoadEngine(spec.Model, spec.Policy)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		sh.batcher.Swap(eng)
-		if s.cache != nil {
-			s.cache.invalidate()
-		}
-		s.metrics.ReloadsTotal.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"cluster\":%q,\"policy\":%q}\n", sh.name, eng.Name())
-		return
+		target, reread, prefix = sh.batcher, "", fmt.Sprintf("\"cluster\":%q,", sh.name)
 	}
 	if spec.Model == "" && spec.Policy == "" {
-		if s.modelPath == "" {
-			s.fail(w, http.StatusBadRequest,
-				fmt.Errorf("serve: empty reload and no -model path to re-read"))
-			return
-		}
-		spec.Model = s.modelPath
+		spec.Model = reread
 	}
 	eng, err := LoadEngine(spec.Model, spec.Policy)
 	if err != nil {
@@ -469,16 +447,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if spec.Model != "" {
+	if spec.Cluster == "" && spec.Model != "" {
 		s.modelPath = spec.Model
 	}
-	s.batcher.Swap(eng)
+	target.Swap(eng)
 	if s.cache != nil {
 		s.cache.invalidate()
 	}
 	s.metrics.ReloadsTotal.Add(1)
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"policy\":%q}\n", eng.Name())
+	fmt.Fprintf(w, "{%s\"policy\":%q}\n", prefix, eng.Name())
 }
 
 // buildVersions reads the daemon's own build identity from the binary:
@@ -596,22 +574,12 @@ type drainSpec struct {
 // restored member re-registers by restarting the daemon without the
 // cordon, matching the fleet simulator's churn model.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: POST only"))
+	var spec drainSpec
+	if !s.readSpec(w, r, &spec, false) {
 		return
 	}
 	if len(s.shards) == 0 {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: not running in fleet mode"))
-		return
-	}
-	var spec drainSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := json.Unmarshal(body, &spec); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad drain spec: %w", err))
 		return
 	}
 	idx, sh := s.shardByName(spec.Cluster)

@@ -16,13 +16,13 @@ import (
 // With a latency budget configured, the daemon keeps windowed per-endpoint
 // latency histograms (telemetry.Histogram over the wall clock) and
 // evaluates them periodically: an evaluation is overloaded when any
-// endpoint's windowed p99 exceeds the budget or the batcher queue is over
-// the high-water mark. Consecutive overloaded evaluations climb a
+// endpoint's windowed p99 exceeds the budget or the requests waiting for an
+// engine slot reach the high-water mark. Consecutive overloaded evaluations climb a
 // hysteresis ladder (telemetry.Ladder) that degrades /v1/decide:
 //
-//	level 0 — full service: RL scoring through the batcher
-//	level 1 — degraded: the SJF heuristic fallback engine, called
-//	          synchronously (no batching queue, no model forward pass)
+//	level 0 — full service: the served engine, under the batcher's limit
+//	level 1 — degraded: the SJF heuristic fallback engine (no wait for
+//	          an engine slot, no model forward pass)
 //	level 2 — shedding: a static FCFS answer (pick the head of every
 //	          queue) with no engine call at all
 //
@@ -44,8 +44,8 @@ type SLOConfig struct {
 	// EvalEvery is the evaluation period (default 1s).
 	EvalEvery time.Duration
 	// QueueHigh, when positive, adds a queue-depth overload signal: an
-	// evaluation is overloaded when the deepest batcher queue reaches
-	// this many pending groups, even if latency still looks healthy.
+	// evaluation is overloaded when this many requests are waiting for an
+	// engine slot on any one batcher, even if latency still looks healthy.
 	QueueHigh int
 	// EscalateAfter / RecoverAfter are the ladder's debounce streaks
 	// (defaults 3 and 5: ~3s of sustained breach to degrade, ~5s of
@@ -92,9 +92,9 @@ type sloMonitor struct {
 
 	// clock reports seconds since some fixed origin; tests inject a fake.
 	clock func() float64
-	// queueDepth reports the deepest batcher queue across the daemon.
+	// queueDepth reports the most requests waiting on any one batcher.
 	queueDepth func() int
-	// fallback is the level-1 heuristic engine (SJF), called synchronously.
+	// fallback is the level-1 heuristic engine (SJF).
 	fallback Engine
 
 	stop     chan struct{}
@@ -165,8 +165,8 @@ func (m *sloMonitor) observe(path string, d time.Duration) {
 }
 
 // evalOnce runs one evaluation tick: overloaded when any endpoint's
-// windowed p99 exceeds the budget, or the batcher queue is at the
-// high-water mark. Returns the post-evaluation level.
+// windowed p99 exceeds the budget, or the requests waiting for an engine
+// slot are at the high-water mark. Returns the post-evaluation level.
 func (m *sloMonitor) evalOnce() int {
 	budget := m.cfg.P99Budget.Seconds()
 	now := m.clock()
