@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"strconv"
 
-	"rlsched/internal/job"
 	"rlsched/internal/sim"
 )
 
-// The fast parser handles the canonical compact request emitted by the
-// load generator and other high-rate clients: objects with the documented
-// keys, numbers, booleans, and jobs as arrays of numbers. Anything else —
-// string values, escapes, object job rows, unknown keys — makes it bail
-// with an error and the caller retries with encoding/json. Bailing is
-// cheap (no allocation happens before the first incompatibility), so the
-// fallback costs nothing on the slow path and the fast path skips all of
-// encoding/json's reflection.
+// The scanner handles the canonical compact bodies high-rate clients emit
+// on /v1/decide, /place and /migrate: objects with the documented keys,
+// JSON numbers, booleans, escape-free ASCII strings, and job and completed
+// rows as arrays of numbers. Anything else — escapes, object rows, unknown
+// or repeated array keys, null — makes it bail to encoding/json. It accepts
+// nothing encoding/json rejects and agrees with it on everything it accepts
+// (FuzzParseRequest, FuzzPlaceParse): the answer never depends on the tier.
 
 var errFastParse = fmt.Errorf("serve: not a canonical compact request")
 
@@ -35,8 +33,8 @@ func (p *fastParser) ws() {
 	}
 }
 
-func (p *fastParser) eat(c byte) bool {
-	p.ws()
+// lit consumes c if it is the next byte; eat skips whitespace first.
+func (p *fastParser) lit(c byte) bool {
 	if p.i < len(p.b) && p.b[p.i] == c {
 		p.i++
 		return true
@@ -44,85 +42,84 @@ func (p *fastParser) eat(c byte) bool {
 	return false
 }
 
-func (p *fastParser) peek() byte {
+func (p *fastParser) eat(c byte) bool {
 	p.ws()
-	if p.i < len(p.b) {
-		return p.b[p.i]
-	}
-	return 0
+	return p.lit(c)
 }
 
-// key parses a JSON object key (no escapes) and its colon.
-func (p *fastParser) key() (string, bool) {
+// end reports that nothing but whitespace is left.
+func (p *fastParser) end() bool {
+	p.ws()
+	return p.i == len(p.b)
+}
+
+// str parses a JSON string that needs no decoding — ASCII, no escapes —
+// and returns its bytes, which alias the body.
+func (p *fastParser) str() ([]byte, bool) {
 	if !p.eat('"') {
-		return "", false
+		return nil, false
 	}
-	start := p.i
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		if c == '\\' {
-			return "", false
-		}
-		if c == '"' {
-			k := string(p.b[start:p.i])
+	for start := p.i; p.i < len(p.b); p.i++ {
+		switch c := p.b[p.i]; {
+		case c == '"':
 			p.i++
-			if !p.eat(':') {
-				return "", false
-			}
-			return k, true
+			return p.b[start : p.i-1], true
+		case c == '\\' || c < ' ' || c >= 0x80:
+			return nil, false
 		}
+	}
+	return nil, false
+}
+
+// digits skips a run of decimal digits and reports its length.
+func (p *fastParser) digits() int {
+	start := p.i
+	for p.i < len(p.b) && p.b[p.i]-'0' <= 9 {
 		p.i++
 	}
-	return "", false
+	return p.i - start
 }
 
-func (p *fastParser) number() (float64, bool) {
+// number parses exactly the JSON number grammar. isInt reports an integer
+// token of at most 15 digits: exact in a float64 and in an int, and
+// converted without strconv (the common case — SWF times are whole seconds).
+func (p *fastParser) number() (v float64, isInt, ok bool) {
 	p.ws()
 	start := p.i
-	intOnly := true
-	for p.i < len(p.b) {
-		switch c := p.b[p.i]; {
-		case c >= '0' && c <= '9':
-			p.i++
-		case c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			if c != '-' || p.i != start {
-				intOnly = false
-			}
-			p.i++
-		default:
-			goto done
-		}
+	neg := p.lit('-')
+	b, i, n := p.b, p.i, uint64(0)
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		n = n*10 + uint64(b[i]-'0') // wraps only where isInt is false
 	}
-done:
-	if p.i == start {
-		return 0, false
+	first, nd := p.i, i-p.i
+	p.i = i
+	bad := nd == 0 || (nd > 1 && p.b[first] == '0') // no leading zeros
+	isInt = nd <= 15
+	if p.lit('.') {
+		isInt, bad = false, bad || p.digits() == 0
 	}
-	// Integer tokens (the overwhelmingly common case: SWF times are whole
-	// seconds) skip strconv entirely.
-	if intOnly && p.i-start <= 15 {
-		s := p.b[start:p.i]
-		neg := false
-		if s[0] == '-' {
-			neg = true
-			s = s[1:]
-		}
-		if len(s) == 0 {
-			return 0, false
-		}
-		n := 0.0
-		for _, c := range s {
-			n = n*10 + float64(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		return n, true
+	if p.lit('e') || p.lit('E') {
+		_ = p.lit('+') || p.lit('-')
+		isInt, bad = false, bad || p.digits() == 0
 	}
-	v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
-	if err != nil {
-		return 0, false
+	if bad {
+		return 0, false, false
 	}
-	return v, true
+	if !isInt {
+		v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+		return v, false, err == nil
+	}
+	if v = float64(n); neg {
+		v = -v
+	}
+	return v, true, true
+}
+
+// integer parses an int field's value: like encoding/json, integer tokens
+// only (no 1.5, no 1e3), and none a float64 would round.
+func (p *fastParser) integer() (int, bool) {
+	v, isInt, ok := p.number()
+	return int(v), ok && isInt
 }
 
 func (p *fastParser) boolean() (bool, bool) {
@@ -138,180 +135,166 @@ func (p *fastParser) boolean() (bool, bool) {
 	return false, false
 }
 
-// jobRows parses [[...],[...],...] into the arena, returning the covered
-// arena range.
-func (p *fastParser) jobRows(rb *reqBuf) (int, int, bool) {
-	start := len(rb.arena)
-	if !p.eat('[') {
-		return 0, 0, false
-	}
-	if p.eat(']') {
-		return start, start, true
-	}
-	var row [5]float64
-	for {
-		if !p.eat('[') {
-			return 0, 0, false
-		}
-		n := 0
-		for {
-			v, ok := p.number()
-			if !ok || n == len(row) {
-				return 0, 0, false
-			}
-			row[n] = v
-			n++
-			if p.eat(']') {
-				break
-			}
-			if !p.eat(',') {
-				return 0, 0, false
-			}
-		}
-		if n < 3 {
-			return 0, 0, false
-		}
-		j := job.Job{
-			SubmitTime:     row[0],
-			RequestedTime:  row[1],
-			RequestedProcs: int(row[2]),
-			UserID:         -1,
-			StartTime:      -1,
-			EndTime:        -1,
-		}
-		if n > 3 {
-			j.UserID = int(row[3])
-		}
-		if n > 4 {
-			j.ID = int(row[4])
-		}
-		rb.arena = append(rb.arena, j)
-		if p.eat(']') {
-			break
-		}
-		if !p.eat(',') {
-			return 0, 0, false
-		}
-	}
-	return start, len(rb.arena), true
-}
-
-// state parses one {...} queue state into the arena/state lists.
-func (p *fastParser) state(rb *reqBuf) bool {
-	if !p.eat('{') {
+// list parses open item,item,... close; item consumes each item.
+func (p *fastParser) list(open, close byte, item func() bool) bool {
+	if !p.eat(open) {
 		return false
 	}
-	var st QueueState
-	start, end := len(rb.arena), len(rb.arena)
-	if p.eat('}') {
-		rb.addState(st, start, end)
+	if p.eat(close) {
 		return true
 	}
-	for {
-		k, ok := p.key()
-		if !ok {
-			return false
-		}
-		switch k {
-		case "now":
-			v, ok := p.number()
-			if !ok {
-				return false
-			}
-			st.Now = v
-		case "free_procs":
-			v, ok := p.number()
-			if !ok {
-				return false
-			}
-			st.View.FreeProcs = int(v)
-		case "total_procs":
-			v, ok := p.number()
-			if !ok {
-				return false
-			}
-			st.View.TotalProcs = int(v)
-		case "queue_len":
-			v, ok := p.number()
-			if !ok {
-				return false
-			}
-			st.QueueLen = int(v)
-		case "scores":
-			v, ok := p.boolean()
-			if !ok {
-				return false
-			}
-			st.WantScores = v
-		case "jobs":
-			s, e, ok := p.jobRows(rb)
-			if !ok {
-				return false
-			}
-			start, end = s, e
-		default:
-			return false
-		}
-		if p.eat('}') {
-			break
-		}
+	for item() {
 		if !p.eat(',') {
-			return false
+			return p.eat(close)
 		}
 	}
-	rb.addState(st, start, end)
+	return false
+}
+
+// array parses [element,...]; elem consumes each element.
+func (p *fastParser) array(elem func() bool) bool { return p.list('[', ']', elem) }
+
+// object parses {"key":value,...}; field consumes the value of each key.
+func (p *fastParser) object(field func(key []byte) bool) bool {
+	return p.list('{', '}', func() bool {
+		key, ok := p.str()
+		return ok && p.eat(':') && field(key)
+	})
+}
+
+// row parses one compact row of up to len(vals) numbers — a job or a
+// completed record — and reports how many it held.
+func (p *fastParser) row(vals *[5]float64) (n int, ok bool) {
+	ok = p.array(func() bool {
+		if n == len(vals) {
+			return false
+		}
+		v, _, ok := p.number()
+		vals[n] = v
+		n++
+		return ok
+	})
+	return n, ok
+}
+
+// state parses one {...} queue state into the arena/state lists. name,
+// running_work and completed are a /place cluster's, kept with cluster set
+// (/v1/decide reads past them, as encoding/json does).
+func (p *fastParser) state(rb *reqBuf, cluster bool) bool {
+	var st QueueState
+	var vals [5]float64
+	var cl placeCluster
+	base, doneBase := len(rb.jobPtr), len(rb.done)
+	ok := p.object(func(key []byte) (ok bool) {
+		switch string(key) {
+		case "now":
+			st.Now, _, ok = p.number()
+		case "free_procs":
+			st.View.FreeProcs, ok = p.integer()
+		case "total_procs":
+			st.View.TotalProcs, ok = p.integer()
+		case "queue_len":
+			st.QueueLen, ok = p.integer()
+		case "scores":
+			st.WantScores, ok = p.boolean()
+		case "jobs":
+			// encoding/json decodes a repeated array over the first one's
+			// elements; leave that to it.
+			ok = len(rb.jobPtr) == base && p.array(func() bool {
+				var w wireJob
+				n, ok := p.row(&vals)
+				if ok = ok && w.fromRow(&vals, n); ok {
+					rb.addJob(w.toJob())
+				}
+				return ok
+			})
+		case "name":
+			var name []byte
+			name, ok = p.str()
+			cl.Name = string(name)
+		case "running_work":
+			cl.RunningWork, _, ok = p.number()
+		case "completed":
+			ok = len(rb.done) == doneBase && p.array(func() bool {
+				var w wireDone
+				n, ok := p.row(&vals)
+				if ok = ok && w.fromRow(&vals, n); ok {
+					rb.done = append(rb.done, w)
+				}
+				return ok
+			})
+		}
+		return ok
+	})
+	if !ok {
+		return false
+	}
+	rb.addState(st, base)
+	if cluster {
+		cl.Completed = rb.done[doneBase:len(rb.done):len(rb.done)] // stays valid the way addJob's slices do
+		rb.clusters = append(rb.clusters, cl)
+	}
 	return true
 }
 
-// parseFast attempts the canonical compact parse of a full request body.
+// parseFast attempts the canonical compact parse of a /v1/decide body: the
+// batch form {"states":[{...},...]}, else the whole object as one state.
 func (rb *reqBuf) parseFast(body []byte) error {
-	p := &fastParser{b: body}
-	if !p.eat('{') {
-		return errFastParse
-	}
-	// Batch form: {"states":[{...},...]}
-	if k, ok := p.key(); ok && k == "states" {
-		if !p.eat('[') {
-			return errFastParse
+	p := fastParser{b: body}
+	if p.object(func(key []byte) bool {
+		if rb.batch || string(key) != "states" {
+			return false
 		}
 		rb.batch = true
-		for {
-			if !p.state(rb) {
-				return rb.bail()
-			}
-			if p.eat(']') {
-				break
-			}
-			if !p.eat(',') {
-				return rb.bail()
-			}
-		}
-		if !p.eat('}') {
-			return rb.bail()
-		}
-		if p.ws(); p.i != len(p.b) {
-			return rb.bail()
-		}
+		return p.array(func() bool { return p.state(rb, false) })
+	}) && len(rb.states) > 0 && p.end() {
 		return nil
 	}
-	// Single-state form: rewind and parse the whole object as a state.
+	rb.bail()
 	p.i = 0
-	rb.batch = false
-	if !p.state(rb) {
-		return rb.bail()
+	if p.state(rb, false) && p.end() {
+		return nil
 	}
-	if p.ws(); p.i != len(p.b) {
-		return rb.bail()
-	}
-	return nil
+	return rb.bail()
 }
 
-// bail resets partially parsed request state before the slow-path retry.
+// parsePlaceFast attempts the canonical compact parse of a /place or
+// /migrate body.
+func (rb *reqBuf) parsePlaceFast(body []byte) error {
+	p := fastParser{b: body}
+	if p.object(func(key []byte) (ok bool) {
+		var s []byte
+		switch string(key) {
+		case "job":
+			var vals [5]float64
+			var w wireJob
+			n, rowOK := p.row(&vals)
+			ok = rowOK && w.fromRow(&vals, n)
+			rb.job = w.toJob()
+		case "from":
+			s, ok = p.str()
+			rb.from = string(s)
+		case "client":
+			s, ok = p.str()
+			rb.client = string(s)
+		case "batch_seq":
+			var v int
+			v, ok = p.integer()
+			seq := int64(v)
+			rb.batchSeq = &seq
+		case "clusters":
+			ok = len(rb.states) == 0 && p.array(func() bool { return p.state(rb, true) })
+		}
+		return ok
+	}) && p.end() {
+		return nil
+	}
+	return rb.bail()
+}
+
+// bail clears what a failed scan parsed before the encoding/json retry.
 func (rb *reqBuf) bail() error {
-	rb.arena = rb.arena[:0]
-	rb.states = rb.states[:0]
-	rb.ranges = rb.ranges[:0]
-	rb.batch = false
+	rb.reset()
 	return errFastParse
 }
 

@@ -49,7 +49,7 @@ func TestParseFastBailsClean(t *testing.T) {
 			if err := rb.parseFast([]byte(tc.body)); err != errFastParse {
 				t.Fatalf("parseFast(%q) = %v, want errFastParse", tc.body, err)
 			}
-			if len(rb.states) != 0 || len(rb.arena) != 0 || len(rb.ranges) != 0 || rb.batch {
+			if len(rb.states) != 0 || len(rb.arena) != 0 || len(rb.jobPtr) != 0 || rb.batch {
 				t.Fatalf("bail left partial state: %d states, %d arena jobs, batch=%v",
 					len(rb.states), len(rb.arena), rb.batch)
 			}
@@ -126,6 +126,44 @@ func TestDecideNegativePaths(t *testing.T) {
 		[]byte(`{"now":0,"free_procs":4,"total_procs":8,"jobs":[[0,60,2]]}`))
 	if code != 200 || !strings.Contains(string(out), `"pick":0`) {
 		t.Fatalf("healthy request after abuse: %d %s", code, out)
+	}
+}
+
+// TestMalformedNumbersRejected: the scanner takes exactly the JSON number
+// grammar and integer tokens for int fields, so a body encoding/json would
+// refuse is refused whichever tier reads it — the answer used to depend on
+// the parser (1.5 free processors read as 1, 1e30 as MinInt64).
+func TestMalformedNumbersRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: []ShardConfig{{Name: "a", Procs: 8, PolicyName: "SJF"}}})
+	for _, state := range []string{
+		`"now":0,"free_procs":1.5,"total_procs":8,"jobs":[[0,60,2]]`,
+		`"now":0,"free_procs":1,"total_procs":1e30,"jobs":[[0,60,2]]`,
+		`"now":+5,"free_procs":1,"total_procs":8,"jobs":[[0,60,2]]`,
+		`"now":0,"free_procs":01,"total_procs":8,"jobs":[[0,60,2]]`,
+		`"now":0,"free_procs":1,"total_procs":8,"jobs":[[.5,60,2]]`,
+		`"now":0,"free_procs":1,"total_procs":8,"jobs":[[0,1.,2]]`,
+	} {
+		if rb := (&reqBuf{}); rb.parseFast([]byte(`{`+state+`}`)) == nil {
+			t.Errorf("scanner accepted {%s}", state)
+		}
+		for path, body := range map[string]string{
+			"/v1/decide": `{` + state + `}`,
+			"/place":     `{"job":[0,60,2],"clusters":[{"name":"a",` + state + `}]}`,
+		} {
+			if code, out := postJSON(t, ts.URL+path, []byte(body)); code != 400 || !bytes.Contains(out, []byte("bad ")) {
+				t.Errorf("%s %s: %d %s, want the fallback's 400", path, body, code, out)
+			}
+		}
+	}
+	// The well-formed twin of those bodies is fine on both.
+	ok := `"now":5,"free_procs":1,"total_procs":8,"jobs":[[0.5,1.0e1,2]]`
+	for path, body := range map[string]string{
+		"/v1/decide": `{` + ok + `}`,
+		"/place":     `{"job":[0,60,1],"clusters":[{"name":"a",` + ok + `}]}`,
+	} {
+		if code, out := postJSON(t, ts.URL+path, []byte(body)); code != 200 {
+			t.Errorf("%s %s: %d %s", path, body, code, out)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 	"rlsched/internal/fleet"
 	"rlsched/internal/job"
 	"rlsched/internal/obs"
-	"rlsched/internal/sim"
 )
 
 // Fleet mode: the daemon shards one Engine per cluster and answers two
@@ -79,6 +77,7 @@ func (s *Server) initFleet(cfg Config) error {
 		s.migrateMargin = cfg.MigrateMargin
 	}
 	names := make([]string, 0, len(cfg.Shards))
+	s.shardIdx = make(map[string]int, len(cfg.Shards))
 	for i, sc := range cfg.Shards {
 		if sc.Name == "" {
 			return fmt.Errorf("serve: shard %d needs a name", i)
@@ -98,6 +97,7 @@ func (s *Server) initFleet(cfg Config) error {
 			procs:   sc.Procs,
 			batcher: NewBatcher(eng, BatcherConfig{Workers: cfg.Workers, Metrics: s.metrics}),
 		})
+		s.shardIdx[sc.Name] = i
 		names = append(names, sc.Name)
 	}
 	s.metrics.RegisterPlaceClusters(names)
@@ -148,10 +148,8 @@ func (s *Server) initFleet(cfg Config) error {
 }
 
 func (s *Server) shardByName(name string) (int, *shard) {
-	for i, sh := range s.shards {
-		if sh.name == name {
-			return i, sh
-		}
+	if i, ok := s.shardIdx[name]; ok {
+		return i, s.shards[i]
 	}
 	return -1, nil
 }
@@ -238,116 +236,104 @@ type placeRequest struct {
 // keeping cordoned shards off the menu, and explain traces name it.
 var cordonTaints = []fleet.Taint{{Key: "cordoned"}}
 
-// decodePlacement is the request half /place and /migrate share: the bounded
-// read and unmarshal, then the posted cluster states validated against the registered shards
-// and turned into the placement core's terms — the job and one candidate
-// per posted cluster (it writes the 4xx itself and returns a nil request).
+// decodePlacement is the request half /place and /migrate share: readRequest,
+// then the posted cluster states validated against the registered shards and turned into the placement core's terms — rb.job
+// and one candidate per posted cluster in rb.cands (it writes the 4xx itself
+// and returns nil; otherwise the caller puts rb back in the pool when done).
 // Everything after it is internal/fleet's: the daemon is a stateless
 // transport over the simulator's placement core. A cordoned shard stays a
 // candidate — its posted state and completions are real, only the
 // destination is closed — but carries cordonTaints. Only with migrate set
-// does From count: from is its candidate's index (required), and that one
+// does rb.from count: from is its candidate's index (required), and that one
 // candidate is spared the taint — migrating OFF a cordoned member is what
 // /migrate is for during a drain.
-func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate bool) (p *placeRequest, j *job.Job, cands []*fleet.Candidate, from int) {
-	fail := func(code int, format string, args ...interface{}) (*placeRequest, *job.Job, []*fleet.Candidate, int) {
-		s.fail(w, code, fmt.Errorf("serve: "+format, args...))
-		return nil, nil, nil, -1
+func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate bool) (rb *reqBuf, from int) {
+	switch {
+	case r.Method != http.MethodPost:
+		s.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: POST only"))
+	case len(s.shards) == 0 || (migrate && s.migrateMargin < 0):
+		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: %s not enabled (needs fleet mode; /migrate also needs -migrate)", r.URL.Path))
+	default:
+		rb = s.readRequest(w, r, (*reqBuf).parsePlaceFast, (*reqBuf).parsePlaceSlow)
 	}
-	bad := func(format string, args ...interface{}) (*placeRequest, *job.Job, []*fleet.Candidate, int) {
-		return fail(http.StatusBadRequest, format, args...)
+	if rb == nil {
+		return nil, -1
 	}
-	if r.Method != http.MethodPost {
-		return fail(http.StatusMethodNotAllowed, "POST only")
+	bad := func(format string, args ...interface{}) (*reqBuf, int) {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: "+format, args...))
+		reqBufPool.Put(rb)
+		return nil, -1
 	}
-	if len(s.shards) == 0 || (migrate && s.migrateMargin < 0) {
-		return fail(http.StatusNotFound, "%s not enabled (needs fleet mode; /migrate also needs -migrate)", r.URL.Path)
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBody+1))
-	if err != nil {
-		return bad("%v", err)
-	}
-	if int64(len(body)) > s.maxBody {
-		return fail(http.StatusRequestEntityTooLarge, "body over %d bytes", s.maxBody)
-	}
-	p = new(placeRequest)
-	p.Job.UserID = -1
-	if err := json.Unmarshal(body, p); err != nil {
-		return bad("bad %s request: %v", r.URL.Path, err)
-	}
-	if p.Job.ReqProcs <= 0 || p.Job.ReqTime <= 0 {
+	if rb.job.RequestedProcs <= 0 || rb.job.RequestedTime <= 0 {
 		return bad("job needs positive requested_time and requested_procs")
 	}
-	jb := p.Job.toJob()
-	if len(p.Clusters) == 0 {
+	if len(rb.states) == 0 {
 		return bad("%s request carries no clusters", r.URL.Path)
 	}
-	cands = make([]*fleet.Candidate, 0, len(p.Clusters))
-	from = -1
-	seen := map[string]bool{}
-	for i := range p.Clusters {
-		pc := &p.Clusters[i]
-		idx, sh := s.shardByName(pc.Name)
+	rb.seen = append(rb.seen[:0], make([]uint64, (len(s.shards)+63)/64)...)
+	vals := make([]fleet.Candidate, len(rb.states))
+	rb.cands, from = rb.cands[:0], -1
+	for i := range rb.states {
+		st, cl := &rb.states[i], &rb.clusters[i]
+		idx, sh := s.shardByName(cl.Name)
 		switch {
 		case sh == nil:
-			return bad("unknown cluster %q", pc.Name)
-		case seen[pc.Name]:
-			return bad("cluster %q listed twice", pc.Name)
-		case pc.TotalProcs != sh.procs:
-			return bad("cluster %q reports %d procs, shard has %d", pc.Name, pc.TotalProcs, sh.procs)
-		case pc.FreeProcs < 0 || pc.FreeProcs > pc.TotalProcs:
-			return bad("cluster %q free_procs out of range", pc.Name)
-		case !(pc.RunningWork >= 0) || math.IsInf(pc.RunningWork, 1):
-			return bad("cluster %q running_work must be finite and non-negative", pc.Name)
+			return bad("unknown cluster %q", cl.Name)
+		case rb.seen[idx/64]&(1<<(idx%64)) != 0:
+			return bad("cluster %q listed twice", cl.Name)
+		case st.View.TotalProcs != sh.procs:
+			return bad("cluster %q reports %d procs, shard has %d", cl.Name, st.View.TotalProcs, sh.procs)
+		case st.View.FreeProcs < 0 || st.View.FreeProcs > st.View.TotalProcs:
+			return bad("cluster %q free_procs out of range", cl.Name)
+		case !(cl.RunningWork >= 0) || math.IsInf(cl.RunningWork, 1):
+			return bad("cluster %q running_work must be finite and non-negative", cl.Name)
 		}
-		seen[pc.Name] = true
-		c := &fleet.Candidate{
+		rb.seen[idx/64] |= 1 << (idx % 64)
+		c := &vals[i]
+		*c = fleet.Candidate{
 			Index:       idx,
-			Name:        pc.Name,
-			Now:         pc.Now,
-			View:        sim.ClusterView{FreeProcs: pc.FreeProcs, TotalProcs: pc.TotalProcs},
-			Visible:     make([]*job.Job, 0, len(pc.Jobs)),
-			Pending:     pc.QueueLen,
-			RunningWork: pc.RunningWork,
+			Name:        sh.name,
+			Now:         st.Now,
+			View:        st.View,
+			Visible:     st.Jobs,
+			Pending:     max(st.QueueLen, len(st.Jobs)),
+			RunningWork: cl.RunningWork,
 		}
-		if c.Pending < len(pc.Jobs) {
-			c.Pending = len(pc.Jobs)
-		}
-		for k := range pc.Jobs {
-			wj := &pc.Jobs[k]
-			if wj.ReqProcs <= 0 || wj.ReqTime <= 0 {
-				return bad("cluster %q job %d needs positive requested_time and requested_procs", pc.Name, k)
+		for k, qj := range st.Jobs {
+			if qj.RequestedProcs <= 0 || qj.RequestedTime <= 0 {
+				return bad("cluster %q job %d needs positive requested_time and requested_procs", cl.Name, k)
 			}
-			qj := wj.toJob()
-			c.Visible = append(c.Visible, &qj)
-			c.PendingWork += wj.ReqTime * float64(wj.ReqProcs)
+			c.PendingWork += qj.RequestedTime * float64(qj.RequestedProcs)
 		}
-		if migrate && pc.Name == p.From {
+		if migrate && cl.Name == rb.from {
 			from = i
 		} else if sh.cordoned.Load() {
 			c.Attrs.Taints = cordonTaints
 		}
-		cands = append(cands, c)
+		rb.cands = append(rb.cands, c)
 	}
 	if migrate && from < 0 {
-		return bad("current cluster %q missing from posted states", p.From)
+		return bad("current cluster %q missing from posted states", rb.from)
 	}
-	return p, &jb, cands, from
+	rb.scores = append(rb.scores[:0], make([]float64, len(rb.cands))...)
+	return rb, from
 }
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	p, j, cands, _ := s.decodePlacement(w, r, false)
-	if p == nil {
+	rb, _ := s.decodePlacement(w, r, false)
+	if rb == nil {
 		return
 	}
+	defer reqBufPool.Put(rb)
+	j, cands := &rb.job, rb.cands
 	// The tracker is persistent state: a batch that is half-folded when the
 	// request errors out would be double-counted when the client repairs
 	// and re-posts it. So EVERY rejection — a bad dedup identity or record
 	// (400), a job no posted cluster can take (422, the pipeline's own
 	// filters: exactly the condition under which it would return no pick)
 	// — fires before the fold.
-	if p.BatchSeq != nil && (p.Client == "" || *p.BatchSeq < 0) {
+	if rb.batchSeq != nil && (rb.client == "" || *rb.batchSeq < 0) {
 		s.fail(w, http.StatusBadRequest,
 			fmt.Errorf("serve: batch_seq needs a client id and a non-negative value"))
 		return
@@ -359,27 +345,25 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	deduped := false
 	if s.fairness != nil {
-		var wcs []walCluster
-		var idxs []int
-		for i := range p.Clusters {
-			pc := &p.Clusters[i]
-			for k := range pc.Completed {
-				if wd := &pc.Completed[k]; wd.Wait < 0 || wd.Run < 0 {
+		rb.wcs, rb.idxs = rb.wcs[:0], rb.idxs[:0]
+		for i, cl := range rb.clusters {
+			for k := range cl.Completed {
+				if wd := &cl.Completed[k]; wd.Wait < 0 || wd.Run < 0 {
 					s.fail(w, http.StatusBadRequest,
-						fmt.Errorf("serve: cluster %q completed job %d needs non-negative wait and run_time", pc.Name, k))
+						fmt.Errorf("serve: cluster %q completed job %d needs non-negative wait and run_time", cl.Name, k))
 					return
 				}
 			}
-			if len(pc.Completed) > 0 {
-				wcs = append(wcs, walCluster{Name: pc.Name, Done: pc.Completed})
-				idxs = append(idxs, cands[i].Index)
+			if len(cl.Completed) > 0 {
+				rb.wcs = append(rb.wcs, walCluster{Name: cl.Name, Done: cl.Completed})
+				rb.idxs = append(rb.idxs, cands[i].Index)
 			}
 		}
 		// Fold them in before scoring, so the placement below already sees
 		// them. The durability layer owns the fold: WAL append (when
 		// configured) strictly before Observe, and the batch_seq dedup
 		// check strictly before both — a replayed batch changes nothing.
-		applied, err := s.durable.commitBatch(p.Client, p.BatchSeq, wcs, idxs)
+		applied, err := s.durable.commitBatch(rb.client, rb.batchSeq, rb.wcs, rb.idxs)
 		if err != nil {
 			// The WAL refused the batch; acking it would promise a
 			// durability the disk did not deliver.
@@ -396,8 +380,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	if wantExplain || s.ring != nil {
 		ex = new(obs.Explain)
 	}
-	scores := make([]float64, len(cands))
-	pick := cands[s.placer.PlaceExplained(j, cands, scores, ex)]
+	pick := cands[s.placer.PlaceExplained(j, cands, rb.scores, ex)]
 	if s.ring != nil {
 		s.ring.Placement(&obs.PlacementDecision{
 			Time:       time.Since(s.start).Seconds(),
@@ -410,13 +393,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	resp := make([]byte, 0, 256)
-	resp = append(resp, `{"cluster":`...)
-	resp = strconv.AppendQuote(resp, pick.Name)
-	resp = append(resp, `,"shard":`...)
-	resp = strconv.AppendInt(resp, int64(pick.Index), 10)
-	resp = append(resp, `,"router":`...)
-	resp = strconv.AppendQuote(resp, s.placer.Name())
+	resp := appendStr(rb.resp[:0], `{"cluster":`, pick.Name)
+	resp = appendInt(resp, `,"shard":`, pick.Index)
+	resp = appendStr(resp, `,"router":`, s.placer.Name())
 	if deduped {
 		// The completion batch was a replay; the placement answer stands
 		// but nothing was (re-)absorbed.
@@ -426,28 +405,24 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		// Per-user state exposure: the tracked service of the job's user
 		// against the all-user mean, as the fairness plugin saw it.
 		userMean, jobs, fleetMean := s.fairness.UserState(j.UserID)
-		resp = append(resp, `,"fairness":{"user_mean_bsld":`...)
-		resp = strconv.AppendFloat(resp, userMean, 'g', 6, 64)
-		resp = append(resp, `,"user_jobs":`...)
-		resp = strconv.AppendInt(resp, int64(jobs), 10)
-		resp = append(resp, `,"fleet_mean_bsld":`...)
-		resp = strconv.AppendFloat(resp, fleetMean, 'g', 6, 64)
-		resp = append(resp, '}')
+		resp = appendNum(resp, `,"fairness":{"user_mean_bsld":`, userMean)
+		resp = appendInt(resp, `,"user_jobs":`, jobs)
+		resp = append(appendNum(resp, `,"fleet_mean_bsld":`, fleetMean), '}')
 	}
 	if !wantExplain {
 		ex = nil
 	}
 	s.metrics.CountPlacement(pick.Index)
-	s.finishPlacement(w, r, start, &s.metrics.PlaceLatency, resp, cands, scores, ex)
+	s.finishPlacement(w, r, start, &s.metrics.PlaceLatency, resp, rb, ex)
 }
 
 // finishPlacement is the response half /place and /migrate share: the
 // "scores" object covering every unfiltered (non-NaN) candidate, the
 // ?explain=1 trace when ex is set, the write, and the latency accounting.
-func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start time.Time, lat *Histogram, resp []byte, cands []*fleet.Candidate, scores []float64, ex *obs.Explain) {
+func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start time.Time, lat *Histogram, resp []byte, rb *reqBuf, ex *obs.Explain) {
 	resp = append(resp, `,"scores":{`...)
-	first := true
-	for i, c := range cands {
+	first, scores := true, rb.scores
+	for i, c := range rb.cands {
 		if scores[i] != scores[i] { // NaN: filtered out
 			continue
 		}
@@ -472,9 +447,9 @@ func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start t
 		resp = append(resp, `,"explain":`...)
 		resp = append(resp, exJSON...)
 	}
-	resp = append(resp, '}', '\n')
+	rb.resp = append(resp, '}', '\n')
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(resp)
+	w.Write(rb.resp)
 
 	lat.ObserveDuration(time.Since(start))
 	if s.slo != nil {
@@ -490,11 +465,12 @@ func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start t
 // is stateless: it recommends; the caller moves.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	p, j, cands, from := s.decodePlacement(w, r, true)
-	if p == nil {
+	rb, from := s.decodePlacement(w, r, true)
+	if rb == nil {
 		return
 	}
-	scores := make([]float64, len(cands))
+	defer reqBufPool.Put(rb)
+	j, cands, scores := &rb.job, rb.cands, rb.scores
 	best := s.placer.PlaceScored(j, cands, scores)
 	// The wire carries no per-user quota, so "can start now" is free
 	// capacity behind an empty queue — sim.CanStartNow without a quota.
@@ -503,29 +479,23 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	})
 	move := dst != from
 
-	resp := make([]byte, 0, 256)
-	resp = append(resp, `{"migrate":`...)
+	resp := append(rb.resp[:0], `{"migrate":`...)
 	resp = strconv.AppendBool(resp, move)
-	resp = append(resp, `,"reason":`...)
-	resp = strconv.AppendQuote(resp, reason)
-	resp = append(resp, `,"cluster":`...)
-	resp = strconv.AppendQuote(resp, cands[dst].Name)
-	resp = append(resp, `,"from":`...)
-	resp = strconv.AppendQuote(resp, p.From)
+	resp = appendStr(resp, `,"reason":`, reason)
+	resp = appendStr(resp, `,"cluster":`, cands[dst].Name)
+	resp = appendStr(resp, `,"from":`, rb.from)
 	if cur := scores[from]; cur == cur {
 		// "margin" is the recommended cluster's lead over a scored
 		// incumbent: the verdict's margin on a move, 0 on a stay.
 		if !move {
 			margin = 0
 		}
-		resp = append(resp, `,"margin":`...)
-		resp = strconv.AppendFloat(resp, margin, 'g', 6, 64)
+		resp = appendNum(resp, `,"margin":`, margin)
 	}
-	resp = append(resp, `,"router":`...)
-	resp = strconv.AppendQuote(resp, s.placer.Name())
+	resp = appendStr(resp, `,"router":`, s.placer.Name())
 	s.metrics.MigrateChecksTotal.Add(1)
 	if move {
 		s.metrics.CountMigration(cands[dst].Index)
 	}
-	s.finishPlacement(w, r, start, &s.metrics.MigrateLatency, resp, cands, scores, nil)
+	s.finishPlacement(w, r, start, &s.metrics.MigrateLatency, resp, rb, nil)
 }

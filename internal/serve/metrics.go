@@ -18,6 +18,10 @@ type Metrics struct {
 	ErrorsTotal    atomic.Uint64 // rejected/failed decision requests
 	ReloadsTotal   atomic.Uint64 // successful engine swaps
 
+	// ParseFallback counts, per parsePaths endpoint, the bodies the scanner
+	// bailed on: 0 means every client is on the fast path.
+	ParseFallback [len(parsePaths)]atomic.Uint64
+
 	Latency    Histogram // per-request decision latency (seconds)
 	BatchQueue Histogram // per-request wait for an engine slot (seconds)
 
@@ -47,6 +51,9 @@ type Metrics struct {
 	WALRecordsTotal  atomic.Uint64 // records appended to the WAL
 	PlaceDedupTotal  atomic.Uint64 // /place batches dropped as replays
 }
+
+// parsePaths are the endpoints whose bodies go through readRequest.
+var parsePaths = [...]string{"/v1/decide", "/place", "/migrate"}
 
 // RegisterPlaceClusters installs one placement counter and one migration
 // counter per fleet shard. Call once at startup, before the handler
@@ -212,6 +219,10 @@ func (m *Metrics) WriteProm(w io.Writer, policy string) {
 	promCounter(w, "rlserv_decisions_total", "Queue states decided.", m.DecisionsTotal.Load())
 	promCounter(w, "rlserv_errors_total", "Rejected or failed requests.", m.ErrorsTotal.Load())
 	promCounter(w, "rlserv_reloads_total", "Successful engine hot-swaps.", m.ReloadsTotal.Load())
+	promFamily(w, "rlserv_parse_fallback_total", "Request bodies the scanner bailed on, decoded by encoding/json.", "counter")
+	for i, path := range parsePaths {
+		fmt.Fprintf(w, "rlserv_parse_fallback_total{path=%q} %d\n", path, m.ParseFallback[i].Load())
+	}
 	m.Latency.writeProm(w, "rlserv_decision_latency_seconds", "Per-request decision latency in seconds.")
 	m.BatchQueue.writeProm(w, "rlserv_batch_queue_seconds", "Per-request wait for an engine slot in seconds.")
 	if len(m.placeNames) > 0 {

@@ -277,6 +277,7 @@ func TestMetricsHelpAndType(t *testing.T) {
 		"rlserv_degradation_level 0",
 		"rlserv_slo_breaches_total ",
 		`rlserv_request_latency_seconds{path="/place",quantile="0.99"}`,
+		`rlserv_parse_fallback_total{path="/migrate"} 0`, // both bodies above are canonical
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics output missing %q", want)

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -138,6 +140,143 @@ func TestRunningWork(t *testing.T) {
 		}
 		if code == http.StatusOK && !strings.Contains(string(out), `"cluster":"`+tc.want+`"`) {
 			t.Errorf("large%s mid%s: want %s, got %s", tc.large, tc.mid, tc.want, out)
+		}
+	}
+}
+
+// newBenchShapedServer serves the fleet benchShapedPlaceBody posts to:
+// shards s0..s{n-1} of 64 processors each serving a kernel network (so every
+// posted field reaches a score), engine router, fairness tracking, /migrate
+// and the decision cache on.
+func newBenchShapedServer(t *testing.T, n int) (*Server, *httptest.Server) {
+	t.Helper()
+	cfg := Config{Migrate: true, FairWeight: 1, DecisionCache: 64}
+	model := writeSnapshot(t, t.TempDir(), "kernel", 32)
+	for c := 0; c < n; c++ {
+		cfg.Shards = append(cfg.Shards, ShardConfig{Name: fmt.Sprintf("s%d", c), Procs: 64, ModelPath: model})
+	}
+	return newTestServer(t, cfg)
+}
+
+// fallbacks reads rlserv_parse_fallback_total in parsePaths order.
+func fallbacks(srv *Server) (n [len(parsePaths)]uint64) {
+	for i := range n {
+		n[i] = srv.Metrics().ParseFallback[i].Load()
+	}
+	return n
+}
+
+// TestPlaceTiersAgree: the scanner and the encoding/json fallback are one
+// decoder to a client. A canonical compact body never reaches the fallback,
+// and the same request spelled so that the scanner bails — an ignored
+// unknown key, an object-form row — is answered byte for byte the same,
+// ?explain=1 and /migrate included, each such body moving
+// rlserv_parse_fallback_total by one.
+func TestPlaceTiersAgree(t *testing.T) {
+	canonical := benchShapedPlaceBody(t, 3, 16, 17)
+	from := []byte(`{"from":"s1",`)
+	paths := []string{"/place", "/place?explain=1", "/migrate"}
+	ask := func(body []byte) (answers [][]byte, fell [len(parsePaths)]uint64) {
+		srv, ts := newBenchShapedServer(t, 3)
+		for _, path := range paths {
+			code, out := postJSON(t, ts.URL+path, append(from[:len(from):len(from)], body[1:]...))
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %s", path, code, out)
+			}
+			answers = append(answers, out)
+		}
+		return answers, fallbacks(srv)
+	}
+	want, fell := ask(canonical)
+	if fell != [len(parsePaths)]uint64{} {
+		t.Fatalf("canonical bodies fell back to encoding/json: %v (order %v)", fell, parsePaths)
+	}
+	for name, body := range map[string][]byte{
+		"unknown key":     append(canonical[:len(canonical)-1:len(canonical)-1], `,"trace_id":"abc"}`...),
+		"object-form job": bytes.Replace(canonical, []byte(`"job":[0,600,4,17]`), []byte(`"job":{"requested_time":600,"requested_procs":4,"user_id":17}`), 1),
+		"escaped name":    bytes.Replace(canonical, []byte(`"name":"s2"`), []byte(`"name":"s\u0032"`), 1),
+	} {
+		if bytes.Equal(body, canonical) {
+			t.Fatalf("%s: variant equals the canonical body", name)
+		}
+		got, fell := ask(body)
+		if fell != [len(parsePaths)]uint64{0, 2, 1} {
+			t.Errorf("%s: fallbacks %v (order %v), want one per request", name, fell, parsePaths)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%s, %s: tiers disagree\nscanner  %s\nfallback %s", name, paths[i], want[i], got[i])
+			}
+		}
+	}
+
+	// /v1/decide counts under its own label.
+	srv, ts := newTestServer(t, Config{PolicyName: "SJF"})
+	for i, body := range []string{
+		`{"free_procs":4,"total_procs":8,"jobs":[[0,60,2]]}`,
+		`{"free_procs":4,"total_procs":8,"jobs":[{"requested_time":60,"requested_procs":2}]}`,
+	} {
+		if code, out := postJSON(t, ts.URL+"/v1/decide", []byte(body)); code != http.StatusOK {
+			t.Fatalf("decide: %d %s", code, out)
+		}
+		if fell := fallbacks(srv); fell != [len(parsePaths)]uint64{uint64(i)} {
+			t.Errorf("after decide body %d: fallbacks %v", i, fell)
+		}
+	}
+}
+
+// TestPlaceBufferAliasing: the parsed request lives in a pooled buffer the
+// next request overwrites, so nothing that outlives a handler may point
+// into it. Two different bodies back to back: the first one's
+// /debug/decisions entry and decision-cache entries must be unchanged by
+// the second.
+func TestPlaceBufferAliasing(t *testing.T) {
+	srv, ts := newBenchShapedServer(t, 3)
+	ringEntry := func() string { // the oldest retained decision: Seq 1
+		t.Helper()
+		var log struct {
+			Decisions []json.RawMessage `json:"decisions"`
+		}
+		code, out := getJSON(t, ts.URL+"/debug/decisions?n=0")
+		if code != http.StatusOK {
+			t.Fatalf("debug/decisions: %d %s", code, out)
+		}
+		if err := json.Unmarshal(out, &log); err != nil || len(log.Decisions) == 0 {
+			t.Fatalf("debug/decisions: %v in %s", err, out)
+		}
+		return string(log.Decisions[len(log.Decisions)-1])
+	}
+	cacheEntries := func() map[string]cacheEntry {
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		out := map[string]cacheEntry{}
+		for k, e := range srv.cache.entries {
+			e.dec.Scores = append([]float64(nil), e.dec.Scores...)
+			out[strings.Clone(k)] = e
+		}
+		return out
+	}
+
+	code, answer := postJSON(t, ts.URL+"/place", benchShapedPlaceBody(t, 3, 16, 17))
+	if code != http.StatusOK {
+		t.Fatalf("first place: %d %s", code, answer)
+	}
+	decision, entries := ringEntry(), cacheEntries()
+	if len(entries) != 3 {
+		t.Fatalf("first place cached %d engine decisions, want one per shard", len(entries))
+	}
+	if code, out := postJSON(t, ts.URL+"/place", benchShapedPlaceBody(t, 3, 16, 18)); code != http.StatusOK {
+		t.Fatalf("second place: %d %s", code, out)
+	} else if bytes.Equal(out, answer) {
+		t.Fatalf("the second body must be a different question, got the same answer %s", out)
+	}
+	if got := ringEntry(); got != decision {
+		t.Errorf("decision ring entry changed under the next request:\nbefore %s\nafter  %s", decision, got)
+	}
+	now := cacheEntries()
+	for k, e := range entries {
+		if got, ok := now[k]; !ok || !reflect.DeepEqual(got, e) {
+			t.Errorf("decision cache entry changed under the next request: %+v, was %+v", got, e)
 		}
 	}
 }

@@ -118,6 +118,7 @@ type Server struct {
 	// (negative = endpoint disabled), and the per-user fairness tracker
 	// (nil unless FairWeight > 0).
 	shards        []*shard
+	shardIdx      map[string]int // name → index into shards
 	placer        *fleet.Pipeline
 	migrateMargin float64
 	fairness      *fleet.FairnessScorer
@@ -311,24 +312,11 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		batcher, tag = sh.batcher, idx
 	}
 	start := time.Now()
-	rb := reqBufPool.Get().(*reqBuf)
+	rb := s.readRequest(w, r, (*reqBuf).parseFast, (*reqBuf).parseSlow)
+	if rb == nil {
+		return
+	}
 	defer reqBufPool.Put(rb)
-	rb.reset()
-
-	body, err := readAllInto(rb.body[:0], io.LimitReader(r.Body, s.maxBody+1))
-	rb.body = body
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if int64(len(body)) > s.maxBody {
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
-		return
-	}
-	if err := rb.parseRequest(body); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
 	if err := rb.validate(); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -338,7 +326,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: request carries %d states, limit %d", len(rb.states), s.maxStates))
 		return
 	}
-	states := rb.finalize()
+	states := rb.stPtr
 	// The degradation ladder (slo.go): full service runs the served engine
 	// under the batcher's limit; level 1 swaps in the heuristic fallback,
 	// which needs no limit; level 2 sheds to a static FCFS answer with no
@@ -355,8 +343,8 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.slo.fallback.DecideBatch(states, decs)
 		policy = s.slo.fallback.Name()
 	default:
-		decs, policy, err = s.decideCached(r.Context(), batcher, tag, states)
-		if err != nil {
+		var err error
+		if decs, policy, err = s.decideCached(r.Context(), batcher, tag, states); err != nil {
 			s.fail(w, http.StatusServiceUnavailable, err)
 			return
 		}
@@ -656,6 +644,38 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
+}
+
+// readRequest is the front /v1/decide, /place and /migrate share: the body
+// read into a pooled reqBuf, the cap decided (413) before anything is parsed,
+// then the scanner, and encoding/json for what it bails on. On failure it
+// writes the response and returns nil; otherwise the caller puts the reqBuf
+// back in the pool when its handler returns.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, fast, slow func(*reqBuf, []byte) error) *reqBuf {
+	rb := reqBufPool.Get().(*reqBuf)
+	rb.reset()
+	var err error
+	rb.body, err = readAllInto(rb.body[:0], io.LimitReader(r.Body, s.maxBody+1))
+	switch {
+	case err != nil:
+		s.fail(w, http.StatusBadRequest, err)
+	case int64(len(rb.body)) > s.maxBody:
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
+	case fast(rb, rb.body) == nil:
+		return rb
+	default:
+		for i, path := range parsePaths {
+			if path == r.URL.Path {
+				s.metrics.ParseFallback[i].Add(1)
+			}
+		}
+		if err = slow(rb, rb.body); err == nil {
+			return rb
+		}
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s request: %w", r.URL.Path, err))
+	}
+	reqBufPool.Put(rb)
+	return nil
 }
 
 // readAllInto is io.ReadAll into a reusable buffer.

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"rlsched/internal/fleet"
 	"rlsched/internal/job"
 	"rlsched/internal/sim"
 )
@@ -22,11 +23,9 @@ import (
 //
 //	[submit_time, requested_time, requested_procs, user_id?, id?]
 //
-// which is what the load generator emits: canonical compact bodies bypass
-// encoding/json entirely via a hand-rolled parser (~4× faster on the
-// 1-core CI box, and the decode is the biggest single cost of a decision).
-// Any body the fast parser rejects falls back to encoding/json, so every
-// valid JSON request is accepted either way.
+// which is what the load generator emits. Every body meets the scanner
+// (fastparse.go) first and encoding/json only if that bails, so every valid
+// JSON request is accepted either way.
 
 // wireJob decodes a job from either object or compact-array form.
 type wireJob struct {
@@ -37,41 +36,53 @@ type wireJob struct {
 	UserID   int     `json:"user_id"`
 }
 
+// unmarshalRowOr is the decoder wireJob and wireDone share. b is a compact
+// row of numbers for w.fromRow — read by the scanner's row(), and by
+// json.Unmarshal only if that bails (a null element, say) — or else an
+// object for obj, a method-free twin of w's type.
+func unmarshalRowOr(b []byte, w interface{ fromRow(*[5]float64, int) bool }, obj any, want string) error {
+	p := fastParser{b: b}
+	if p.ws(); p.i == len(b) || b[p.i] != '[' {
+		return json.Unmarshal(b, obj)
+	}
+	var vals [5]float64
+	n, ok := p.row(&vals)
+	if !ok || !p.end() {
+		var row []float64
+		if err := json.Unmarshal(b, &row); err != nil {
+			return err
+		}
+		n = len(row)
+		copy(vals[:], row)
+	}
+	if !w.fromRow(&vals, n) {
+		return fmt.Errorf("serve: compact %s values, got %d", want, n)
+	}
+	return nil
+}
+
 // UnmarshalJSON accepts {"submit_time": ...} objects and
 // [submit, req_time, procs, user?, id?] arrays.
 func (w *wireJob) UnmarshalJSON(b []byte) error {
-	w.UserID = -1
-	for _, c := range b {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '[':
-			var row []float64
-			if err := json.Unmarshal(b, &row); err != nil {
-				return err
-			}
-			if len(row) < 3 || len(row) > 5 {
-				return fmt.Errorf("serve: compact job row wants 3-5 values, got %d", len(row))
-			}
-			w.Submit, w.ReqTime, w.ReqProcs = row[0], row[1], int(row[2])
-			if len(row) > 3 {
-				w.UserID = int(row[3])
-			}
-			if len(row) > 4 {
-				w.ID = int(row[4])
-			}
-			return nil
-		default:
-			type alias wireJob
-			a := alias(*w)
-			if err := json.Unmarshal(b, &a); err != nil {
-				return err
-			}
-			*w = wireJob(a)
-			return nil
-		}
+	type object wireJob
+	*w = wireJob{UserID: -1}
+	return unmarshalRowOr(b, w, (*object)(w), "job row wants 3-5")
+}
+
+// fromRow fills w from a compact row of n values and reports whether n is
+// a legal length.
+func (w *wireJob) fromRow(v *[5]float64, n int) bool {
+	if n < 3 || n > len(v) {
+		return false
 	}
-	return fmt.Errorf("serve: empty job spec")
+	*w = wireJob{Submit: v[0], ReqTime: v[1], ReqProcs: int(v[2]), UserID: -1}
+	if n > 3 {
+		w.UserID = int(v[3])
+	}
+	if n > 4 {
+		w.ID = int(v[4])
+	}
+	return true
 }
 
 // toJob converts the wire form to a pending job (scheduling state
@@ -104,32 +115,15 @@ type wireDone struct {
 // UnmarshalJSON accepts {"user_id": ...} objects and [user, wait, run]
 // arrays.
 func (w *wireDone) UnmarshalJSON(b []byte) error {
-	w.UserID = -1
-	for _, c := range b {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '[':
-			var row []float64
-			if err := json.Unmarshal(b, &row); err != nil {
-				return err
-			}
-			if len(row) != 3 {
-				return fmt.Errorf("serve: compact completed row wants 3 values, got %d", len(row))
-			}
-			w.UserID, w.Wait, w.Run = int(row[0]), row[1], row[2]
-			return nil
-		default:
-			type alias wireDone
-			a := alias(*w)
-			if err := json.Unmarshal(b, &a); err != nil {
-				return err
-			}
-			*w = wireDone(a)
-			return nil
-		}
-	}
-	return fmt.Errorf("serve: empty completed spec")
+	type object wireDone
+	*w = wireDone{UserID: -1}
+	return unmarshalRowOr(b, w, (*object)(w), "completed row wants 3")
+}
+
+// fromRow is wireJob.fromRow for a completed row.
+func (w *wireDone) fromRow(v *[5]float64, n int) bool {
+	*w = wireDone{UserID: int(v[0]), Wait: v[1], Run: v[2]}
+	return n == 3
 }
 
 // toJob converts the record into a finished job the fairness tracker can
@@ -160,17 +154,34 @@ type wireRequest struct {
 }
 
 // reqBuf holds every allocation a request needs; pooled across requests.
-// Job pointers handed to engines index into the arena, so a reqBuf must
-// not be recycled until its decisions have been copied out.
+// Job pointers handed to engines and candidates index into the arena, and
+// the WAL batch into done, so a reqBuf goes back to the pool only when its
+// handler returns, and nothing that outlives the handler may keep a pointer
+// into it (the decision ring and the decision cache copy what they keep).
 type reqBuf struct {
 	body   []byte
 	resp   []byte
 	arena  []job.Job
-	jobPtr []*job.Job
+	jobPtr []*job.Job // &arena[i]; each state's Jobs is a run of it
 	states []QueueState
-	stPtr  []*QueueState
-	ranges []int // 2 ints per state: arena [start, end)
-	batch  bool  // request used the states form
+	stPtr  []*QueueState // &states[i]
+	batch  bool          // request used the states form
+
+	// The /place and /migrate body: the job, the dedup identity, and posted
+	// cluster i as its queue state, states[i], plus clusters[i]'s Name,
+	// RunningWork and Completed (wireState there is the fallback's scratch).
+	job          job.Job
+	from, client string
+	batchSeq     *int64
+	clusters     []placeCluster
+	done         []wireDone // backs the scanner's Completed slices
+
+	// Handler scratch of the placement endpoints.
+	seen   []uint64 // bitset over shard indices
+	cands  []*fleet.Candidate
+	scores []float64
+	wcs    []walCluster
+	idxs   []int
 }
 
 var reqBufPool = sync.Pool{New: func() interface{} {
@@ -181,61 +192,44 @@ var reqBufPool = sync.Pool{New: func() interface{} {
 	}
 }}
 
+// reset empties the parsed form — what a parse tier starts from; body and
+// resp are overwritten by their next user.
 func (rb *reqBuf) reset() {
-	rb.body = rb.body[:0]
-	rb.resp = rb.resp[:0]
 	rb.arena = rb.arena[:0]
 	rb.jobPtr = rb.jobPtr[:0]
 	rb.states = rb.states[:0]
 	rb.stPtr = rb.stPtr[:0]
-	rb.ranges = rb.ranges[:0]
 	rb.batch = false
+	rb.job = (&wireJob{UserID: -1}).toJob()
+	rb.from, rb.client, rb.batchSeq = "", "", nil
+	rb.clusters = rb.clusters[:0]
+	rb.done = rb.done[:0]
 }
 
-// addState appends a parsed state whose jobs occupy arena[start:end).
-func (rb *reqBuf) addState(st QueueState, start, end int) {
+// addJob appends one parsed job, addState the state it belongs to. When a
+// later append regrows arena, jobPtr or states, earlier pointers and slices
+// stay on the old array, which nothing writes again, so they remain valid
+// for the rest of the request.
+func (rb *reqBuf) addJob(j job.Job) {
+	rb.arena = append(rb.arena, j)
+	rb.jobPtr = append(rb.jobPtr, &rb.arena[len(rb.arena)-1])
+}
+
+// addState appends a parsed state whose jobs are jobPtr[base:].
+func (rb *reqBuf) addState(st QueueState, base int) {
+	st.Jobs = rb.jobPtr[base:len(rb.jobPtr):len(rb.jobPtr)]
 	rb.states = append(rb.states, st)
-	rb.ranges = append(rb.ranges, start, end)
+	rb.stPtr = append(rb.stPtr, &rb.states[len(rb.states)-1])
 }
 
-// finalize materializes the job pointer slices once the arena is stable
-// (the arena may regrow while parsing, so pointers are taken only here).
-func (rb *reqBuf) finalize() []*QueueState {
-	if cap(rb.jobPtr) < len(rb.arena) {
-		rb.jobPtr = make([]*job.Job, len(rb.arena))
-	}
-	rb.jobPtr = rb.jobPtr[:len(rb.arena)]
-	for i := range rb.arena {
-		rb.jobPtr[i] = &rb.arena[i]
-	}
-	for i := range rb.states {
-		start, end := rb.ranges[2*i], rb.ranges[2*i+1]
-		rb.states[i].Jobs = rb.jobPtr[start:end:end]
-		rb.stPtr = append(rb.stPtr, &rb.states[i])
-	}
-	return rb.stPtr
-}
-
-// parseRequest decodes body into rb: fast path first, encoding/json as
-// the catch-all.
-func (rb *reqBuf) parseRequest(body []byte) error {
-	if err := rb.parseFast(body); err == nil {
-		return nil
-	}
-	return rb.parseSlow(body)
-}
-
-// parseSlow is the encoding/json catch-all path. It accepts every valid
-// JSON request; the fast parser accepts a superset of the canonical
-// compact bodies and must agree with this path on anything both accept
-// (pinned by the FuzzParseRequest differential).
+// parseSlow is the encoding/json catch-all of /v1/decide, run on a body
+// parseFast bailed on. It accepts every valid JSON request; the scanner
+// accepts a subset and must agree with this path on it (pinned by the
+// FuzzParseRequest differential).
 func (rb *reqBuf) parseSlow(body []byte) error {
-	rb.arena = rb.arena[:0]
-	rb.states = rb.states[:0]
-	rb.ranges = rb.ranges[:0]
 	var req wireRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return fmt.Errorf("serve: bad request: %w", err)
+		return err
 	}
 	rb.batch = len(req.States) > 0
 	if !rb.batch {
@@ -248,17 +242,33 @@ func (rb *reqBuf) parseSlow(body []byte) error {
 	return nil
 }
 
+// parsePlaceSlow is parseSlow for /place and /migrate: json.Unmarshal into
+// a placeRequest, copied into the form parsePlaceFast lands in.
+func (rb *reqBuf) parsePlaceSlow(body []byte) error {
+	var req placeRequest
+	req.Job.UserID = -1
+	if err := json.Unmarshal(body, &req); err != nil {
+		return err
+	}
+	rb.job, rb.from, rb.client, rb.batchSeq = req.Job.toJob(), req.From, req.Client, req.BatchSeq
+	rb.clusters = req.Clusters
+	for i := range req.Clusters {
+		rb.addWireState(&req.Clusters[i].wireState)
+	}
+	return nil
+}
+
 func (rb *reqBuf) addWireState(ws *wireState) {
-	start := len(rb.arena)
+	base := len(rb.jobPtr)
 	for i := range ws.Jobs {
-		rb.arena = append(rb.arena, ws.Jobs[i].toJob())
+		rb.addJob(ws.Jobs[i].toJob())
 	}
 	rb.addState(QueueState{
 		Now:        ws.Now,
 		View:       sim.ClusterView{FreeProcs: ws.FreeProcs, TotalProcs: ws.TotalProcs},
 		QueueLen:   ws.QueueLen,
 		WantScores: ws.Scores,
-	}, start, len(rb.arena))
+	}, base)
 }
 
 // validate enforces the request invariants shared by both parse paths.
@@ -268,8 +278,7 @@ func (rb *reqBuf) validate() error {
 	}
 	for i := range rb.states {
 		st := &rb.states[i]
-		start, end := rb.ranges[2*i], rb.ranges[2*i+1]
-		if end == start {
+		if len(st.Jobs) == 0 {
 			return fmt.Errorf("serve: state %d has no jobs", i)
 		}
 		if st.View.TotalProcs <= 0 {
@@ -278,11 +287,9 @@ func (rb *reqBuf) validate() error {
 		if st.View.FreeProcs < 0 || st.View.FreeProcs > st.View.TotalProcs {
 			return fmt.Errorf("serve: state %d free_procs out of range", i)
 		}
-		for j := start; j < end; j++ {
-			jb := &rb.arena[j]
+		for k, jb := range st.Jobs {
 			if jb.RequestedProcs <= 0 || jb.RequestedTime <= 0 {
-				return fmt.Errorf("serve: state %d job %d needs positive requested_time and requested_procs",
-					i, j-start)
+				return fmt.Errorf("serve: state %d job %d needs positive requested_time and requested_procs", i, k)
 			}
 		}
 	}
@@ -296,11 +303,9 @@ func (rb *reqBuf) appendResponse(dst []byte, decs []Decision, policy string) []b
 	dst = append(dst, '{')
 	if !rb.batch {
 		d := decs[0]
-		dst = append(dst, `"pick":`...)
-		dst = strconv.AppendInt(dst, int64(d.Pick), 10)
+		dst = appendInt(dst, `"pick":`, d.Pick)
 		if id := rb.states[0].Jobs[d.Pick].ID; id != 0 {
-			dst = append(dst, `,"job_id":`...)
-			dst = strconv.AppendInt(dst, int64(id), 10)
+			dst = appendInt(dst, `,"job_id":`, id)
 		}
 		if d.Scores != nil {
 			dst = append(dst, `,"scores":`...)
@@ -326,10 +331,17 @@ func (rb *reqBuf) appendResponse(dst []byte, decs []Decision, policy string) []b
 			dst = append(dst, ']')
 		}
 	}
-	dst = append(dst, `,"policy":`...)
-	dst = strconv.AppendQuote(dst, policy)
-	dst = append(dst, '}', '\n')
-	return dst
+	return append(appendStr(dst, `,"policy":`, policy), '}', '\n')
+}
+
+// appendStr, appendInt and appendNum append one response field: key, a
+// literal like `,"shard":`, then the value.
+func appendStr(b []byte, key, v string) []byte { return strconv.AppendQuote(append(b, key...), v) }
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+func appendNum(b []byte, key string, v float64) []byte {
+	return strconv.AppendFloat(append(b, key...), v, 'g', 6, 64)
 }
 
 func anyScores(decs []Decision) bool {

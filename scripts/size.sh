@@ -9,7 +9,7 @@
 # Run from the repository root: ./scripts/size.sh
 set -euo pipefail
 
-CEILING=7781
+CEILING=7777
 
 sum=0
 while read -r dir; do
