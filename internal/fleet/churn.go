@@ -12,10 +12,10 @@ import (
 
 // Cluster churn (DESIGN.md §12): fleet membership changes while a run is
 // in flight. A ChurnPlan schedules joins, drains and failures at global
-// simulation instants; the actions ride the same event-heap stepping as
-// arrivals, migration sweeps and sampling ticks (hooksUntil fires hooks in
-// global-time order, churn first at ties), so churned runs stay exactly as
-// deterministic as static ones. The member state machine is
+// simulation instants; the actions are one more timed hook of Run's single
+// event loop, beside migration sweeps and sampling ticks (hooksUntil fires
+// hooks in global-time order, churn first at ties), so churned runs stay
+// exactly as deterministic as static ones. The member state machine is
 //
 //	active ──announce──▶ draining ──drain──▶ retired
 //	active ───────────────fail─────────────▶ retired
@@ -129,8 +129,8 @@ func (p ChurnPlan) validate() error {
 
 // EnableChurn installs a churn plan for subsequent Runs (nil removes it).
 // The plan is re-executed from the start by every Run; a Fleet stays
-// reusable. Runs without a plan follow the exact churn-free code path
-// (pinned by a byte-parity test).
+// reusable. A run without a plan has no churn hook to fire (removing a
+// plan is pinned byte-identical to never setting one).
 func (f *Fleet) EnableChurn(plan ChurnPlan) error {
 	if plan == nil {
 		f.churnPlan = nil
@@ -384,8 +384,7 @@ func (f *Fleet) recordChurn(kind string, t float64, cluster string, forced int) 
 // entire pending backlog (not just the scheduler-visible window) is
 // withdrawn, a failure additionally evicts the running jobs, per-cluster
 // scorer state and sampling series for the member are retired, and every
-// withdrawn job is re-placed through the normal router path — the same
-// withdraw → score → submit → pump move primitive migration sweeps use,
+// withdrawn job is re-placed through route, the step arrivals take,
 // counted in the members' MovedOut/MovedIn. Returns the number of jobs
 // force-moved.
 func (f *Fleet) retireMember(i int, fail bool, sam *sampler, now float64) (int, error) {
@@ -434,30 +433,16 @@ func (f *Fleet) retireMember(i int, fail bool, sam *sampler, now float64) (int, 
 	// the first forced re-placement is scored (mirrors migration sweeps).
 	f.observeCompletions()
 	for _, j := range moved {
-		cands := f.candidatesAt(now)
-		var k int
-		if f.rec != nil {
-			k = f.placeRecorded(j, cands)
-		} else {
-			k = f.router.Place(j, cands)
+		k, err := f.route(j, now, "churn: re-place")
+		if err != nil {
+			return 0, err
 		}
-		if k < 0 || k >= len(f.members) || f.members[k].state == stateRetired {
+		if k < 0 {
 			return 0, fmt.Errorf("fleet: churn: router %s cannot re-place job %d (%d procs) off %s: no feasible cluster",
 				f.router.Name(), j.ID, j.RequestedProcs, m.name)
 		}
-		dst := f.members[k]
-		dst.sim.AdvanceClock(now)
-		if err := dst.sim.Submit(j); err != nil {
-			return 0, fmt.Errorf("fleet: churn: re-place to %s: %w", dst.name, err)
-		}
 		m.movedOut++
-		dst.movedIn++
-		f.observeAssign(k, j)
-		if err := dst.pump(); err != nil {
-			return 0, err
-		}
-		f.markDirty(k)
-		f.touch(k)
+		f.members[k].movedIn++
 	}
 	return len(moved), nil
 }

@@ -203,27 +203,39 @@ func TestChurnConservationProperty(t *testing.T) {
 // property to churned runs: membership changes ride the event machinery, so
 // the heap path (serial and parallel) must keep producing results identical
 // to the full-sweep reference, for stateless and stateful routers alike.
+// Each seed also runs on a one-minute time grid (gridTimes) with
+// grid-aligned churn instants and sample ticks, so completions, arrivals,
+// churn actions and samples share instants.
 func TestHeapFullSweepParityWithChurn(t *testing.T) {
 	iters := 4
 	if testing.Short() {
 		iters = 2
 	}
-	for iter := 0; iter < iters; iter++ {
-		iter := iter
-		t.Run(fmt.Sprintf("iter%d", iter), func(t *testing.T) {
+	for k := 0; k < 2*iters; k++ {
+		iter, grid := k%iters, k >= iters
+		name := fmt.Sprintf("iter%d", iter)
+		if grid {
+			name += "-grid"
+		}
+		t.Run(name, func(t *testing.T) {
 			seed := int64(7001 + 41*iter)
 			rng := rand.New(rand.NewSource(seed))
 			n := 20 + rng.Intn(30)
 			members := randomScaleMembers(rng, n)
 			members[0].Sim.Processors = 256
 			stream := lublinStream(t, 250, seed)
+			snap := func(x float64) float64 { return x }
+			if grid {
+				gridTimes(stream, 60)
+				snap = func(x float64) float64 { return 60 * math.Round(x/60) }
+			}
 			span := stream[len(stream)-1].SubmitTime - stream[0].SubmitTime
 			start := stream[0].SubmitTime
 			plan := ChurnPlan{
-				{Kind: ChurnJoin, Time: start + 0.15*span, Member: MemberConfig{
+				{Kind: ChurnJoin, Time: snap(start + 0.15*span), Member: MemberConfig{
 					Name: "joined", Sim: sim.Config{Processors: 128, MaxObserve: 32}, Scheduler: sched.SJF()}},
-				{Kind: ChurnFail, Time: start + 0.5*span, Name: members[1].Name, Notice: 0.1 * span},
-				{Kind: ChurnDrain, Time: start + 0.8*span, Name: members[2].Name, Notice: 0.05 * span},
+				{Kind: ChurnFail, Time: snap(start + 0.5*span), Name: members[1].Name, Notice: snap(0.1 * span)},
+				{Kind: ChurnDrain, Time: snap(start + 0.8*span), Name: members[2].Name, Notice: snap(0.05 * span)},
 			}
 			routers := map[string]func() Router{
 				"churn-aware": func() Router { return ChurnAwarePipeline() },
@@ -233,6 +245,11 @@ func TestHeapFullSweepParityWithChurn(t *testing.T) {
 				churn := func(f *Fleet) {
 					if err := f.EnableChurn(plan); err != nil {
 						t.Fatal(err)
+					}
+					if grid {
+						if err := f.EnableSampling(SamplingConfig{Interval: snap(span / 16), Set: telemetry.NewSet()}); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				ref := runVariant(t, members, router, stream, func(f *Fleet) {

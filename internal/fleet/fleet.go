@@ -13,6 +13,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rlsched/internal/job"
@@ -189,24 +190,6 @@ func (m *member) syncTo(t float64) error {
 	}
 	m.sim.AdvanceClock(t)
 	return m.pump()
-}
-
-// drain runs the member to completion after the last global arrival.
-func (m *member) drain() error {
-	for {
-		if err := m.pump(); err != nil {
-			return err
-		}
-		et, ok := m.sim.NextEventTime()
-		if !ok {
-			if m.committed != nil {
-				return fmt.Errorf("fleet: %s: job %d (%d procs) can never start",
-					m.name, m.committed.ID, m.committed.RequestedProcs)
-			}
-			return nil
-		}
-		m.sim.AdvanceClock(et)
-	}
 }
 
 // Fleet routes a job stream across member clusters.
@@ -495,9 +478,11 @@ type Result struct {
 // (pass freshly cloned windows, e.g. trace.Window). Placement is strictly
 // serial in arrival order, so results are deterministic for deterministic
 // routers and member policies regardless of how the surrounding code is
-// parallelized. With migration enabled (EnableMigration), re-placement
-// sweeps interleave with arrivals and continue while the backlog drains;
-// with it disabled, Run follows the exact pre-migration code path.
+// parallelized. Every run takes one event loop: the timed hooks —
+// migration sweeps (EnableMigration), health samples (EnableSampling) and
+// churn actions (EnableChurn) — fire in global-time order between
+// arrivals and keep firing while the backlog drains; a disabled hook is a
+// nil that costs an arrival one compare.
 func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 	if len(stream) == 0 {
 		return nil, fmt.Errorf("fleet: empty stream")
@@ -527,18 +512,10 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 			return nil, fmt.Errorf("fleet: stream job %d out of submit order", i)
 		}
 		prev = j.SubmitTime
-		if sam != nil || ch != nil {
-			// Guard inline: most arrivals fall between hooks, and the
-			// hook-enabled path should cost them only these compares.
-			if (sam != nil && sam.next <= j.SubmitTime) ||
-				(mig != nil && mig.nextSweep <= j.SubmitTime) ||
-				ch.due(j.SubmitTime) {
-				if err := f.hooksUntil(mig, sam, ch, j.SubmitTime); err != nil {
-					return nil, err
-				}
-			}
-		} else if mig != nil {
-			if err := f.sweepUntil(mig, j.SubmitTime); err != nil {
+		// Guard inline: most arrivals fall between hooks (a hook-free run
+		// has none), and should cost only these compares.
+		if hooksDue(mig, sam, ch, j.SubmitTime) {
+			if err := f.hooksUntil(mig, sam, ch, j.SubmitTime); err != nil {
 				return nil, err
 			}
 		}
@@ -546,68 +523,43 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 			return nil, err
 		}
 		f.observeCompletions()
-		cands := f.candidatesAt(j.SubmitTime)
-		var k int
-		if f.rec != nil {
-			k = f.placeRecorded(j, cands)
-		} else {
-			k = f.router.Place(j, cands)
+		k, err := f.route(j, j.SubmitTime, "route")
+		if err != nil {
+			return nil, err
 		}
-		if k < 0 || k >= len(f.members) || f.members[k].state == stateRetired {
+		if k < 0 {
 			// Run has no fleet-level holding queue: a router that
 			// declines a job (capacity, or a transient condition like a
 			// BacklogFilter with every queue full) aborts the run.
 			// Admission control belongs to the caller — the serving
-			// /place endpoint answers 422 and keeps going. A retired
-			// member is unreachable for well-formed routers (its zeroed
-			// View fails the capacity filter); the guard catches custom
-			// routers that ignore candidate state.
+			// /place endpoint answers 422 and keeps going.
 			return nil, fmt.Errorf("fleet: router %s declined job %d (%d procs): no feasible cluster at placement time",
 				f.router.Name(), j.ID, j.RequestedProcs)
 		}
-		m := f.members[k]
-		// The picked member may not have been woken: bring its clock to
-		// the arrival instant first. It has no events due (those woke it),
-		// so this fires nothing, and the pre-submit pump the full sweep
-		// used to run is a no-op at fixpoint — Submit is the state change.
-		m.sim.AdvanceClock(j.SubmitTime)
-		if err := m.sim.Submit(j); err != nil {
-			return nil, fmt.Errorf("fleet: route to %s: %w", m.name, err)
-		}
-		m.placements++
+		f.members[k].placements++
 		assignments[i] = k
-		f.observeAssign(k, j)
-		if err := m.pump(); err != nil {
-			return nil, err
-		}
-		f.markDirty(k)
-		f.touch(k)
+	}
+	if err := f.drainHooked(mig, sam, ch); err != nil {
+		return nil, err
 	}
 	res := &Result{Assignments: assignments}
 	// Utilization must be measured over one shared fleet horizon: a
 	// member whose first routed job arrives late (or that runs dry
 	// early) would otherwise report its busy fraction over a shorter
 	// private window and bias the processor-weighted merge. The horizon
-	// end is the last fleet event (tracked while draining off the heap —
-	// a member the drain never woke has been idle since before the last
-	// arrival), or the last arrival itself on an event-free tail.
-	start := stream[0].SubmitTime
-	end := prev
-	var drainEnd float64
-	var err error
-	switch {
-	case sam != nil || ch != nil:
-		drainEnd, err = f.drainHooked(mig, sam, ch)
-	case mig != nil:
-		drainEnd, err = f.drainMigrating(mig)
-	default:
-		drainEnd, err = f.drainAll()
+	// ends at the latest of the last arrival, the last completion on any
+	// member and the last churn action fired — read off the run's state,
+	// not off the loop step that processed them, so a completion landing
+	// on a hook instant counts and a sample tick's passive clock moves
+	// never do.
+	start, end := stream[0].SubmitTime, prev
+	for _, m := range f.members {
+		if done := m.sim.Completions(); len(done) > 0 {
+			end = math.Max(end, done[len(done)-1].EndTime)
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if drainEnd > end {
-		end = drainEnd
+	if ch != nil && ch.next > 0 {
+		end = math.Max(end, ch.actions[ch.next-1].t)
 	}
 	if sam != nil {
 		// Close every trajectory at the shared fleet horizon (a pure
@@ -618,10 +570,6 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 	results := make([]metrics.Result, len(f.members))
 	procs := make([]int, len(f.members))
 	for i, m := range f.members {
-		if m.committed != nil {
-			return nil, fmt.Errorf("fleet: %s: job %d (%d procs) can never start",
-				m.name, m.committed.ID, m.committed.RequestedProcs)
-		}
 		m.sim.AdvanceClock(end)
 		results[i] = m.sim.Result()
 		results[i].Utilization = m.sim.UtilizationOver(start, end)
@@ -652,4 +600,120 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 		res.Churn = ChurnStats{Joins: ch.joins, Drains: ch.drains, Fails: ch.fails, Forced: ch.forced}
 	}
 	return res, nil
+}
+
+// route is the placement step arrivals and churn re-placements share: ask
+// the router at global time t, then submit j to the pick. It returns -1
+// without an error when the router declined j or picked a retired member
+// (unreachable for well-formed routers — a retired member's zeroed View
+// fails the capacity filter — but custom routers may ignore candidate
+// state); the caller words that error. verb prefixes a Submit failure.
+func (f *Fleet) route(j *job.Job, t float64, verb string) (int, error) {
+	cands := f.candidatesAt(t)
+	var k int
+	if f.rec != nil {
+		k = f.placeRecorded(j, cands)
+	} else {
+		k = f.router.Place(j, cands)
+	}
+	if k < 0 || k >= len(f.members) || f.members[k].state == stateRetired {
+		return -1, nil
+	}
+	m := f.members[k]
+	// The picked member may not have been woken: bring its clock to t
+	// first. It has no events due (those woke it), so this fires nothing,
+	// and a pre-submit pump would be a no-op at fixpoint — Submit is the
+	// state change.
+	m.sim.AdvanceClock(t)
+	if err := m.sim.Submit(j); err != nil {
+		return -1, fmt.Errorf("fleet: %s to %s: %w", verb, m.name, err)
+	}
+	f.observeAssign(k, j)
+	if err := m.pump(); err != nil {
+		return -1, err
+	}
+	f.markDirty(k)
+	f.touch(k)
+	return k, nil
+}
+
+// hooksDue reports whether a churn action, migration sweep or sample tick
+// is due at or before t. Small enough to inline: a disabled hook is a nil
+// compare.
+func hooksDue(mig *migrator, sam *sampler, ch *churner, t float64) bool {
+	return (mig != nil && mig.nextSweep <= t) || (sam != nil && sam.next <= t) || ch.due(t)
+}
+
+// hooksUntil fires, in global-time order, every churn action, migration
+// sweep and sample tick due at or before t, each after advancing the fleet
+// to its instant. At equal instants churn fires first (sweeps and samples
+// see the post-churn fleet), then the sweep (samples see post-sweep
+// state).
+func (f *Fleet) hooksUntil(mig *migrator, sam *sampler, ch *churner, t float64) error {
+	for {
+		churnDue := ch.due(t)
+		sweepDue := mig != nil && mig.nextSweep <= t
+		sampleDue := sam != nil && sam.next <= t
+		switch {
+		case churnDue && (!sweepDue || ch.nextT() <= mig.nextSweep) &&
+			(!sampleDue || ch.nextT() <= sam.next):
+			if err := f.churnStep(ch, mig, sam); err != nil {
+				return err
+			}
+		case sweepDue && (!sampleDue || mig.nextSweep <= sam.next):
+			if err := f.advanceMembers(mig.nextSweep); err != nil {
+				return err
+			}
+			if err := f.sweep(mig, mig.nextSweep); err != nil {
+				return err
+			}
+			mig.nextSweep += mig.cfg.Interval
+		case sampleDue:
+			if err := f.advanceMembers(sam.next); err != nil {
+				return err
+			}
+			sam.sample(f, sam.next, mig)
+			sam.next += sam.cfg.Interval
+		default:
+			return nil
+		}
+	}
+}
+
+// drainHooked runs every member to completion after the last arrival,
+// keeping the fleet time-synchronized so the hooks keep firing while
+// backlogs drain. Each step takes the next member event off the heap (or,
+// once no member has one, the next churn action) and fires the hooks due
+// by then; a hook can retire events (a failure evicts) or create them (a
+// move starts a job), so the step then re-peeks instead of advancing, and
+// the fleet advances only to an event no hook precedes.
+func (f *Fleet) drainHooked(mig *migrator, sam *sampler, ch *churner) error {
+	for {
+		next, any := f.nextFleetEvent()
+		if !any {
+			if !ch.due(math.Inf(1)) {
+				break
+			}
+			next = ch.nextT()
+		}
+		if hooksDue(mig, sam, ch, next) {
+			if err := f.hooksUntil(mig, sam, ch, next); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := f.advanceMembers(next); err != nil {
+			return err
+		}
+	}
+	for _, m := range f.members {
+		if err := m.pump(); err != nil {
+			return err
+		}
+		if m.committed != nil {
+			return fmt.Errorf("fleet: %s: job %d (%d procs) can never start",
+				m.name, m.committed.ID, m.committed.RequestedProcs)
+		}
+	}
+	return nil
 }

@@ -20,6 +20,21 @@ func lublinStream(t *testing.T, n int, seed int64) []*job.Job {
 	return tr.SampleWindow(rng, n)
 }
 
+// gridTimes snaps a stream's submit, run and requested times to whole
+// multiples of grid seconds (run and requested times to at least one
+// step), so every completion lands on the grid — and on every hook instant
+// a grid-aligned interval puts there. Lublin's float times never coincide
+// with a hook instant, so without the grid no parity input has a
+// completion processed inside a hook.
+func gridTimes(stream []*job.Job, grid float64) {
+	snap := func(x float64) float64 { return grid * math.Round(x/grid) }
+	for _, j := range stream {
+		j.SubmitTime = snap(j.SubmitTime)
+		j.RunTime = math.Max(grid, snap(j.RunTime))
+		j.RequestedTime = math.Max(grid, snap(j.RequestedTime))
+	}
+}
+
 func cloneStream(stream []*job.Job) []*job.Job {
 	out := make([]*job.Job, len(stream))
 	for i, j := range stream {

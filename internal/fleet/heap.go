@@ -273,38 +273,3 @@ func (f *Fleet) nextFleetEvent() (float64, bool) {
 	}
 	return 0, false
 }
-
-// drainAll runs every member with remaining events to completion and
-// returns the latest member clock reached (the fleet horizon candidate).
-// Heap mode drains exactly the members holding events; members without
-// events have nothing to run — their never-start check happens in Run's
-// final pass.
-func (f *Fleet) drainAll() (float64, error) {
-	end := 0.0
-	if f.fullSweep {
-		for _, m := range f.members {
-			if err := m.drain(); err != nil {
-				return 0, err
-			}
-			if t := m.sim.Now(); t > end {
-				end = t
-			}
-		}
-		return end, nil
-	}
-	for len(f.events) > 0 {
-		e := f.events.pop()
-		m := f.members[e.idx]
-		if e.stamp != m.stamp {
-			continue
-		}
-		if err := m.drain(); err != nil {
-			return 0, err
-		}
-		m.stamp++ // a drained member is idle; retire any leftover entries
-		if t := m.sim.Now(); t > end {
-			end = t
-		}
-	}
-	return end, nil
-}

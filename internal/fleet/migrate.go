@@ -150,22 +150,6 @@ func newMigrator(cfg MigrationConfig, router ScoredRouter, firstArrival float64)
 	}
 }
 
-// sweepUntil runs every sweep due at or before global time t, advancing
-// the fleet (members with events due — heap.go) to each sweep instant
-// first.
-func (f *Fleet) sweepUntil(mig *migrator, t float64) error {
-	for mig.nextSweep <= t {
-		if err := f.advanceMembers(mig.nextSweep); err != nil {
-			return err
-		}
-		if err := f.sweep(mig, mig.nextSweep); err != nil {
-			return err
-		}
-		mig.nextSweep += mig.cfg.Interval
-	}
-	return nil
-}
-
 // sweep re-places the fleet's pending backlog at the current instant.
 // Every member's scheduler-visible queue is snapshotted before anything
 // moves, so a job the sweep itself migrates is never re-evaluated at its
@@ -354,43 +338,6 @@ func (mig *migrator) skipProbe(f *Fleet, src int, j *job.Job, now float64, reaso
 		From: src, FromName: f.members[src].name, To: -1, Reason: reason,
 	}
 	mig.rec.Migration(p)
-}
-
-// drainMigrating runs every member to completion after the last arrival,
-// keeping the fleet time-synchronized so re-placement sweeps continue
-// while backlogs drain — the window where stranded jobs gain the most.
-// The next fleet event comes from the event heap (a peek, not a member
-// scan) and each step wakes only the members due; the returned time is
-// the last event processed — the fleet horizon candidate.
-func (f *Fleet) drainMigrating(mig *migrator) (float64, error) {
-	end := 0.0
-	for {
-		next, any := f.nextFleetEvent()
-		if !any {
-			for _, m := range f.members {
-				if err := m.pump(); err != nil {
-					return 0, err
-				}
-				if m.committed != nil {
-					return 0, fmt.Errorf("fleet: %s: job %d (%d procs) can never start",
-						m.name, m.committed.ID, m.committed.RequestedProcs)
-				}
-			}
-			return end, nil
-		}
-		if mig.nextSweep <= next {
-			if err := f.sweepUntil(mig, mig.nextSweep); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if err := f.advanceMembers(next); err != nil {
-			return 0, err
-		}
-		if next > end {
-			end = next
-		}
-	}
 }
 
 // fillMigrationMetrics writes the controller's per-job histories into each

@@ -166,12 +166,19 @@ func TestMigrationInvariantsRandom(t *testing.T) {
 // controller whose hysteresis no normalized margin can clear must
 // reproduce the migration-disabled run byte-for-byte — including with the
 // committed pick in scope — even though every sweep withdraws and
-// resubmits the whole backlog.
+// resubmits the whole backlog. Iterations 6 and up snap the stream to a
+// one-minute grid (gridTimes) and the sweep interval to a multiple of it,
+// so the last completion often lands on a sweep instant.
 func TestMigrationParityRandomizedSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 6; iter++ {
+	for iter := 0; iter < 12; iter++ {
 		members := randomMembers(rng)
 		stream := lublinStream(t, 150+rng.Intn(100), rng.Int63())
+		interval := 50 + rng.Float64()*500
+		if iter >= 6 {
+			gridTimes(stream, 60)
+			interval = 60 * float64(1+rng.Intn(4))
+		}
 
 		base, err := New(members, LeastLoadedPipeline())
 		if err != nil {
@@ -188,7 +195,7 @@ func TestMigrationParityRandomizedSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := MigrationConfig{
-			Interval:         50 + rng.Float64()*500,
+			Interval:         interval,
 			Hysteresis:       1e9,
 			MigrateCommitted: iter%2 == 0,
 		}

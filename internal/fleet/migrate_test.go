@@ -50,62 +50,83 @@ func TestEnableMigrationValidation(t *testing.T) {
 // start times, same fleet metrics — even though every sweep withdraws and
 // resubmits every pending job.
 func TestMigrationParityWhenIneffective(t *testing.T) {
-	stream := lublinStream(t, 250, 13)
+	for _, tc := range []struct {
+		name    string
+		members func() []MemberConfig
+		stream  []*job.Job
+	}{
+		{"lublin", heteroMembers, lublinStream(t, 250, 13)},
+		{"coincident-horizon", strandedMembers, coincidentHorizon()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, err := New(tc.members(), LeastLoadedPipeline())
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseStream := cloneStream(tc.stream)
+			baseRes, err := base.Run(baseStream)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	base, err := New(heteroMembers(), LeastLoadedPipeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseStream := cloneStream(stream)
-	baseRes, err := base.Run(baseStream)
-	if err != nil {
-		t.Fatal(err)
-	}
+			mig, err := New(tc.members(), LeastLoadedPipeline())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Margin larger than any normalized pipeline score: probes
+			// everywhere, moves nowhere. A short interval maximizes the
+			// number of probes.
+			if err := mig.EnableMigration(MigrationConfig{Interval: 50, Hysteresis: 1e9}); err != nil {
+				t.Fatal(err)
+			}
+			migStream := cloneStream(tc.stream)
+			migRes, err := mig.Run(migStream)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	mig, err := New(heteroMembers(), LeastLoadedPipeline())
-	if err != nil {
-		t.Fatal(err)
+			for i := range baseRes.Assignments {
+				if baseRes.Assignments[i] != migRes.Assignments[i] {
+					t.Fatalf("job %d assigned to %d without migration, %d with ineffective migration",
+						i, baseRes.Assignments[i], migRes.Assignments[i])
+				}
+			}
+			for i := range baseStream {
+				if baseStream[i].StartTime != migStream[i].StartTime {
+					t.Fatalf("job %d starts at %g without migration, %g with ineffective migration",
+						i, baseStream[i].StartTime, migStream[i].StartTime)
+				}
+			}
+			for _, k := range []metrics.Kind{metrics.BoundedSlowdown, metrics.WaitTime} {
+				a, b := metrics.Value(k, baseRes.Fleet), metrics.Value(k, migRes.Fleet)
+				if a != b {
+					t.Fatalf("%v: %g without migration, %g with ineffective migration", k, a, b)
+				}
+			}
+			// Utilization integrates busy time; sweeps split the integration
+			// interval at sweep instants, so the non-associative float sum
+			// may differ in the last ulp even though the schedule is
+			// identical.
+			a, b := baseRes.Fleet.Utilization, migRes.Fleet.Utilization
+			if math.Abs(a-b) > 1e-12 {
+				t.Fatalf("util: %g without migration, %g with ineffective migration", a, b)
+			}
+			if migRes.Fleet.Moves != 0 || len(migRes.Fleet.MigratedJobs) != 0 {
+				t.Fatalf("ineffective migration recorded %d moves, %d migrated jobs",
+					migRes.Fleet.Moves, len(migRes.Fleet.MigratedJobs))
+			}
+		})
 	}
-	// Margin larger than any normalized pipeline score: probes everywhere,
-	// moves nowhere. A short interval maximizes the number of probes.
-	if err := mig.EnableMigration(MigrationConfig{Interval: 50, Hysteresis: 1e9}); err != nil {
-		t.Fatal(err)
-	}
-	migStream := cloneStream(stream)
-	migRes, err := mig.Run(migStream)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	for i := range baseRes.Assignments {
-		if baseRes.Assignments[i] != migRes.Assignments[i] {
-			t.Fatalf("job %d assigned to %d without migration, %d with ineffective migration",
-				i, baseRes.Assignments[i], migRes.Assignments[i])
-		}
-	}
-	for i := range baseStream {
-		if baseStream[i].StartTime != migStream[i].StartTime {
-			t.Fatalf("job %d starts at %g without migration, %g with ineffective migration",
-				i, baseStream[i].StartTime, migStream[i].StartTime)
-		}
-	}
-	for _, k := range []metrics.Kind{metrics.BoundedSlowdown, metrics.WaitTime} {
-		a, b := metrics.Value(k, baseRes.Fleet), metrics.Value(k, migRes.Fleet)
-		if a != b {
-			t.Fatalf("%v: %g without migration, %g with ineffective migration", k, a, b)
-		}
-	}
-	// Utilization integrates busy time; sweeps split the integration
-	// interval at sweep instants, so the non-associative float sum may
-	// differ in the last ulp even though the schedule is identical.
-	a, b := baseRes.Fleet.Utilization, migRes.Fleet.Utilization
-	if math.Abs(a-b) > 1e-12 {
-		t.Fatalf("util: %g without migration, %g with ineffective migration", a, b)
-	}
-	if migRes.Fleet.Moves != 0 || len(migRes.Fleet.MigratedJobs) != 0 {
-		t.Fatalf("ineffective migration recorded %d moves, %d migrated jobs",
-			migRes.Fleet.Moves, len(migRes.Fleet.MigratedJobs))
-	}
+// coincidentHorizon is the utilization-horizon regression input (run on
+// strandedMembers under LeastLoadedPipeline): one job per member, both
+// ending at t=100 — a sweep or sample instant for intervals 25, 50 and
+// 100 — so the last completion is processed inside a hook. Fleet
+// utilization is 0.475 (32·100 + 32·90 proc·s over 128 procs × 100 s);
+// a horizon that stops at the last arrival (t=10) reports 1.0.
+func coincidentHorizon() []*job.Job {
+	return []*job.Job{job.New(1, 0, 100, 32, 100), job.New(2, 10, 90, 32, 90)}
 }
 
 // strandedScenario builds the textbook case for re-placement: cluster A's

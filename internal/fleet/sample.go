@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"rlsched/internal/metrics"
@@ -10,17 +9,18 @@ import (
 )
 
 // Continuous fleet health sampling (DESIGN.md §11): with sampling enabled,
-// Run interleaves periodic read-only snapshots of the fleet with arrivals
-// and migration sweeps, on the same event-heap stepping the placements
-// ride. A sample tick advances the members with events due to the sample
+// a sample tick is one more timed hook of Run's single event loop (see
+// hooksUntil), interleaved with arrivals, migration sweeps and churn
+// actions. A tick advances the members with events due to the sample
 // instant (advanceMembers — exactly what the next arrival or sweep would
 // have done anyway) and then only *reads*: per-cluster utilization, queue
 // depth, pending/running work, and fleet-wide bounded-slowdown-so-far,
 // migration rate and the fairness Jain index go into telemetry series.
 // Because advancing a member to an intermediate instant is observationally
-// a no-op (the monotone pump-fixpoint argument of heap.go), a sampled run
-// produces byte-identical placements and metrics to an unsampled one —
-// pinned by the sampling parity test.
+// a no-op (the monotone pump-fixpoint argument of heap.go), and Run reads
+// its utilization horizon off completions rather than member clocks, a
+// sampled run produces byte-identical placements and metrics to an
+// unsampled one — pinned by the sampling parity test.
 
 // SamplingConfig parameterizes fleet health sampling.
 type SamplingConfig struct {
@@ -250,96 +250,6 @@ func (s *sampler) sample(f *Fleet, ts float64, mig *migrator) {
 	}
 	s.fleet.migrations.Add(ts, float64(moves-s.lastMoves))
 	s.lastMoves = moves
-}
-
-// hooksUntil fires, in global-time order, every churn action, migration
-// sweep and sample tick due at or before t. At equal instants churn fires
-// first (sweeps and samples then see the post-churn fleet), then the sweep
-// (samples see post-sweep state) — so with churn disabled the sweep
-// schedule of the churn-free path is preserved exactly.
-func (f *Fleet) hooksUntil(mig *migrator, sam *sampler, ch *churner, t float64) error {
-	for {
-		churnDue := ch.due(t)
-		sweepDue := mig != nil && mig.nextSweep <= t
-		sampleDue := sam != nil && sam.next <= t
-		switch {
-		case churnDue && (!sweepDue || ch.nextT() <= mig.nextSweep) &&
-			(!sampleDue || ch.nextT() <= sam.next):
-			if err := f.churnStep(ch, mig, sam); err != nil {
-				return err
-			}
-		case sweepDue && (!sampleDue || mig.nextSweep <= sam.next):
-			if err := f.advanceMembers(mig.nextSweep); err != nil {
-				return err
-			}
-			if err := f.sweep(mig, mig.nextSweep); err != nil {
-				return err
-			}
-			mig.nextSweep += mig.cfg.Interval
-		case sampleDue:
-			if err := f.advanceMembers(sam.next); err != nil {
-				return err
-			}
-			sam.sample(f, sam.next, mig)
-			sam.next += sam.cfg.Interval
-		default:
-			return nil
-		}
-	}
-}
-
-// drainHooked runs every member to completion after the last arrival
-// while keeping the fleet time-synchronized, so sample ticks, migration
-// sweeps and churn actions continue while backlogs drain. It is
-// drainMigrating generalized over all timed hooks; the returned time is
-// the last internal event (or churn action) processed — the fleet horizon
-// candidate.
-func (f *Fleet) drainHooked(mig *migrator, sam *sampler, ch *churner) (float64, error) {
-	end := 0.0
-	for {
-		next, any := f.nextFleetEvent()
-		if !any {
-			if ch.due(math.Inf(1)) {
-				// No member events left, but churn actions remain: fire
-				// the next one (a failure's forced re-placements may put
-				// fresh events on the heap) and keep draining.
-				t := ch.nextT()
-				if err := f.hooksUntil(mig, sam, ch, t); err != nil {
-					return 0, err
-				}
-				if t > end {
-					end = t
-				}
-				continue
-			}
-			for _, m := range f.members {
-				if err := m.pump(); err != nil {
-					return 0, err
-				}
-				if m.committed != nil {
-					return 0, fmt.Errorf("fleet: %s: job %d (%d procs) can never start",
-						m.name, m.committed.ID, m.committed.RequestedProcs)
-				}
-			}
-			return end, nil
-		}
-		if err := f.hooksUntil(mig, sam, ch, next); err != nil {
-			return 0, err
-		}
-		// A sweep (or churn action) may have retired the event (the job
-		// moved); re-peek rather than advancing to a stale instant beyond
-		// a fresh event.
-		next, any = f.nextFleetEvent()
-		if !any {
-			continue
-		}
-		if err := f.advanceMembers(next); err != nil {
-			return 0, err
-		}
-		if next > end {
-			end = next
-		}
-	}
 }
 
 // finalSample closes every trajectory with one reading at the run

@@ -4,40 +4,54 @@ import (
 	"bytes"
 	"testing"
 
+	"rlsched/internal/job"
 	"rlsched/internal/telemetry"
 )
 
 // TestSamplingParityNoMigration pins the tentpole guarantee: a run with
 // health sampling enabled is byte-identical to the same run without it.
 func TestSamplingParityNoMigration(t *testing.T) {
-	stream := lublinStream(t, 250, 29)
+	for _, tc := range []struct {
+		name     string
+		members  func() []MemberConfig
+		stream   []*job.Job
+		interval float64
+	}{
+		{"lublin", heteroMembers, lublinStream(t, 250, 29), 500},
+		{"coincident-horizon", strandedMembers, coincidentHorizon(), 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, err := New(tc.members(), LeastLoadedPipeline())
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseRes, err := base.Run(cloneStream(tc.stream))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	base, err := New(heteroMembers(), LeastLoadedPipeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRes, err := base.Run(cloneStream(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
+			set := telemetry.NewSet()
+			sampled, err := New(tc.members(), LeastLoadedPipeline())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sampled.EnableSampling(SamplingConfig{Interval: tc.interval, Set: set}); err != nil {
+				t.Fatal(err)
+			}
+			sampledRes, err := sampled.Run(cloneStream(tc.stream))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	set := telemetry.NewSet()
-	sampled, err := New(heteroMembers(), LeastLoadedPipeline())
-	if err != nil {
-		t.Fatal(err)
+			if a, b := marshalResult(t, baseRes), marshalResult(t, sampledRes); !bytes.Equal(a, b) {
+				t.Fatalf("results differ with sampling enabled (fleet util %g vs %g)",
+					baseRes.Fleet.Utilization, sampledRes.Fleet.Utilization)
+			}
+			if tc.name == "lublin" { // checkSeries knows heteroMembers' names
+				checkSeries(t, set, len(tc.stream))
+			}
+		})
 	}
-	if err := sampled.EnableSampling(SamplingConfig{Interval: 500, Set: set}); err != nil {
-		t.Fatal(err)
-	}
-	sampledRes, err := sampled.Run(cloneStream(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := marshalResult(t, baseRes), marshalResult(t, sampledRes); !bytes.Equal(a, b) {
-		t.Fatal("results differ with sampling enabled")
-	}
-	checkSeries(t, set, len(stream))
 }
 
 // TestSamplingParityWithMigration repeats the parity check with migration

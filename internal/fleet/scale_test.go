@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -65,15 +66,21 @@ func runVariant(t *testing.T, members []MemberConfig, router func() Router,
 // heap-driven run (serial and parallel) must be byte-identical — every
 // per-job field, every metric, every assignment and migration move — to
 // the full-sweep reference path, with and without migration sweeps, and
-// for stateless and stateful (fairness) routers.
+// for stateless and stateful (fairness) routers. Each seed also runs on a
+// one-minute time grid (gridTimes) with a grid-aligned sweep interval, so
+// completions, arrivals and sweeps share instants.
 func TestHeapFullSweepParityProperty(t *testing.T) {
 	iters := 6
 	if testing.Short() {
 		iters = 2
 	}
-	for iter := 0; iter < iters; iter++ {
-		iter := iter
-		t.Run(fmt.Sprintf("iter%d", iter), func(t *testing.T) {
+	for k := 0; k < 2*iters; k++ {
+		iter, grid := k%iters, k >= iters
+		name := fmt.Sprintf("iter%d", iter)
+		if grid {
+			name += "-grid"
+		}
+		t.Run(name, func(t *testing.T) {
 			seed := int64(1009 + 37*iter)
 			rng := rand.New(rand.NewSource(seed))
 			n := 50 + rng.Intn(151)
@@ -84,12 +91,17 @@ func TestHeapFullSweepParityProperty(t *testing.T) {
 			}
 			tr := trace.Preset(preset, 512, seed)
 			stream := tr.SampleWindow(rng, 300)
+			interval := stream[len(stream)-1].SubmitTime / 8
+			if grid {
+				gridTimes(stream, 60)
+				interval = 60 * math.Ceil(stream[len(stream)-1].SubmitTime/8/60)
+			}
 
 			routers := map[string]func() Router{
 				"binpack":  func() Router { return BinpackPipeline() },
 				"fairness": func() Router { return FairnessPipeline(FairnessConfig{}) },
 			}
-			mig := HysteresisMigration(stream[len(stream)-1].SubmitTime / 8)
+			mig := HysteresisMigration(interval)
 			mig.MigrateCommitted = iter%2 == 0
 
 			for name, router := range routers {
