@@ -82,21 +82,9 @@ func AblationKernel(o Options) ([]Artifact, error) {
 		Header: []string{"Hidden sizes", "Params", "Final train bsld", "Eval bsld"},
 	}
 	for _, v := range variants {
-		agent, err := core.New(core.Config{
-			Trace:        tr,
-			Goal:         metrics.BoundedSlowdown,
-			KernelHidden: v.hidden,
-			MaxObserve:   o.MaxObserve,
-			SeqLen:       o.SeqLen,
-			TrajPerEpoch: o.TrajPerEpoch,
-			Seed:         o.Seed,
-			Workers:      o.Workers,
-			PPO:          rl.PPOConfig{TrainPiIters: o.PiIters, TrainVIters: o.VIters},
-		})
-		if err != nil {
-			return nil, err
-		}
-		curve, err := agent.Train(o.Epochs)
+		cfg := agentConfig(o, tr, metrics.BoundedSlowdown)
+		cfg.KernelHidden = v.hidden
+		agent, curve, err := train(o, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -133,10 +121,7 @@ func AblationDQN(o Options) ([]Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ppoY []float64
-	for _, s := range curve {
-		ppoY = append(ppoY, s.MeanMetric)
-	}
+	ppoY := meanMetrics(curve)
 
 	// --- DQN on the identical environment and trajectory budget ---
 	rng := rand.New(rand.NewSource(o.Seed))
@@ -175,9 +160,7 @@ func AblationDQN(o Options) ([]Artifact, error) {
 	}
 
 	series.Y = [][]float64{ppoY, dqnY}
-	for i := range ppoY {
-		series.X = append(series.X, float64(i+1))
-	}
+	series.X = epochs(len(ppoY))
 	t := &Table{Title: "Ablation PPO vs DQN summary", Header: []string{"learner", "final-epoch bsld"}}
 	t.AddRow("ppo", fmtVal(goal, ppoY[len(ppoY)-1]))
 	t.AddRow("dqn", fmtVal(goal, dqnY[len(dqnY)-1]))
@@ -198,20 +181,9 @@ func AblationObsWindow(o Options) ([]Artifact, error) {
 		if mo > o.MaxObserve*4 {
 			break
 		}
-		agent, err := core.New(core.Config{
-			Trace:        tr,
-			Goal:         metrics.BoundedSlowdown,
-			MaxObserve:   mo,
-			SeqLen:       o.SeqLen,
-			TrajPerEpoch: o.TrajPerEpoch,
-			Seed:         o.Seed,
-			Workers:      o.Workers,
-			PPO:          rl.PPOConfig{TrainPiIters: o.PiIters, TrainVIters: o.VIters},
-		})
-		if err != nil {
-			return nil, err
-		}
-		curve, err := agent.Train(o.Epochs)
+		cfg := agentConfig(o, tr, metrics.BoundedSlowdown)
+		cfg.MaxObserve = mo
+		agent, curve, err := train(o, cfg)
 		if err != nil {
 			return nil, err
 		}

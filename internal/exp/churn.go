@@ -170,18 +170,21 @@ func checkConservation(stream []*job.Job, res *fleet.Result) error {
 }
 
 // runChurnCampaign runs the router over every stream of the seed under the
-// scenario's churn plan, enforcing job conservation on every run.
-func runChurnCampaign(o Options, seed int64, build func() fleet.Router, scenario string) (churnCase, []int, error) {
+// o.Churn scenario's plan, enforcing job conservation on every run.
+func runChurnCampaign(o Options, seed int64, rc routerCase) (churnCase, []int, error) {
 	var c churnCase
 	var firstAssign []int
 	streams := churnStreams(o, seed)
 	for _, stream := range streams {
-		router := build()
+		router, err := rc.build()
+		if err != nil {
+			return c, nil, err
+		}
 		f, err := fleet.New(churnMembers(o), router)
 		if err != nil {
 			return c, nil, err
 		}
-		plan, err := churnPlanFor(o, stream, scenario)
+		plan, err := churnPlanFor(o, stream, o.Churn)
 		if err != nil {
 			return c, nil, err
 		}
@@ -245,13 +248,9 @@ func FleetChurn(o Options) ([]Artifact, error) {
 	if _, err := churnPlanFor(o, []*job.Job{{SubmitTime: 0}, {SubmitTime: 1}}, scenario); err != nil {
 		return nil, err
 	}
-	type routerCase struct {
-		name  string
-		build func() fleet.Router
-	}
 	routers := []routerCase{
-		{"churn-blind", func() fleet.Router { return fleet.LeastLoadedPipeline() }},
-		{"churn-aware", func() fleet.Router { return fleet.ChurnAwarePipeline() }},
+		{"churn-blind", false, func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }},
+		{"churn-aware", false, func() (fleet.Router, error) { return fleet.ChurnAwarePipeline(), nil }},
 	}
 
 	scenarioName := scenario
@@ -264,32 +263,11 @@ func FleetChurn(o Options) ([]Artifact, error) {
 			churnJoinFrac*100, churnFailFrac*100, churnDrainFrac*100),
 		Header: []string{"Router", "fleet bsld", "fleet util", "forced moves", "joins/drains/fails"},
 	}
-	cases := map[string][]churnCase{}
-	deterministic := true
-	for s := 0; s < churnSeeds; s++ {
-		seed := o.Seed + int64(s)
-		for _, rc := range routers {
-			donePhase := o.phase(fmt.Sprintf("evaluate/seed%d/%s", s, rc.name))
-			c, assign, err := runChurnCampaign(o, seed, rc.build, scenario)
-			if err != nil {
-				return nil, err
-			}
-			cases[rc.name] = append(cases[rc.name], c)
-			c2, assign2, err := runChurnCampaign(o, seed, rc.build, scenario)
-			if err != nil {
-				return nil, err
-			}
-			if c2.bsld != c.bsld || c2.util != c.util || c2.churn != c.churn ||
-				len(assign2) != len(assign) {
-				deterministic = false
-			}
-			for i := range assign {
-				if assign[i] != assign2[i] {
-					deterministic = false
-				}
-			}
-			donePhase()
-		}
+	cases, deterministic, err := campaign(o, churnSeeds, routers, runChurnCampaign, func(a, b churnCase) bool {
+		return a.bsld == b.bsld && a.util == b.util && a.churn == b.churn
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	agg := func(name string) (bsld, util float64, st fleet.ChurnStats) {
@@ -379,16 +357,7 @@ func FleetChurn(o Options) ([]Artifact, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"scenario %q carries no eviction warning: churn-aware coincides with churn-blind by construction", scenarioName))
 	}
-	note := "determinism + conservation: assignments reproduced exactly across rebuilt fleets; every job completed exactly once"
-	if !deterministic {
-		note = "determinism: VIOLATED — assignments differed across rebuilt fleets"
-		violations = append(violations, "assignments were not deterministic")
-	}
-	t.Notes = append(t.Notes, note)
-
-	if len(violations) > 0 {
-		t.Notes = append(t.Notes, "churn self-check VIOLATED: "+violations[0])
-		return []Artifact{t}, fmt.Errorf("fleet-churn: self-check failed: %s", violations[0])
-	}
-	return []Artifact{t}, nil
+	return selfCheck(t, "fleet-churn", "churn", deterministic,
+		"determinism + conservation: assignments reproduced exactly across rebuilt fleets; every job completed exactly once",
+		violations)
 }

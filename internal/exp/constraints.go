@@ -156,13 +156,13 @@ type constraintCase struct {
 
 // runConstraintCampaign runs the router over every stream of the seed with
 // a decision collector attached, replaying each trace for violations.
-func runConstraintCampaign(o Options, seed int64, build func() (fleet.Router, error),
+func runConstraintCampaign(o Options, seed int64, rc routerCase,
 	taints, affinity bool) (constraintCase, []int, error) {
 	c := constraintCase{domains: map[string]int{}}
 	var firstAssign []int
 	members := constraintMembers(o)
 	for _, stream := range constraintStreams(o, seed) {
-		router, err := build()
+		router, err := rc.build()
 		if err != nil {
 			return c, nil, err
 		}
@@ -223,13 +223,9 @@ func FleetConstraints(o Options) ([]Artifact, error) {
 	taints := scenarioName == "full" || scenarioName == "taints"
 	affinity := scenarioName == "full" || scenarioName == "affinity"
 
-	type routerCase struct {
-		name  string
-		build func() (fleet.Router, error)
-	}
 	routers := []routerCase{
-		{"unconstrained", func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }},
-		{"constrained", func() (fleet.Router, error) { return constraintRouterFor(scenario) }},
+		{"unconstrained", false, func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }},
+		{"constrained", false, func() (fleet.Router, error) { return constraintRouterFor(scenario) }},
 	}
 
 	t := &Table{
@@ -237,31 +233,14 @@ func FleetConstraints(o Options) ([]Artifact, error) {
 			scenarioName, constraintSeeds, constraintStreamsN, constraintStreamLen),
 		Header: []string{"Router", "fleet bsld", "fleet util", "violations", "decisions", "dc-a/dc-b/dc-c"},
 	}
-	cases := map[string][]constraintCase{}
-	deterministic := true
-	for s := 0; s < constraintSeeds; s++ {
-		seed := o.Seed + int64(s)
-		for _, rc := range routers {
-			donePhase := o.phase(fmt.Sprintf("evaluate/seed%d/%s", s, rc.name))
-			c, assign, err := runConstraintCampaign(o, seed, rc.build, taints, affinity)
-			if err != nil {
-				return nil, err
-			}
-			cases[rc.name] = append(cases[rc.name], c)
-			c2, assign2, err := runConstraintCampaign(o, seed, rc.build, taints, affinity)
-			if err != nil {
-				return nil, err
-			}
-			if c2.violations != c.violations || c2.bsld != c.bsld || len(assign2) != len(assign) {
-				deterministic = false
-			}
-			for i := range assign {
-				if assign[i] != assign2[i] {
-					deterministic = false
-				}
-			}
-			donePhase()
-		}
+	run := func(o Options, seed int64, rc routerCase) (constraintCase, []int, error) {
+		return runConstraintCampaign(o, seed, rc, taints, affinity)
+	}
+	cases, deterministic, err := campaign(o, constraintSeeds, routers, run, func(a, b constraintCase) bool {
+		return a.violations == b.violations && a.bsld == b.bsld
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	agg := func(name string) (bsld, util float64, viol, dec int, dom map[string]int) {
@@ -307,16 +286,7 @@ func FleetConstraints(o Options) ([]Artifact, error) {
 			"hard-constraint guarantee verified from decision traces: 0 violations in %d constrained decisions; unconstrained baseline violated %d times on the same streams",
 			consDec, baseViol))
 	}
-	note := "determinism: assignments and violation counts reproduced exactly across rebuilt fleets"
-	if !deterministic {
-		note = "determinism: VIOLATED — assignments differed across rebuilt fleets"
-		violations = append(violations, "assignments were not deterministic")
-	}
-	t.Notes = append(t.Notes, note)
-
-	if len(violations) > 0 {
-		t.Notes = append(t.Notes, "constraint self-check VIOLATED: "+violations[0])
-		return []Artifact{t}, fmt.Errorf("fleet-constraints: self-check failed: %s", violations[0])
-	}
-	return []Artifact{t}, nil
+	return selfCheck(t, "fleet-constraints", "constraint", deterministic,
+		"determinism: assignments and violation counts reproduced exactly across rebuilt fleets",
+		violations)
 }

@@ -23,6 +23,19 @@ func ultraQuick() Options {
 	return o
 }
 
+// migrationOptions is ultraQuick at Quick's evaluation dimensions: the
+// shift stream must be long enough to strand and move jobs, or
+// fleet-migration's own win check fails. Training is not involved, so it
+// stays cheap.
+func migrationOptions() Options {
+	o := ultraQuick()
+	o.TraceJobs = 800
+	o.EvalSeqLen = 128
+	o.EvalNSeq = 3
+	o.MaxObserve = 16
+	return o
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
@@ -49,22 +62,6 @@ func TestRegistryComplete(t *testing.T) {
 func TestRunUnknownID(t *testing.T) {
 	if _, err := Run("nope", Quick()); err == nil {
 		t.Error("unknown experiment must error")
-	}
-}
-
-func TestTable2(t *testing.T) {
-	arts, err := Run("table2", ultraQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := arts[0].(*Table)
-	if len(tab.Rows) != 6 {
-		t.Fatalf("Table II rows = %d, want 6 traces", len(tab.Rows))
-	}
-	var buf bytes.Buffer
-	tab.Print(&buf)
-	if !strings.Contains(buf.String(), "PIK-IPLEX") {
-		t.Error("printed table must mention PIK-IPLEX")
 	}
 }
 
@@ -109,140 +106,6 @@ func TestFig7SkewAndRange(t *testing.T) {
 	tab.Print(&buf)
 	if !strings.Contains(buf.String(), "filter range R") {
 		t.Error("fig7 must report the filter range")
-	}
-}
-
-func TestFig8RunsAllNetworks(t *testing.T) {
-	o := ultraQuick()
-	o.MaxObserve = 12 // keeps LeNet viable
-	arts, err := Run("fig8", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arts) != 2 {
-		t.Fatalf("fig8 artifacts = %d, want 2 traces", len(arts))
-	}
-	s := arts[0].(*Series)
-	if len(s.Names) != 5 {
-		t.Fatalf("fig8 lines = %v, want all five networks", s.Names)
-	}
-	for i, ys := range s.Y {
-		if len(ys) != o.Epochs {
-			t.Errorf("network %s curve has %d points, want %d", s.Names[i], len(ys), o.Epochs)
-		}
-	}
-}
-
-func TestFig9BothVariants(t *testing.T) {
-	arts, err := Run("fig9", ultraQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := arts[0].(*Series)
-	if len(s.Names) != 2 || s.Names[0] != "no-filter" || s.Names[1] != "with-filter" {
-		t.Fatalf("fig9 lines = %v", s.Names)
-	}
-}
-
-func TestTrainingCurveFigures(t *testing.T) {
-	for _, id := range []string{"fig10", "fig11", "fig12", "fig13"} {
-		arts, err := Run(id, ultraQuick())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		s := arts[0].(*Series)
-		if len(s.Names) != 4 {
-			t.Errorf("%s lines = %v, want 4 workloads", id, s.Names)
-		}
-		if len(s.X) != ultraQuick().Epochs {
-			t.Errorf("%s epochs = %d", id, len(s.X))
-		}
-	}
-}
-
-func TestTable5Shape(t *testing.T) {
-	arts, err := Run("table5", ultraQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(arts) != 2 {
-		t.Fatalf("table5 artifacts = %d, want ±backfill", len(arts))
-	}
-	for _, a := range arts {
-		tab := a.(*Table)
-		if len(tab.Rows) != 4 {
-			t.Errorf("table5 rows = %d, want 4 traces", len(tab.Rows))
-		}
-		if len(tab.Header) != 7 {
-			t.Errorf("table5 cols = %d, want trace+5 heuristics+RL", len(tab.Header))
-		}
-	}
-}
-
-func TestTable7IncludesANL(t *testing.T) {
-	arts, err := Run("table7", ultraQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := arts[0].(*Table)
-	if len(tab.Rows) != 5 {
-		t.Fatalf("table7 rows = %d, want 5 (incl. ANL-Intrepid)", len(tab.Rows))
-	}
-	found := false
-	for _, r := range tab.Rows {
-		if r[0] == "ANL-Intrepid" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("table7 must evaluate on the unseen ANL-Intrepid trace")
-	}
-}
-
-func TestTable8FairnessTraces(t *testing.T) {
-	arts, err := Run("table8", ultraQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := arts[0].(*Table)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("table8 rows = %d, want SDSC-SP2 + HPC2N", len(tab.Rows))
-	}
-}
-
-func TestTable9Timings(t *testing.T) {
-	arts, err := Run("table9", ultraQuick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := arts[0].(*Table)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("table9 rows = %d, want 3 operations", len(tab.Rows))
-	}
-}
-
-func TestAblations(t *testing.T) {
-	o := ultraQuick()
-	for _, id := range []string{"ablation-backfill", "ablation-kernel", "ablation-obswindow", "ablation-dqn"} {
-		arts, err := Run(id, o)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(arts) == 0 {
-			t.Fatalf("%s produced no artifacts", id)
-		}
-		switch a := arts[0].(type) {
-		case *Table:
-			if len(a.Rows) == 0 {
-				t.Errorf("%s produced an empty table", id)
-			}
-		case *Series:
-			if len(a.X) == 0 {
-				t.Errorf("%s produced an empty series", id)
-			}
-		default:
-			t.Errorf("%s produced an unknown artifact type", id)
-		}
 	}
 }
 
@@ -294,18 +157,12 @@ func TestFleetPlacement(t *testing.T) {
 	}
 }
 
-// TestFleetMigration runs the migration comparison at the quick-scale
-// evaluation dimensions (training is not involved, so this is cheap) and
+// TestFleetMigration runs the migration comparison at migrationOptions and
 // checks the experiment's own acceptance claim: hysteresis migration
 // strictly improves fleet-wide bounded slowdown over one-shot placement
 // under the workload-shift stream, with sane accounting in the table.
 func TestFleetMigration(t *testing.T) {
-	o := ultraQuick()
-	o.TraceJobs = 800
-	o.EvalSeqLen = 128
-	o.EvalNSeq = 3
-	o.MaxObserve = 16
-	arts, err := Run("fleet-migration", o)
+	arts, err := Run("fleet-migration", migrationOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,10 +126,10 @@ type fairnessCase struct {
 // runFairnessCampaign runs the router over every stream of the seed and
 // pools the completed jobs into one fleet-wide fairness view (the PerUser
 // surface composing over Merge'd results — per-stream FairMax would be the
-// per-cluster blindness all over again, one level up). With migrate set
+// per-cluster blindness all over again, one level up). With rc.migrate set
 // the run interleaves fairness-grade repair sweeps.
-func runFairnessCampaign(o Options, seed int64, build func() (fleet.Router, error), migrate bool) (fairnessCase, []int, error) {
-	router, err := build()
+func runFairnessCampaign(o Options, seed int64, rc routerCase) (fairnessCase, []int, error) {
+	router, err := rc.build()
 	if err != nil {
 		return fairnessCase{}, nil, err
 	}
@@ -138,7 +138,7 @@ func runFairnessCampaign(o Options, seed int64, build func() (fleet.Router, erro
 		return fairnessCase{}, nil, err
 	}
 	streams := fairnessStreams(o, seed)
-	if migrate && len(streams) > 0 {
+	if rc.migrate && len(streams) > 0 {
 		if err := f.EnableMigration(fairnessMigration(streams[0])); err != nil {
 			return fairnessCase{}, nil, err
 		}
@@ -187,11 +187,6 @@ func runFairnessCampaign(o Options, seed int64, build func() (fleet.Router, erro
 // reproduce identical assignments and fairness reports (stateful fairness
 // shares included).
 func FleetFairness(o Options) ([]Artifact, error) {
-	type routerCase struct {
-		name    string
-		migrate bool
-		build   func() (fleet.Router, error)
-	}
 	routers := []routerCase{
 		{"least-loaded", false, func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }},
 		{"binpack", false, func() (fleet.Router, error) { return fleet.BinpackPipeline(), nil }},
@@ -204,31 +199,13 @@ func FleetFairness(o Options) ([]Artifact, error) {
 			fairnessSeeds, fairnessStreamsN, fairnessStreamLen),
 		Header: []string{"Router", "fair-bsld (fleet)", "Jain", "mean bsld", "max/mean", "users"},
 	}
-	cases := map[string][]fairnessCase{}
-	deterministic := true
-	for s := 0; s < fairnessSeeds; s++ {
-		seed := o.Seed + int64(s)
-		for _, rc := range routers {
-			c, assign, err := runFairnessCampaign(o, seed, rc.build, rc.migrate)
-			if err != nil {
-				return nil, err
-			}
-			cases[rc.name] = append(cases[rc.name], c)
-			// Same seed must reproduce identical assignments on a freshly
-			// built router and fleet (stateful fairness shares included).
-			c2, assign2, err := runFairnessCampaign(o, seed, rc.build, rc.migrate)
-			if err != nil {
-				return nil, err
-			}
-			if c2.rep != c.rep || c2.mean != c.mean || len(assign2) != len(assign) {
-				deterministic = false
-			}
-			for i := range assign {
-				if assign[i] != assign2[i] {
-					deterministic = false
-				}
-			}
-		}
+	// Stateful fairness shares included, a rebuilt router and fleet must
+	// reproduce the same fairness report.
+	cases, deterministic, err := campaign(o, fairnessSeeds, routers, runFairnessCampaign, func(a, b fairnessCase) bool {
+		return a == b
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// agg averages a router's per-seed campaign outcomes.

@@ -49,8 +49,8 @@ func TestFleetFairness(t *testing.T) {
 // surface, or the fairness aggregation changed semantics — bump the
 // goldens only on a deliberate change.
 func TestFleetFairnessGolden(t *testing.T) {
-	c, assign, err := runFairnessCampaign(Quick(), 42,
-		func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }, false)
+	c, assign, err := runFairnessCampaign(Quick(), 42, routerCase{"least-loaded", false,
+		func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,21 +133,9 @@ func Fig8(o Options) ([]Artifact, error) {
 			if o.MaxObserve < 12 && kind == "lenet" {
 				continue // LeNet needs a wider observation window
 			}
-			agent, err := core.New(core.Config{
-				Trace:        cache.get(traceName),
-				Goal:         metrics.BoundedSlowdown,
-				PolicyKind:   kind,
-				MaxObserve:   o.MaxObserve,
-				SeqLen:       o.SeqLen,
-				TrajPerEpoch: o.TrajPerEpoch,
-				Seed:         o.Seed,
-				Workers:      o.Workers,
-				PPO:          o.ppo(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			curve, err := agent.Train(o.Epochs)
+			cfg := agentConfig(o, cache.get(traceName), metrics.BoundedSlowdown)
+			cfg.PolicyKind = kind
+			_, curve, err := train(o, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -158,11 +146,7 @@ func Fig8(o Options) ([]Artifact, error) {
 			}
 			series.Y = append(series.Y, ys)
 		}
-		if len(series.Y) > 0 {
-			for i := range series.Y[0] {
-				series.X = append(series.X, float64(i+1))
-			}
-		}
+		series.X = epochs(len(series.Y[0]))
 		arts = append(arts, series)
 	}
 	return arts, nil
@@ -186,15 +170,9 @@ func Fig9(o Options) ([]Artifact, error) {
 			return nil, err
 		}
 		series.Names = append(series.Names, name)
-		var ys []float64
-		for _, s := range curve {
-			ys = append(ys, s.MeanMetric)
-		}
-		series.Y = append(series.Y, ys)
+		series.Y = append(series.Y, meanMetrics(curve))
 	}
-	for i := range series.Y[0] {
-		series.X = append(series.X, float64(i+1))
-	}
+	series.X = epochs(len(series.Y[0]))
 	t := &Table{Title: "Fig 9 dispersion", Header: []string{"variant", "std of epoch metric"}}
 	for i, n := range series.Names {
 		t.AddRow(n, fmt.Sprintf("%.2f", stats.Std(series.Y[i])))
@@ -220,14 +198,26 @@ func trainingCurves(o Options, goal metrics.Kind, title string) ([]Artifact, err
 			return nil, err
 		}
 		series.Names = append(series.Names, name)
-		var ys []float64
-		for _, s := range curve {
-			ys = append(ys, s.MeanMetric)
-		}
-		series.Y = append(series.Y, ys)
+		series.Y = append(series.Y, meanMetrics(curve))
 	}
-	for i := range series.Y[0] {
-		series.X = append(series.X, float64(i+1))
-	}
+	series.X = epochs(len(series.Y[0]))
 	return []Artifact{series}, nil
+}
+
+// meanMetrics is a training curve's per-epoch mean goal metric.
+func meanMetrics(curve []core.EpochStats) []float64 {
+	ys := make([]float64, len(curve))
+	for i, s := range curve {
+		ys[i] = s.MeanMetric
+	}
+	return ys
+}
+
+// epochs is a training curve's x axis: 1..n.
+func epochs(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i + 1)
+	}
+	return xs
 }

@@ -3,8 +3,10 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rlsched/internal/fleet"
+	"rlsched/internal/job"
 	"rlsched/internal/metrics"
 	"rlsched/internal/obs"
 	"rlsched/internal/sched"
@@ -76,6 +78,76 @@ func fleetStreams(o Options, steady, shift *trace.Trace) [][]*trace.Trace {
 	return streams
 }
 
+// enableMigration wires the -migrate policy under router when it can drive
+// it: the scored pipelines. The random and round-robin baselines expose no
+// margins to act on.
+func enableMigration(f *fleet.Fleet, router fleet.Router, policy string, stream []*job.Job) error {
+	if _, scored := router.(fleet.ScoredRouter); !scored {
+		return nil
+	}
+	cfg, err := migrationConfigFor(policy, sweepInterval(stream))
+	if err != nil || cfg == nil {
+		return err
+	}
+	return f.EnableMigration(*cfg)
+}
+
+// routerCase is one row of a fleet comparison: a router built fresh for
+// every run, and whether the run interleaves migration sweeps.
+type routerCase struct {
+	name    string
+	migrate bool
+	build   func() (fleet.Router, error)
+}
+
+// campaign runs every router on every seed (o.Seed, o.Seed+1, ...) twice,
+// each time through run on a freshly built router and fleet, and records
+// one evaluate/seed<s>/<router> phase per pair. It returns the first run's
+// case per router and seed, and whether every re-run reproduced it: same
+// on the cases and identical assignments.
+func campaign[C any](o Options, seeds int, routers []routerCase,
+	run func(Options, int64, routerCase) (C, []int, error), same func(a, b C) bool) (map[string][]C, bool, error) {
+	cases := map[string][]C{}
+	deterministic := true
+	for s := 0; s < seeds; s++ {
+		seed := o.Seed + int64(s)
+		for _, rc := range routers {
+			donePhase := o.phase(fmt.Sprintf("evaluate/seed%d/%s", s, rc.name))
+			c, assign, err := run(o, seed, rc)
+			if err != nil {
+				return nil, false, err
+			}
+			c2, assign2, err := run(o, seed, rc)
+			if err != nil {
+				return nil, false, err
+			}
+			if !same(c, c2) || !slices.Equal(assign, assign2) {
+				deterministic = false
+			}
+			cases[rc.name] = append(cases[rc.name], c)
+			donePhase()
+		}
+	}
+	return cases, deterministic, nil
+}
+
+// selfCheck closes a campaign table: the determinism note (okNote when
+// every re-run reproduced), then the first violation, if any, as a note
+// and as the experiment's error.
+func selfCheck(t *Table, id, check string, deterministic bool, okNote string, violations []string) ([]Artifact, error) {
+	if deterministic {
+		t.Notes = append(t.Notes, okNote)
+	} else {
+		t.Notes = append(t.Notes, "determinism: VIOLATED — assignments differed across rebuilt fleets")
+		violations = append(violations, "assignments were not deterministic")
+	}
+	if len(violations) > 0 {
+		t.Notes = append(t.Notes, check+" self-check VIOLATED: "+violations[0])
+		return []Artifact{t}, fmt.Errorf("%s: self-check failed: %s", id, violations[0])
+	}
+	return []Artifact{t}, nil
+}
+
 // FleetPlacement compares placement routers — random, round-robin,
 // least-loaded, binpack and RL-scored — over a heterogeneous fleet on
 // fleet-wide bounded slowdown and utilization, for a steady arrival
@@ -99,16 +171,12 @@ func FleetPlacement(o Options) ([]Artifact, error) {
 	doneTrain()
 	rlSched := agent.Scheduler()
 
-	type routerCase struct {
-		name  string
-		build func() (fleet.Router, error)
-	}
 	routers := []routerCase{
-		{"random", func() (fleet.Router, error) { return fleet.NewRandom(o.Seed + 17), nil }},
-		{"round-robin", func() (fleet.Router, error) { return fleet.NewRoundRobin(), nil }},
-		{"least-loaded", func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }},
-		{"binpack", func() (fleet.Router, error) { return fleet.BinpackPipeline(), nil }},
-		{"rl-scored", func() (fleet.Router, error) { return fleet.RLPipeline(agent.PPO().Policy) }},
+		{"random", false, func() (fleet.Router, error) { return fleet.NewRandom(o.Seed + 17), nil }},
+		{"round-robin", false, func() (fleet.Router, error) { return fleet.NewRoundRobin(), nil }},
+		{"least-loaded", false, func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }},
+		{"binpack", false, func() (fleet.Router, error) { return fleet.BinpackPipeline(), nil }},
+		{"rl-scored", false, func() (fleet.Router, error) { return fleet.RLPipeline(agent.PPO().Policy) }},
 	}
 
 	scenarios := []string{"steady (Lublin-1)", "workload shift (Lublin-1 → Lublin-2)"}
@@ -139,19 +207,8 @@ func FleetPlacement(o Options) ([]Artifact, error) {
 			}
 			// Streams are resampled identically per router (same seed).
 			streams := fleetStreams(o, cache.get("Lublin-1"), cache.get("Lublin-2"))[si]
-			// -migrate wires the migration controller under every router
-			// that can drive it (the scored pipelines; the random and
-			// round-robin baselines expose no margins to act on).
-			if _, scored := router.(fleet.ScoredRouter); scored && len(streams) > 0 {
-				cfg, err := migrationConfigFor(o.Migrate, sweepInterval(streams[0].Jobs))
-				if err != nil {
-					return nil, err
-				}
-				if cfg != nil {
-					if err := f.EnableMigration(*cfg); err != nil {
-						return nil, err
-					}
-				}
+			if err := enableMigration(f, router, o.Migrate, streams[0].Jobs); err != nil {
+				return nil, err
 			}
 			var bsldSum, utilSum float64
 			// Placement counts aggregate by template slot: a -clusters
@@ -184,16 +241,8 @@ func FleetPlacement(o Options) ([]Artifact, error) {
 				return nil, err
 			}
 			again := fleetStreams(o, cache.get("Lublin-1"), cache.get("Lublin-2"))[si][0]
-			if _, scored := router2.(fleet.ScoredRouter); scored {
-				cfg, err := migrationConfigFor(o.Migrate, sweepInterval(again.Jobs))
-				if err != nil {
-					return nil, err
-				}
-				if cfg != nil {
-					if err := f2.EnableMigration(*cfg); err != nil {
-						return nil, err
-					}
-				}
+			if err := enableMigration(f2, router2, o.Migrate, again.Jobs); err != nil {
+				return nil, err
 			}
 			if o.TracePath != "" && rc.name == "rl-scored" {
 				timeline = obs.NewCollector()

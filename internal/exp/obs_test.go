@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,13 +27,7 @@ func renderArts(arts []Artifact) []byte {
 // least one migration arrow, and (c) write a run report with phases and
 // per-policy results.
 func TestFleetMigrationTraceAndReport(t *testing.T) {
-	o := ultraQuick()
-	// The quick-scale migration dimensions (same as TestFleetMigration):
-	// long enough for the shift stream to genuinely strand and move jobs.
-	o.TraceJobs = 800
-	o.EvalSeqLen = 128
-	o.EvalNSeq = 3
-	o.MaxObserve = 16
+	o := migrationOptions()
 	baseArts, err := Run("fleet-migration", o)
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +83,7 @@ func TestFleetMigrationTraceAndReport(t *testing.T) {
 
 	// Report: round-trips, carries the run identity, phase timings and one
 	// row per policy × stream.
-	rdata, err := os.ReadFile(o.ReportPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep obs.RunReport
-	if err := json.Unmarshal(rdata, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
+	rep := readReport(t, o.ReportPath)
 	if rep.Experiment != "fleet-migration" || rep.Seed != o.Seed {
 		t.Fatalf("report identity = %s/%d", rep.Experiment, rep.Seed)
 	}
@@ -114,4 +102,44 @@ func TestFleetMigrationTraceAndReport(t *testing.T) {
 	if rep.WallSeconds <= 0 {
 		t.Fatalf("wall seconds = %g", rep.WallSeconds)
 	}
+}
+
+// TestFleetFairnessReportPhases: like churn and constraints, fleet-fairness
+// records one evaluate/seed<s>/<router> phase per seed and router, in run
+// order.
+func TestFleetFairnessReportPhases(t *testing.T) {
+	o := ultraQuick()
+	o.ReportPath = filepath.Join(t.TempDir(), "report.json")
+	if _, err := Run("fleet-fairness", o); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReport(t, o.ReportPath)
+	var want []string
+	for s := 0; s < fairnessSeeds; s++ {
+		for _, r := range []string{"least-loaded", "binpack", "least-loaded+mig", "fair"} {
+			want = append(want, fmt.Sprintf("evaluate/seed%d/%s", s, r))
+		}
+	}
+	if len(rep.Phases) != len(want) {
+		t.Fatalf("report has %d phases, want %d (seeds × routers)", len(rep.Phases), len(want))
+	}
+	for i, p := range rep.Phases {
+		if p.Name != want[i] {
+			t.Errorf("phase %d = %q, want %q", i, p.Name, want[i])
+		}
+	}
+}
+
+// readReport loads a run report written by Run.
+func readReport(t *testing.T, path string) obs.RunReport {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.RunReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v", err)
+	}
+	return rep
 }

@@ -12,16 +12,18 @@ import (
 )
 
 func init() {
-	registry["table2"] = Table2
-	registry["table5"] = func(o Options) ([]Artifact, error) {
-		return schedulingTable(o, metrics.BoundedSlowdown, "Table V", false)
+	scheduling := func(goal metrics.Kind, traces []string, title string) Runner {
+		return func(o Options) ([]Artifact, error) { return schedulingTable(o, goal, traces, title) }
 	}
-	registry["table6"] = func(o Options) ([]Artifact, error) { return schedulingTable(o, metrics.Utilization, "Table VI", false) }
-	registry["table10"] = func(o Options) ([]Artifact, error) { return schedulingTable(o, metrics.Slowdown, "Table X", false) }
-	registry["table11"] = func(o Options) ([]Artifact, error) { return schedulingTable(o, metrics.WaitTime, "Table XI", false) }
+	registry["table2"] = Table2
+	registry["table5"] = scheduling(metrics.BoundedSlowdown, evalTraces, "Table V (%s): scheduling toward bsld")
+	registry["table6"] = scheduling(metrics.Utilization, evalTraces, "Table VI (%s): scheduling toward util")
 	registry["table7"] = Table7
-	registry["table8"] = Table8
+	registry["table8"] = scheduling(metrics.FairMaxBoundedSlowdown, []string{"SDSC-SP2", "HPC2N"},
+		"Table VIII (%s): bounded slowdown with Maximal fairness")
 	registry["table9"] = Table9
+	registry["table10"] = scheduling(metrics.Slowdown, evalTraces, "Table X (%s): scheduling toward slowdown")
+	registry["table11"] = scheduling(metrics.WaitTime, evalTraces, "Table XI (%s): scheduling toward wait")
 }
 
 // Table2 reproduces the trace-characteristics table.
@@ -46,28 +48,37 @@ func Table2(o Options) ([]Artifact, error) {
 	return []Artifact{t}, nil
 }
 
-// trainRL trains one agent for (traceName, goal) under the options.
-func trainRL(cache *traceCache, o Options, traceName string, goal metrics.Kind, backfill, filter bool) (*core.Agent, []core.EpochStats, error) {
-	cfg := core.Config{
-		Trace:        cache.get(traceName),
+// agentConfig is the training configuration every experiment's agent
+// starts from; callers set the fields their experiment varies.
+func agentConfig(o Options, tr *trace.Trace, goal metrics.Kind) core.Config {
+	return core.Config{
+		Trace:        tr,
 		Goal:         goal,
 		MaxObserve:   o.MaxObserve,
-		Backfill:     backfill,
 		SeqLen:       o.SeqLen,
 		TrajPerEpoch: o.TrajPerEpoch,
-		Filter:       filter,
-		FilterProbeN: o.FilterProbeN,
-		FilterPhase1: o.Epochs / 2,
 		Seed:         o.Seed,
 		Workers:      o.Workers,
 		PPO:          o.ppo(),
 	}
+}
+
+// train builds an agent from cfg and trains it for o.Epochs.
+func train(o Options, cfg core.Config) (*core.Agent, []core.EpochStats, error) {
 	a, err := core.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	curve, err := a.Train(o.Epochs)
 	return a, curve, err
+}
+
+// trainRL trains one agent for (traceName, goal) under the options.
+func trainRL(cache *traceCache, o Options, traceName string, goal metrics.Kind, backfill, filter bool) (*core.Agent, []core.EpochStats, error) {
+	cfg := agentConfig(o, cache.get(traceName), goal)
+	cfg.Backfill, cfg.Filter = backfill, filter
+	cfg.FilterProbeN, cfg.FilterPhase1 = o.FilterProbeN, o.Epochs/2
+	return train(o, cfg)
 }
 
 func evalCfg(o Options, goal metrics.Kind, backfill bool) core.EvalConfig {
@@ -81,27 +92,22 @@ func evalCfg(o Options, goal metrics.Kind, backfill bool) core.EvalConfig {
 	}
 }
 
-// schedulingTable reproduces the Tables V/VI/X/XI grid: every heuristic
-// plus a freshly trained RL agent per trace, with and without backfilling.
-// PIK-style filtering is enabled automatically for high-variance traces
-// when the goal is slowdown-like.
-func schedulingTable(o Options, goal metrics.Kind, title string, includeANL bool) ([]Artifact, error) {
+// backfillModes names the two halves of every ±backfilling table.
+var backfillModes = []string{"without backfilling", "with backfilling"}
+
+// schedulingTable reproduces the Tables V/VI/VIII/X/XI grid: every
+// heuristic plus a freshly trained RL agent per trace toward goal, with and
+// without backfilling. title is a format whose one %s is the mode.
+func schedulingTable(o Options, goal metrics.Kind, traces []string, title string) ([]Artifact, error) {
 	cache := newTraceCache(o)
-	names := evalTraces
-	if includeANL {
-		names = append(append([]string{}, evalTraces...), "ANL-Intrepid")
-	}
 	var arts []Artifact
-	for _, backfill := range []bool{false, true} {
-		mode := "without backfilling"
-		if backfill {
-			mode = "with backfilling"
-		}
+	for i, mode := range backfillModes {
+		backfill := i == 1
 		t := &Table{
-			Title:  fmt.Sprintf("%s (%s): scheduling toward %s", title, mode, goal),
+			Title:  fmt.Sprintf(title, mode),
 			Header: []string{"Trace", "FCFS", "WFP3", "UNICEP", "SJF", "F1", "RL"},
 		}
-		for _, name := range names {
+		for _, name := range traces {
 			tr := cache.get(name)
 			row := []string{name}
 			ec := evalCfg(o, goal, backfill)
@@ -146,11 +152,8 @@ func Table7(o Options) ([]Artifact, error) {
 	targets := append(append([]string{}, evalTraces...), "ANL-Intrepid")
 
 	var arts []Artifact
-	for _, backfill := range []bool{false, true} {
-		mode := "without backfilling"
-		if backfill {
-			mode = "with backfilling"
-		}
+	for i, mode := range backfillModes {
+		backfill := i == 1
 		t := &Table{
 			Title: fmt.Sprintf("Table VII (%s): RL-X applied to trace Y, avg bounded slowdown", mode),
 			Header: []string{"Trace", "BestHeur", "WorstHeur",
@@ -192,48 +195,6 @@ func Table7(o Options) ([]Artifact, error) {
 	return arts, nil
 }
 
-// Table8 reproduces the fairness experiment: bounded slowdown with the
-// Maximal per-user aggregator on the two traces that carry user IDs.
-func Table8(o Options) ([]Artifact, error) {
-	cache := newTraceCache(o)
-	goal := metrics.FairMaxBoundedSlowdown
-	var arts []Artifact
-	for _, backfill := range []bool{false, true} {
-		mode := "without backfilling"
-		if backfill {
-			mode = "with backfilling"
-		}
-		t := &Table{
-			Title:  fmt.Sprintf("Table VIII (%s): bounded slowdown with Maximal fairness", mode),
-			Header: []string{"Trace", "FCFS", "WFP3", "UNICEP", "SJF", "F1", "RL"},
-		}
-		for _, name := range []string{"SDSC-SP2", "HPC2N"} {
-			tr := cache.get(name)
-			row := []string{name}
-			ec := evalCfg(o, goal, backfill)
-			for _, h := range sched.Heuristics() {
-				v, _, err := core.Evaluate(tr, h, ec)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmtVal(goal, v))
-			}
-			agent, _, err := trainRL(cache, o, name, goal, backfill, false)
-			if err != nil {
-				return nil, err
-			}
-			v, _, err := core.Evaluate(tr, agent.Scheduler(), ec)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmtVal(goal, v))
-			t.AddRow(row...)
-		}
-		arts = append(arts, t)
-	}
-	return arts, nil
-}
-
 // Table9 measures computational cost: one scheduling decision for a
 // 128-job queue by SJF and by the RL policy network, and one training
 // epoch.
@@ -254,16 +215,7 @@ func Table9(o Options) ([]Artifact, error) {
 	sjfPer := time.Since(start) / reps
 
 	// RL decision via an (untrained) kernel network of the same shape.
-	agent, err := core.New(core.Config{
-		Trace:        tr,
-		Goal:         metrics.BoundedSlowdown,
-		MaxObserve:   o.MaxObserve,
-		SeqLen:       o.SeqLen,
-		TrajPerEpoch: o.TrajPerEpoch,
-		Seed:         o.Seed,
-		Workers:      o.Workers,
-		PPO:          o.ppo(),
-	})
+	agent, err := core.New(agentConfig(o, tr, metrics.BoundedSlowdown))
 	if err != nil {
 		return nil, err
 	}
