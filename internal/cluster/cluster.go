@@ -1,22 +1,18 @@
 // Package cluster models the homogeneous HPC compute resource the paper's
-// SchedGym simulates: a fixed pool of identical processors that are
-// allocated to jobs node-by-node and released on completion, with busy-time
+// SchedGym simulates: a fixed pool of identical processors, counted rather
+// than named, that jobs hold from allocation until release, with busy-time
 // accounting to derive the utilization metric.
 package cluster
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Cluster is a homogeneous machine with a fixed number of processors.
 // It is not safe for concurrent use; the event-driven simulator drives it
 // from a single goroutine.
 type Cluster struct {
 	total int
-	free  []int         // free node IDs, kept sorted for determinism
-	used  map[int][]int // job ID -> allocated node IDs
-	busy  int           // processors currently allocated
+	busy  int         // processors currently allocated
+	used  map[int]int // job ID -> processors it holds
 
 	// busyTime integrates (allocated processors × seconds) for
 	// utilization accounting. Accrual is lazy: AdvanceTo only moves the
@@ -57,54 +53,42 @@ func New(n int) *Cluster {
 	if n <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive size %d", n))
 	}
-	free := make([]int, n)
-	for i := range free {
-		free[i] = i
-	}
-	return &Cluster{total: n, free: free, used: make(map[int][]int)}
+	return &Cluster{total: n, used: make(map[int]int)}
 }
 
 // Total returns the cluster size in processors.
 func (c *Cluster) Total() int { return c.total }
 
 // Free returns the number of idle processors.
-func (c *Cluster) Free() int { return len(c.free) }
-
-// Busy returns the number of allocated processors.
-func (c *Cluster) Busy() int { return c.busy }
+func (c *Cluster) Free() int { return c.total - c.busy }
 
 // CanAllocate reports whether n processors are available right now.
-func (c *Cluster) CanAllocate(n int) bool { return n > 0 && n <= len(c.free) }
+func (c *Cluster) CanAllocate(n int) bool { return n > 0 && n <= c.Free() }
 
-// Allocate assigns n processors to jobID and returns the node IDs. It fails
-// if the job already holds an allocation or resources are insufficient.
-func (c *Cluster) Allocate(jobID, n int) ([]int, error) {
+// Allocate assigns n processors to jobID. It fails if the job already
+// holds an allocation or resources are insufficient.
+func (c *Cluster) Allocate(jobID, n int) error {
 	if _, ok := c.used[jobID]; ok {
-		return nil, fmt.Errorf("cluster: job %d already allocated", jobID)
+		return fmt.Errorf("cluster: job %d already allocated", jobID)
 	}
 	if !c.CanAllocate(n) {
-		return nil, fmt.Errorf("cluster: cannot allocate %d procs (%d free)", n, len(c.free))
+		return fmt.Errorf("cluster: cannot allocate %d procs (%d free)", n, c.Free())
 	}
 	c.accrue()
-	nodes := make([]int, n)
-	copy(nodes, c.free[:n])
-	c.free = c.free[n:]
-	c.used[jobID] = nodes
+	c.used[jobID] = n
 	c.busy += n
-	return nodes, nil
+	return nil
 }
 
 // Release returns the processors held by jobID to the free pool.
 func (c *Cluster) Release(jobID int) error {
-	nodes, ok := c.used[jobID]
+	n, ok := c.used[jobID]
 	if !ok {
 		return fmt.Errorf("cluster: job %d holds no allocation", jobID)
 	}
 	c.accrue()
 	delete(c.used, jobID)
-	c.free = append(c.free, nodes...)
-	sort.Ints(c.free)
-	c.busy -= len(nodes)
+	c.busy -= n
 	return nil
 }
 
@@ -117,10 +101,6 @@ func (c *Cluster) AdvanceTo(t float64) {
 	}
 	c.lastTime = t
 }
-
-// BusyTime returns the accumulated busy processor-seconds up to the
-// current accounting clock (a pure read).
-func (c *Cluster) BusyTime() float64 { return c.peekBusyTime() }
 
 // Utilization returns busyTime / (total × horizon) over [start, end].
 func (c *Cluster) Utilization(start, end float64) float64 {
@@ -138,17 +118,9 @@ func (c *Cluster) Utilization(start, end float64) float64 {
 	return u
 }
 
-// Running returns the number of jobs holding allocations.
-func (c *Cluster) Running() int { return len(c.used) }
-
 // Reset returns the cluster to idle and zeroes the accounting clock.
 func (c *Cluster) Reset() {
-	free := make([]int, c.total)
-	for i := range free {
-		free[i] = i
-	}
-	c.free = free
-	c.used = make(map[int][]int)
+	clear(c.used)
 	c.busy = 0
 	c.busyTime = 0
 	c.lastTime = 0
@@ -159,34 +131,17 @@ func (c *Cluster) Reset() {
 // property tests call it after every step.
 func (c *Cluster) CheckInvariants() error {
 	allocated := 0
-	seen := map[int]bool{}
-	for id, nodes := range c.used {
-		if len(nodes) == 0 {
-			return fmt.Errorf("cluster: job %d holds empty allocation", id)
+	for id, n := range c.used {
+		if n <= 0 {
+			return fmt.Errorf("cluster: job %d holds %d procs", id, n)
 		}
-		allocated += len(nodes)
-		for _, n := range nodes {
-			if n < 0 || n >= c.total {
-				return fmt.Errorf("cluster: node %d out of range", n)
-			}
-			if seen[n] {
-				return fmt.Errorf("cluster: node %d double-allocated", n)
-			}
-			seen[n] = true
-		}
-	}
-	for _, n := range c.free {
-		if seen[n] {
-			return fmt.Errorf("cluster: node %d both free and allocated", n)
-		}
-		seen[n] = true
+		allocated += n
 	}
 	if allocated != c.busy {
 		return fmt.Errorf("cluster: busy=%d but %d allocated", c.busy, allocated)
 	}
-	if allocated+len(c.free) != c.total {
-		return fmt.Errorf("cluster: %d allocated + %d free != %d total",
-			allocated, len(c.free), c.total)
+	if c.busy > c.total {
+		return fmt.Errorf("cluster: %d allocated > %d total", c.busy, c.total)
 	}
 	return nil
 }

@@ -8,26 +8,25 @@ import (
 
 func TestAllocateRelease(t *testing.T) {
 	c := New(8)
-	if c.Total() != 8 || c.Free() != 8 || c.Busy() != 0 {
-		t.Fatalf("fresh cluster state wrong: %d/%d/%d", c.Total(), c.Free(), c.Busy())
+	if c.Total() != 8 || c.Free() != 8 {
+		t.Fatalf("fresh cluster state wrong: %d/%d", c.Total(), c.Free())
 	}
-	nodes, err := c.Allocate(1, 3)
-	if err != nil {
+	if err := c.Allocate(1, 3); err != nil {
 		t.Fatalf("Allocate: %v", err)
 	}
-	if len(nodes) != 3 || c.Free() != 5 || c.Busy() != 3 || c.Running() != 1 {
-		t.Fatalf("after alloc: nodes=%v free=%d busy=%d", nodes, c.Free(), c.Busy())
+	if c.Free() != 5 {
+		t.Fatalf("after alloc: free=%d, want 5", c.Free())
 	}
-	if _, err := c.Allocate(1, 1); err == nil {
+	if err := c.Allocate(1, 1); err == nil {
 		t.Error("double allocation must fail")
 	}
-	if _, err := c.Allocate(2, 6); err == nil {
+	if err := c.Allocate(2, 6); err == nil {
 		t.Error("oversubscription must fail")
 	}
 	if err := c.Release(1); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	if c.Free() != 8 || c.Busy() != 0 {
+	if c.Free() != 8 {
 		t.Error("release must restore all processors")
 	}
 	if err := c.Release(1); err == nil {
@@ -65,7 +64,7 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 
 func TestUtilizationAccounting(t *testing.T) {
 	c := New(10)
-	if _, err := c.Allocate(1, 5); err != nil {
+	if err := c.Allocate(1, 5); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(100) // 5 procs busy for 100s = 500 proc-s
@@ -73,25 +72,22 @@ func TestUtilizationAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(200) // idle
-	if c.BusyTime() != 500 {
-		t.Errorf("BusyTime = %g, want 500", c.BusyTime())
-	}
 	if u := c.Utilization(0, 200); u != 0.25 {
-		t.Errorf("Utilization = %g, want 0.25", u)
+		t.Errorf("Utilization = %g, want 0.25 (500 of 2000 proc-s)", u)
 	}
 	if u := c.Utilization(0, 0); u != 0 {
 		t.Errorf("degenerate Utilization = %g, want 0", u)
 	}
 	// Non-monotone advance is ignored.
 	c.AdvanceTo(50)
-	if c.BusyTime() != 500 {
+	if u := c.Utilization(0, 200); u != 0.25 {
 		t.Error("backwards AdvanceTo must be a no-op")
 	}
 }
 
 func TestUtilizationClamped(t *testing.T) {
 	c := New(2)
-	if _, err := c.Allocate(1, 2); err != nil {
+	if err := c.Allocate(1, 2); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(100)
@@ -102,48 +98,59 @@ func TestUtilizationClamped(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := New(6)
-	if _, err := c.Allocate(9, 4); err != nil {
+	if err := c.Allocate(9, 4); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTo(10)
 	c.Reset()
-	if c.Free() != 6 || c.Busy() != 0 || c.BusyTime() != 0 || c.Running() != 0 {
+	if c.Free() != 6 || c.Utilization(0, 10) != 0 {
 		t.Error("Reset must restore pristine state")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)
 	}
+	if err := c.Allocate(9, 6); err != nil {
+		t.Errorf("Reset must forget job 9's allocation: %v", err)
+	}
 }
 
 // TestConservationProperty drives random allocate/release sequences and
-// checks processors are conserved after every operation.
+// checks processors are conserved after every operation: the free count is
+// the total minus what the live jobs hold.
 func TestConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := New(32)
-		live := map[int]bool{}
+		live := map[int]int{} // job ID -> processors held
+		held := 0
 		next := 1
 		for op := 0; op < 300; op++ {
 			if rng.Float64() < 0.6 {
 				n := 1 + rng.Intn(10)
 				if c.CanAllocate(n) {
-					if _, err := c.Allocate(next, n); err != nil {
+					if err := c.Allocate(next, n); err != nil {
 						return false
 					}
-					live[next] = true
+					live[next] = n
+					held += n
 					next++
 				}
 			} else if len(live) > 0 {
-				for id := range live {
+				for id, n := range live {
 					if err := c.Release(id); err != nil {
 						return false
 					}
 					delete(live, id)
+					held -= n
 					break
 				}
 			}
 			if err := c.CheckInvariants(); err != nil {
 				t.Logf("invariant violated: %v", err)
+				return false
+			}
+			if c.Free() != c.Total()-held {
+				t.Logf("free=%d, want %d-%d", c.Free(), c.Total(), held)
 				return false
 			}
 		}
@@ -154,15 +161,24 @@ func TestConservationProperty(t *testing.T) {
 	}
 }
 
-func TestNodeIDsDisjoint(t *testing.T) {
-	c := New(16)
-	a, _ := c.Allocate(1, 8)
-	b, _ := c.Allocate(2, 8)
-	seen := map[int]bool{}
-	for _, n := range append(a, b...) {
-		if seen[n] {
-			t.Fatalf("node %d allocated twice", n)
+// TestCheckInvariantsCatchesCorruptCounts corrupts each count the cluster
+// keeps and expects CheckInvariants to notice.
+func TestCheckInvariantsCatchesCorruptCounts(t *testing.T) {
+	for name, corrupt := range map[string]func(c *Cluster){
+		"busy drifts from the per-job sum": func(c *Cluster) { c.busy++ },
+		"empty allocation":                 func(c *Cluster) { c.used[7] = 0 },
+		"more allocated than exists": func(c *Cluster) {
+			c.used[7] = c.total
+			c.busy += c.total
+		},
+	} {
+		c := New(8)
+		if err := c.Allocate(1, 3); err != nil {
+			t.Fatal(err)
 		}
-		seen[n] = true
+		corrupt(c)
+		if err := c.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", name)
+		}
 	}
 }

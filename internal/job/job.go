@@ -50,8 +50,6 @@ type Job struct {
 	StartTime float64
 	// EndTime is StartTime + RunTime once the job has been started.
 	EndTime float64
-	// Allocated lists the node IDs assigned to the job while running.
-	Allocated []int
 }
 
 // New returns a job with the mandatory attributes set and scheduling state
@@ -101,7 +99,6 @@ func (j *Job) Validate() error {
 func (j *Job) Reset() {
 	j.StartTime = -1
 	j.EndTime = -1
-	j.Allocated = nil
 }
 
 // Started reports whether the simulator has started the job.

@@ -101,16 +101,15 @@ func TestResetAndClone(t *testing.T) {
 	j := New(3, 10, 20, 4, 25)
 	j.StartTime = 12
 	j.EndTime = 32
-	j.Allocated = []int{0, 1, 2, 3}
 	c := j.Clone()
-	if c.Started() || c.Allocated != nil {
+	if c.Started() || c.EndTime != -1 {
 		t.Error("Clone must clear scheduling state")
 	}
 	if c.ID != 3 || c.RunTime != 20 || c.RequestedProcs != 4 {
 		t.Error("Clone must preserve static attributes")
 	}
 	j.Reset()
-	if j.Started() || j.Allocated != nil {
+	if j.Started() || j.EndTime != -1 {
 		t.Error("Reset must clear scheduling state")
 	}
 }

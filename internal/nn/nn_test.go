@@ -223,6 +223,51 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestMalformedSnapshotIsAnError: dimensions no network can be built with
+// are refused by ReadSnapshot, and a LeNet too small for its conv/pool
+// stages by both Materialize paths — an error each time, never a panic.
+func TestMalformedSnapshotIsAnError(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	p, _ := NewPolicy(rng, "kernel", testMaxObs, testFeat)
+	v := NewValueNet(rng, testMaxObs, testFeat, nil)
+	for _, c := range []struct {
+		name     string
+		edit     func(s *Snapshot)
+		readFail bool // refused by ReadSnapshot; otherwise by Materialize
+	}{
+		{"features 0", func(s *Snapshot) { s.Features = 0 }, true},
+		{"features -1", func(s *Snapshot) { s.Features = -1 }, true},
+		{"max_obs 0", func(s *Snapshot) { s.MaxObs = 0 }, true},
+		{"max_obs -1", func(s *Snapshot) { s.MaxObs = -1 }, true},
+		{"value_hidden [-1]", func(s *Snapshot) { s.ValueHidden = []int{-1} }, true},
+		{"value_hidden [32 0]", func(s *Snapshot) { s.ValueHidden = []int{32, 0} }, true},
+		{"lenet 2x2", func(s *Snapshot) { s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2 }, false},
+	} {
+		s := Snap(p, v, nil)
+		c.edit(s)
+		var buf bytes.Buffer
+		if err := s.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadSnapshot(&buf)
+		if c.readFail {
+			if err == nil {
+				t.Errorf("%s: ReadSnapshot accepted it", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: ReadSnapshot: %v", c.name, err)
+		}
+		if _, err := got.MaterializePolicy(rng); err == nil {
+			t.Errorf("%s: MaterializePolicy accepted it", c.name)
+		}
+		if _, _, err := got.Materialize(rng); err == nil {
+			t.Errorf("%s: Materialize accepted it", c.name)
+		}
+	}
+}
+
 func TestCopyParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := NewKernelNet(rng, testMaxObs, testFeat, nil)

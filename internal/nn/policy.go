@@ -148,17 +148,28 @@ type LeNet struct {
 	flat   int
 }
 
-// NewLeNet builds the convolutional baseline. maxObs must be ≥ 12 and feat
-// ≥ 7 for the two conv/pool stages to fit.
-func NewLeNet(rng *rand.Rand, maxObs, feat int) *LeNet {
+// lenetFlat returns the width of LeNet's flattened conv output for a
+// maxObs×feat observation, or an error when the two conv/pool stages do
+// not fit.
+func lenetFlat(maxObs, feat int) (int, error) {
 	h1, w1 := maxObs-2, feat-2 // conv1 3×3 valid
 	h1p, w1p := h1/2, w1       // pool 2×1
 	h2, w2 := h1p-2, w1p-2     // conv2 3×3 valid
 	h2p, w2p := h2/2, w2       // pool 2×1
 	if h2p <= 0 || w2p <= 0 {
-		panic(fmt.Sprintf("nn: LeNet needs a larger observation than %dx%d", maxObs, feat))
+		return 0, fmt.Errorf("nn: LeNet needs a larger observation than %dx%d", maxObs, feat)
 	}
-	flat := 8 * h2p * w2p
+	return 8 * h2p * w2p, nil
+}
+
+// NewLeNet builds the convolutional baseline. maxObs must be ≥ 12 and feat
+// ≥ 7 for the two conv/pool stages to fit; it panics otherwise (NewPolicy
+// returns the same condition as an error).
+func NewLeNet(rng *rand.Rand, maxObs, feat int) *LeNet {
+	flat, err := lenetFlat(maxObs, feat)
+	if err != nil {
+		panic(err.Error())
+	}
 	scale1 := 0.5
 	return &LeNet{
 		w1:     ag.RandParam(rng, scale1, 4, 1, 3, 3),
@@ -234,6 +245,9 @@ func NewPolicy(rng *rand.Rand, kind string, maxObs, feat int) (PolicyNet, error)
 	case "mlp-v1", "mlp-v2", "mlp-v3":
 		return NewMLPPolicy(rng, maxObs, feat, kind), nil
 	case "lenet":
+		if _, err := lenetFlat(maxObs, feat); err != nil {
+			return nil, err
+		}
 		return NewLeNet(rng, maxObs, feat), nil
 	}
 	return nil, fmt.Errorf("nn: unknown policy kind %q", kind)

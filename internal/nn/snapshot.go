@@ -106,11 +106,21 @@ func (s *Snapshot) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadSnapshot decodes a snapshot from JSON.
+// ReadSnapshot decodes a snapshot from JSON. It rejects non-positive
+// dimensions, which no network can be built with, so a malformed model
+// file is an error here rather than a panic in Materialize.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: decode snapshot: %w", err)
+	}
+	if s.MaxObs <= 0 || s.Features <= 0 {
+		return nil, fmt.Errorf("nn: snapshot dims max_obs=%d features=%d must be positive", s.MaxObs, s.Features)
+	}
+	for _, h := range s.ValueHidden {
+		if h <= 0 {
+			return nil, fmt.Errorf("nn: snapshot value_hidden %v must be positive", s.ValueHidden)
+		}
 	}
 	return &s, nil
 }

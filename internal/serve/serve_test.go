@@ -299,6 +299,52 @@ func TestConcurrentDecideAndReload(t *testing.T) {
 	}
 }
 
+// TestReloadMalformedModel: a model file whose dimensions no network can
+// be built with is a 400 from /reload, and the engine already loaded keeps
+// answering.
+func TestReloadMalformedModel(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{ModelPath: writeSnapshot(t, dir, "kernel", 32)})
+	body := EncodeStates(testStates(t, 1, 32))
+	rng := rand.New(rand.NewSource(3))
+	pol, err := nn.NewPolicy(rng, "kernel", 32, sim.JobFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := nn.NewValueNet(rng, 32, sim.JobFeatures, nil)
+	for name, edit := range map[string]func(s *nn.Snapshot){
+		"features 0":        func(s *nn.Snapshot) { s.Features = 0 },
+		"max_obs -1":        func(s *nn.Snapshot) { s.MaxObs = -1 },
+		"value_hidden [-1]": func(s *nn.Snapshot) { s.ValueHidden = []int{-1} },
+		"lenet 2x2":         func(s *nn.Snapshot) { s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2 },
+	} {
+		snap := nn.Snap(pol, val, nil)
+		edit(snap)
+		var buf bytes.Buffer
+		if err := snap.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := json.Marshal(map[string]string{"model": path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, out := postJSON(t, ts.URL+"/reload", spec); code != http.StatusBadRequest {
+			t.Errorf("%s: /reload answered %d %s, want 400", name, code, out)
+		}
+		if code, out := postJSON(t, ts.URL+"/v1/decide", body); code != http.StatusOK ||
+			!bytes.Contains(out, []byte(`"policy":"kernel"`)) {
+			t.Errorf("%s: after the refused reload /v1/decide answered %d %s", name, code, out)
+		}
+	}
+	if got := srv.Metrics().ReloadsTotal.Load(); got != 0 {
+		t.Errorf("reloads_total = %d, want 0", got)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{PolicyName: "FCFS"})
 	states := testStates(t, 4, 8)

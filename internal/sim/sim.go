@@ -271,11 +271,9 @@ func (s *Simulator) advanceToNextEvent() bool {
 
 // start allocates and launches a pending job at the current time.
 func (s *Simulator) start(j *job.Job) {
-	nodes, err := s.cluster.Allocate(j.ID, j.RequestedProcs)
-	if err != nil {
+	if err := s.cluster.Allocate(j.ID, j.RequestedProcs); err != nil {
 		panic(fmt.Sprintf("sim: start job %d: %v", j.ID, err))
 	}
-	j.Allocated = nodes
 	j.StartTime = s.now
 	j.EndTime = s.now + j.RunTime
 	if j.UserID >= 0 {
@@ -461,6 +459,28 @@ func (s *Simulator) CheckInvariants() error {
 	}
 	if inFlight := started - s.completed; inFlight != len(s.running) {
 		return fmt.Errorf("sim: %d in flight but %d running", inFlight, len(s.running))
+	}
+	// Processors are counts, so conservation is checked against the jobs
+	// holding them: the cluster's busy count and every user's held count
+	// must each equal the sum over the matching running jobs.
+	busy := 0
+	perUser := make(map[int]int, len(s.userProcs))
+	for u := range s.userProcs {
+		perUser[u] = 0
+	}
+	for _, j := range s.running {
+		busy += j.RequestedProcs
+		if j.UserID >= 0 {
+			perUser[j.UserID] += j.RequestedProcs
+		}
+	}
+	if held := s.cfg.Processors - s.cluster.Free(); held != busy {
+		return fmt.Errorf("sim: cluster holds %d procs but running jobs request %d", held, busy)
+	}
+	for u, n := range perUser {
+		if s.userProcs[u] != n {
+			return fmt.Errorf("sim: user %d holds %d procs but runs jobs requesting %d", u, s.userProcs[u], n)
+		}
 	}
 	return nil
 }

@@ -279,6 +279,37 @@ func TestSimInvariantsUnderRandomScheduling(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesCountDrift corrupts the processor counts the
+// simulator keeps beside its running jobs and expects CheckInvariants to
+// notice each one.
+func TestCheckInvariantsCatchesCountDrift(t *testing.T) {
+	for name, corrupt := range map[string]func(s *Simulator){
+		"cluster holds procs no running job requested": func(s *Simulator) {
+			if err := s.cluster.Allocate(99, 2); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"running job's user holds one proc too many": func(s *Simulator) { s.userProcs[0]++ },
+		"user with no running job holds procs":       func(s *Simulator) { s.userProcs[7] = 3 },
+		"running job's user holds nothing":           func(s *Simulator) { delete(s.userProcs, 1) },
+	} {
+		s := New(Config{Processors: 8})
+		if err := s.Load(seq(userJob(1, 0, 100, 3, 0), userJob(2, 0, 100, 2, 1))); err != nil {
+			t.Fatal(err)
+		}
+		s.advanceTo(0) // admit both arrivals
+		s.Schedule(s.pending[0])
+		s.Schedule(s.pending[0])
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: before corruption: %v", name, err)
+		}
+		corrupt(s)
+		if err := s.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants passed", name)
+		}
+	}
+}
+
 func TestBackfillNeverWorseForMakespan(t *testing.T) {
 	// Backfilling can only add earlier starts under FCFS picking; the
 	// last completion must not be later than without backfilling.
