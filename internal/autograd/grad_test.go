@@ -1,9 +1,11 @@
 package autograd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -299,5 +301,286 @@ func TestGradMaskedLogSoftmax(t *testing.T) {
 		if fused.Data[i] != plain.Data[i] {
 			t.Fatalf("fused[%d] = %g, unfused %g", i, fused.Data[i], plain.Data[i])
 		}
+	}
+
+	// Rows masked everywhere but one cell (the other cells sit ~1e9 below
+	// math.Exp's underflow bound), one row with two valid cells and one
+	// with none masked: forward and backward must carry the bits of the
+	// formula that calls math.Exp on every cell.
+	const m, n = 4, 6
+	b := randParam(rng, m, n)
+	mask = []bool{
+		false, false, true, false, false, false,
+		true, false, false, false, false, false,
+		false, true, false, false, true, false,
+		true, true, true, true, true, true,
+	}
+	g := make([]float64, m*n)
+	for i := range g {
+		g[i] = rng.NormFloat64()
+	}
+	out := MaskedLogSoftmax(b, mask, -1e9)
+	out.Grad = g
+	out.backFn()
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		for j := range row {
+			row[j] = b.Data[i*n+j]
+			if !mask[i*n+j] {
+				row[j] += -1e9
+			}
+		}
+		max := slices.Max(row)
+		var lse, gsum float64
+		for j := range row {
+			lse += math.Exp(row[j] - max)
+			gsum += g[i*n+j]
+		}
+		lse = math.Log(lse) + max
+		for j := range row {
+			at := i*n + j
+			o := row[j] - lse
+			if math.Float64bits(out.Data[at]) != math.Float64bits(o) {
+				t.Fatalf("out[%d] = %v, every-cell formula %v", at, out.Data[at], o)
+			}
+			if d := g[at] - math.Exp(o)*gsum; math.Float64bits(b.Grad[at]) != math.Float64bits(d) {
+				t.Fatalf("grad[%d] = %v, every-cell formula %v", at, b.Grad[at], d)
+			}
+		}
+	}
+}
+
+// refDense is the reference the Dense kernels are checked against: the
+// plain loops that add one term per sweep over an output row, with the
+// same serial/blocked split, fixed block partition and block-order
+// reduction. It returns act(a×w + bias) and adds the backward pass of
+// upstream gradient gout into da, dw and db, skipping each one that is nil.
+func refDense(a, w, bias []float64, m, k, n, act int, gout, da, dw, db []float64) []float64 {
+	out := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := out[i*n : (i+1)*n]
+		copy(orow, bias)
+		for kk := 0; kk < k; kk++ {
+			av := arow[kk]
+			if av == 0 {
+				continue
+			}
+			wrow := w[kk*n : (kk+1)*n]
+			for j, wv := range wrow {
+				orow[j] += av * wv
+			}
+		}
+		switch act {
+		case DenseActReLU:
+			for j, v := range orow {
+				if v < 0 {
+					orow[j] = 0
+				}
+			}
+		case DenseActTanh:
+			for j, v := range orow {
+				orow[j] = math.Tanh(v)
+			}
+		}
+	}
+	backward := func(lo, hi int, dpre, wgrad, bgrad []float64) {
+		for i := lo; i < hi; i++ {
+			grow := gout[i*n : (i+1)*n]
+			orow := out[i*n : (i+1)*n]
+			allZero := true
+			switch act {
+			case DenseActReLU:
+				for j, g := range grow {
+					if g != 0 && orow[j] > 0 {
+						dpre[j] = g
+						allZero = false
+					} else {
+						dpre[j] = 0
+					}
+				}
+			case DenseActTanh:
+				for j, g := range grow {
+					d := g * (1 - orow[j]*orow[j])
+					dpre[j] = d
+					if d != 0 {
+						allZero = false
+					}
+				}
+			default:
+				for j, g := range grow {
+					dpre[j] = g
+					if g != 0 {
+						allZero = false
+					}
+				}
+			}
+			if allZero {
+				continue
+			}
+			arow := a[i*k : (i+1)*k]
+			if da != nil {
+				agrow := da[i*k : (i+1)*k]
+				for kk := 0; kk < k; kk++ {
+					wrow := w[kk*n : (kk+1)*n]
+					var s float64
+					for j, d := range dpre {
+						s += d * wrow[j]
+					}
+					agrow[kk] += s
+				}
+			}
+			if wgrad != nil {
+				for kk := 0; kk < k; kk++ {
+					if av := arow[kk]; av != 0 {
+						wgrow := wgrad[kk*n : (kk+1)*n]
+						for j, d := range dpre {
+							wgrow[j] += av * d
+						}
+					}
+				}
+			}
+			if bgrad != nil {
+				for j, d := range dpre {
+					bgrad[j] += d
+				}
+			}
+		}
+	}
+	if m < denseBlockRows {
+		backward(0, m, make([]float64, n), dw, db)
+		return out
+	}
+	for b := 0; b < denseBlocks; b++ {
+		lo, hi := blockRange(m, b)
+		wpart, bpart := make([]float64, k*n), make([]float64, n)
+		backward(lo, hi, make([]float64, n), wpart, bpart)
+		if dw != nil {
+			for i, v := range wpart {
+				dw[i] += v
+			}
+		}
+		if db != nil {
+			for j, v := range bpart {
+				db[j] += v
+			}
+		}
+	}
+	return out
+}
+
+// denseCase is one shape and setting of the bit-exactness property.
+type denseCase struct {
+	m, k, n, act     int
+	sparsity         float64 // share of zero inputs
+	doA, doW, doBias bool    // which operands track gradients
+}
+
+// checkDenseBits runs Dense forward and backward on random operands and
+// requires the output and every wanted gradient to carry the reference's
+// bits. Gradients start from random values, since the kernels add into
+// what is there; about a quarter of the upstream gradient rows are all
+// zero and another quarter half zero.
+func checkDenseBits(t *testing.T, rng *rand.Rand, c denseCase) {
+	t.Helper()
+	normal := func(size int) []float64 {
+		s := make([]float64, size)
+		for i := range s {
+			s[i] = rng.NormFloat64()
+		}
+		return s
+	}
+	a := normal(c.m * c.k)
+	for i := range a {
+		if rng.Float64() < c.sparsity {
+			a[i] = 0
+		}
+	}
+	w, bias, gout := normal(c.k*c.n), normal(c.n), normal(c.m*c.n)
+	for i := 0; i < c.m; i++ {
+		switch rng.Intn(4) {
+		case 0:
+			clear(gout[i*c.n : (i+1)*c.n])
+		case 1:
+			for j := i * c.n; j < (i+1)*c.n; j += 2 {
+				gout[j] = 0
+			}
+		}
+	}
+	start := func(want bool, size int) []float64 {
+		if !want {
+			return nil
+		}
+		return normal(size)
+	}
+	da0, dw0, db0 := start(c.doA, c.m*c.k), start(c.doW, c.k*c.n), start(c.doBias, c.n)
+	wantA, wantW, wantB := slices.Clone(da0), slices.Clone(dw0), slices.Clone(db0)
+	want := refDense(a, w, bias, c.m, c.k, c.n, c.act, gout, wantA, wantW, wantB)
+
+	operand := func(data, grad []float64, shape ...int) *Tensor {
+		x := FromSlice(data, shape...)
+		x.Grad, x.RequiresGrad = slices.Clone(grad), grad != nil
+		return x
+	}
+	at := operand(a, da0, c.m, c.k)
+	wt := operand(w, dw0, c.k, c.n)
+	bt := operand(bias, db0, 1, c.n)
+	out := Dense(at, wt, bt, c.act)
+	out.Grad = gout
+	out.backFn()
+	for _, x := range []struct {
+		name      string
+		got, want []float64
+	}{{"out", out.Data, want}, {"dA", at.Grad, wantA}, {"dW", wt.Grad, wantW}, {"dBias", bt.Grad, wantB}} {
+		if len(x.got) != len(x.want) {
+			t.Fatalf("%+v: %s has %d values, reference %d", c, x.name, len(x.got), len(x.want))
+		}
+		for i := range x.want {
+			if math.Float64bits(x.got[i]) != math.Float64bits(x.want[i]) {
+				t.Fatalf("%+v: %s[%d] = %v, reference %v", c, x.name, i, x.got[i], x.want[i])
+			}
+		}
+	}
+}
+
+// TestDenseKernelsBitExact requires the blocked Dense kernels to give the
+// reference loops' bits: every k×n pair of the widths below and all three
+// activations at small m (around the dW row queue's length), and the
+// blocked path on either side of denseBlockRows, each case at input
+// sparsity 0/50/95/100 % and under every doA/doW/doBias combination in
+// turn, at GOMAXPROCS 1 and 4.
+func TestDenseKernelsBitExact(t *testing.T) {
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31, 32, 64, 65}
+	sparsities := []float64{0, 0.5, 0.95, 1}
+	acts := []int{DenseActNone, DenseActReLU, DenseActTanh}
+	smallM := []int{1, 2, 3, 5, denseGather - 1, denseGather, denseGather + 1, 2*denseGather + 3}
+	blockedM := []int{denseBlockRows - 1, denseBlockRows, denseBlockRows + 37}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rng := rand.New(rand.NewSource(13))
+			var cases []denseCase
+			for _, k := range widths {
+				for _, n := range widths {
+					for _, act := range acts {
+						cases = append(cases, denseCase{m: smallM[rng.Intn(len(smallM))], k: k, n: n, act: act})
+					}
+				}
+			}
+			for _, m := range blockedM {
+				for _, act := range acts {
+					for range sparsities {
+						k, n := widths[rng.Intn(len(widths))], widths[rng.Intn(len(widths))]
+						cases = append(cases, denseCase{m: m, k: k, n: n, act: act})
+					}
+				}
+			}
+			for i, c := range cases {
+				c.sparsity = sparsities[i%len(sparsities)]
+				do := i / len(sparsities)
+				c.doA, c.doW, c.doBias = do&1 != 0, do&2 != 0, do&4 != 0
+				checkDenseBits(t, rng, c)
+			}
+		})
 	}
 }

@@ -390,11 +390,34 @@ func Reshape(a *Tensor, shape ...int) *Tensor {
 // LogSoftmax applies a numerically stable row-wise log-softmax to a[m,n].
 func LogSoftmax(a *Tensor) *Tensor {
 	a.want2D()
-	m, n := a.Shape[0], a.Shape[1]
 	out := newFrom("logsoftmax", a.Shape, a)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
+	copy(out.Data, a.Data)
+	logSoftmaxRows(out)
+	out.backFn = func() { logSoftmaxBackward(a, out) }
+	return out
+}
+
+// expUnderflow is math.Exp's underflow bound: below it the result is
+// exactly 0.
+const expUnderflow = -7.45133219101941108420e+02
+
+// ExpOrZero returns math.Exp(x) for every x, without calling it where the
+// result is exactly 0. Log-softmax rows are mostly masked cells sitting
+// near the mask penalty, far below the bound, so sums of exponentials over
+// them keep every bit and lose most of the calls.
+func ExpOrZero(x float64) float64 {
+	if x < expUnderflow {
+		return 0
+	}
+	return math.Exp(x)
+}
+
+// logSoftmaxRows replaces every row of the 2-D t with its log-softmax,
+// shifted by the row maximum for stability.
+func logSoftmaxRows(t *Tensor) {
+	n := t.Shape[1]
+	for i := 0; i < t.Shape[0]; i++ {
+		row := t.Data[i*n : (i+1)*n]
 		max := row[0]
 		for _, v := range row[1:] {
 			if v > max {
@@ -403,29 +426,32 @@ func LogSoftmax(a *Tensor) *Tensor {
 		}
 		var lse float64
 		for _, v := range row {
-			lse += math.Exp(v - max)
+			lse += ExpOrZero(v - max)
 		}
 		lse = math.Log(lse) + max
-		for j, v := range row {
-			orow[j] = v - lse
+		for j := range row {
+			row[j] -= lse
 		}
 	}
-	out.backFn = func() {
-		a.ensureGrad()
-		// d a_j = g_j - softmax_j * sum(g).
-		for i := 0; i < m; i++ {
-			grow := out.Grad[i*n : (i+1)*n]
-			orow := out.Data[i*n : (i+1)*n]
-			var gsum float64
-			for _, g := range grow {
-				gsum += g
-			}
-			for j := 0; j < n; j++ {
-				a.Grad[i*n+j] += grow[j] - math.Exp(orow[j])*gsum
-			}
+}
+
+// logSoftmaxBackward adds the log-softmax gradient of out into a.Grad:
+// d a_j = g_j - softmax_j * sum(g), softmax_j being exp(out_j).
+func logSoftmaxBackward(a, out *Tensor) {
+	a.ensureGrad()
+	n := out.Shape[1]
+	for i := 0; i < out.Shape[0]; i++ {
+		grow := out.Grad[i*n : (i+1)*n]
+		orow := out.Data[i*n : (i+1)*n]
+		agrow := a.Grad[i*n : (i+1)*n]
+		var gsum float64
+		for _, g := range grow {
+			gsum += g
+		}
+		for j, o := range orow {
+			agrow[j] += grow[j] - ExpOrZero(o)*gsum
 		}
 	}
-	return out
 }
 
 // Softmax applies a row-wise softmax (exp of LogSoftmax, sharing its
@@ -567,179 +593,6 @@ func ScatterRowsFill(a *Tensor, idx []int, m, fill int) *Tensor {
 	return out
 }
 
-// Activation codes for the fused Dense layer.
-const (
-	DenseActNone = iota
-	DenseActReLU
-	DenseActTanh
-)
-
-// Dense returns act(a[m,k] × w[k,n] + bias[1,n]) as a single fused graph
-// node. Fusing the three steps that MatMul/AddBias/ReLU would otherwise
-// perform separately removes two full [m,n] tensor allocations and two
-// backward passes per layer — the training update spends most of its time
-// here, so the layer fusion is a measurable share of epoch wall-time.
-func Dense(a, w, bias *Tensor, act int) *Tensor {
-	a.want2D()
-	w.want2D()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := w.Shape[0], w.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("autograd: Dense inner dims %d vs %d", k, k2))
-	}
-	if bias.Shape[0] != 1 || bias.Shape[1] != n {
-		panic(fmt.Sprintf("autograd: Dense bias shape %v for width %d", bias.Shape, n))
-	}
-	out := newFrom("dense", []int{m, n}, a, w, bias)
-	forward := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			copy(orow, bias.Data)
-			for kk := 0; kk < k; kk++ {
-				av := arow[kk]
-				if av == 0 {
-					continue
-				}
-				wrow := w.Data[kk*n : (kk+1)*n]
-				for j, wv := range wrow {
-					orow[j] += av * wv
-				}
-			}
-			switch act {
-			case DenseActReLU:
-				for j, v := range orow {
-					if v < 0 {
-						orow[j] = 0
-					}
-				}
-			case DenseActTanh:
-				for j, v := range orow {
-					orow[j] = math.Tanh(v)
-				}
-			}
-		}
-	}
-	if m >= denseBlockRows {
-		runBlocks(func(b int) {
-			lo, hi := blockRange(m, b)
-			forward(lo, hi)
-		})
-	} else {
-		forward(0, m)
-	}
-	out.backFn = func() {
-		doA, doW, doBias := a.needsGrad(), w.needsGrad(), bias.needsGrad()
-		if doA {
-			a.ensureGrad()
-		}
-		if doW {
-			w.ensureGrad()
-		}
-		if doBias {
-			bias.ensureGrad()
-		}
-		// backward handles rows [lo, hi): dA straight into a.Grad (rows are
-		// block-private), dW/dBias into the given accumulators.
-		backward := func(lo, hi int, dpre, wgrad, bgrad []float64) {
-			for i := lo; i < hi; i++ {
-				grow := out.Grad[i*n : (i+1)*n]
-				orow := out.Data[i*n : (i+1)*n]
-				allZero := true
-				switch act {
-				case DenseActReLU:
-					// out > 0 ⟺ pre-activation > 0 (exact zeros stay dead,
-					// matching ReLU's subgradient convention).
-					for j, g := range grow {
-						if g != 0 && orow[j] > 0 {
-							dpre[j] = g
-							allZero = false
-						} else {
-							dpre[j] = 0
-						}
-					}
-				case DenseActTanh:
-					for j, g := range grow {
-						d := g * (1 - orow[j]*orow[j])
-						dpre[j] = d
-						if d != 0 {
-							allZero = false
-						}
-					}
-				default:
-					for j, g := range grow {
-						dpre[j] = g
-						if g != 0 {
-							allZero = false
-						}
-					}
-				}
-				if allZero {
-					continue
-				}
-				arow := a.Data[i*k : (i+1)*k]
-				if doA {
-					agrow := a.Grad[i*k : (i+1)*k]
-					for kk := 0; kk < k; kk++ {
-						wrow := w.Data[kk*n : (kk+1)*n]
-						var s float64
-						for j, d := range dpre {
-							s += d * wrow[j]
-						}
-						agrow[kk] += s
-					}
-				}
-				if doW {
-					for kk := 0; kk < k; kk++ {
-						if av := arow[kk]; av != 0 {
-							wgrow := wgrad[kk*n : (kk+1)*n]
-							for j, d := range dpre {
-								wgrow[j] += av * d
-							}
-						}
-					}
-				}
-				if doBias {
-					for j, d := range dpre {
-						bgrad[j] += d
-					}
-				}
-			}
-		}
-		if m < denseBlockRows {
-			backward(0, m, make([]float64, n), w.Grad, bias.Grad)
-			return
-		}
-		// Blocked path: per-block partial gradients for the shared W and
-		// bias, reduced in block order so the summation order is fixed by
-		// the shape alone (GOMAXPROCS only changes wall-clock).
-		wparts := make([]*[]float64, denseBlocks)
-		bparts := make([]*[]float64, denseBlocks)
-		runBlocks(func(b int) {
-			lo, hi := blockRange(m, b)
-			wparts[b], bparts[b] = getZeroed(k*n), getZeroed(n)
-			dpre := getZeroed(n)
-			backward(lo, hi, *dpre, *wparts[b], *bparts[b])
-			scratchPool.Put(dpre)
-		})
-		for b := 0; b < denseBlocks; b++ {
-			if doW {
-				for i, v := range *wparts[b] {
-					w.Grad[i] += v
-				}
-			}
-			if doBias {
-				for j, v := range *bparts[b] {
-					bias.Grad[j] += v
-				}
-			}
-			scratchPool.Put(wparts[b])
-			scratchPool.Put(bparts[b])
-		}
-	}
-	return out
-}
-
 // MaskedLogSoftmax is LogSoftmax(a + penalty·(1-mask)) as one fused node:
 // invalid cells (mask[i] false, flat row-major like a) are pushed to
 // penalty before the row-wise stable log-softmax. It replaces the
@@ -752,46 +605,14 @@ func MaskedLogSoftmax(a *Tensor, mask []bool, penalty float64) *Tensor {
 		panic(fmt.Sprintf("autograd: MaskedLogSoftmax %d flags for %dx%d", len(mask), m, n))
 	}
 	out := newFrom("maskedlogsoftmax", a.Shape, a)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		mrow := mask[i*n : (i+1)*n]
-		orow := out.Data[i*n : (i+1)*n]
-		for j, v := range row {
-			if !mrow[j] {
-				v += penalty
-			}
-			orow[j] = v
+	for i, v := range a.Data {
+		if !mask[i] {
+			v += penalty
 		}
-		max := orow[0]
-		for _, v := range orow[1:] {
-			if v > max {
-				max = v
-			}
-		}
-		var lse float64
-		for _, v := range orow {
-			lse += math.Exp(v - max)
-		}
-		lse = math.Log(lse) + max
-		for j := range orow {
-			orow[j] -= lse
-		}
+		out.Data[i] = v
 	}
-	out.backFn = func() {
-		a.ensureGrad()
-		// Same Jacobian as LogSoftmax: the penalty shift is constant.
-		for i := 0; i < m; i++ {
-			grow := out.Grad[i*n : (i+1)*n]
-			orow := out.Data[i*n : (i+1)*n]
-			var gsum float64
-			for _, g := range grow {
-				gsum += g
-			}
-			agrow := a.Grad[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				agrow[j] += grow[j] - math.Exp(orow[j])*gsum
-			}
-		}
-	}
+	logSoftmaxRows(out)
+	// Same Jacobian as LogSoftmax: the penalty shift is constant.
+	out.backFn = func() { logSoftmaxBackward(a, out) }
 	return out
 }

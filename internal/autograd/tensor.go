@@ -165,9 +165,15 @@ func (t *Tensor) Backward() {
 		order = append(order, n)
 	}
 	visit(t)
+	// Plain data leaves get no buffer up front: nothing reads their
+	// gradient, the expensive operators skip them (needsGrad), and the
+	// rest allocate one lazily.
 	for _, n := range order {
-		n.ensureGrad()
+		if n.needsGrad() {
+			n.ensureGrad()
+		}
 	}
+	t.ensureGrad()
 	t.Grad[0] = 1
 	for i := len(order) - 1; i >= 0; i-- {
 		if order[i].backFn != nil {

@@ -181,3 +181,18 @@ func TestRandParamRange(t *testing.T) {
 		}
 	}
 }
+
+func TestBackwardLeavesDataLeavesBare(t *testing.T) {
+	// An observation batch is a plain data leaf: nothing reads its
+	// gradient, so Backward must not allocate (and zero) one for it.
+	x := FromSlice([]float64{1, 0, 2, 3, 0, 1}, 2, 3)
+	w := Param([]float64{0.5, -1, 2, 0.25, -0.5, 1}, 3, 2)
+	b := Param([]float64{0.1, -0.2}, 1, 2)
+	Sum(Dense(x, w, b, DenseActTanh)).Backward()
+	if x.Grad != nil {
+		t.Errorf("data leaf got a %d-value gradient buffer", len(x.Grad))
+	}
+	if w.Grad[0] == 0 || b.Grad[0] == 0 {
+		t.Errorf("parameters got no gradient: w %v, b %v", w.Grad, b.Grad)
+	}
+}

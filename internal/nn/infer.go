@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	ag "rlsched/internal/autograd"
@@ -89,6 +88,8 @@ func getScratch(n int) *[]float64 {
 
 // infer runs rows x[n, sizes[0]] through the stack without touching the
 // autograd engine, writing the last layer's output to out[n, lastWidth].
+// Each layer is ag.DenseRows, the forward kernel training's ag.Dense runs,
+// so inference and the autograd forward pass agree to the bit.
 func (m *MLP) infer(x []float64, n int, out []float64) {
 	widest := 0
 	for _, l := range m.Layers {
@@ -101,55 +102,23 @@ func (m *MLP) infer(x []float64, n int, out []float64) {
 	defer scratchPool.Put(a)
 	defer scratchPool.Put(b)
 
-	src := x
-	dst := *a
+	src, dst, spare := x, *a, *b
 	for li, l := range m.Layers {
 		in, width := l.W.Shape[0], l.W.Shape[1]
-		last := li+1 == len(m.Layers)
-		if last {
-			dst = out
+		act := m.Act.denseCode()
+		if li+1 == len(m.Layers) {
+			act, dst = ag.DenseActNone, out
 		}
-		w, bias := l.W.Data, l.B.Data
-		for i := 0; i < n; i++ {
-			xi := src[i*in : (i+1)*in]
-			yi := dst[i*width : (i+1)*width]
-			copy(yi, bias)
-			for k := 0; k < in; k++ {
-				v := xi[k]
-				if v == 0 {
-					continue // ReLU zeros make this skip pay for itself
-				}
-				wk := w[k*width : (k+1)*width]
-				for j, wv := range wk {
-					yi[j] += v * wv
-				}
-			}
-			if !last {
-				applyActInPlace(m.Act, yi)
-			}
-		}
-		if !last {
-			src = dst
-			if li%2 == 0 {
-				dst = *b
-			} else {
-				dst = *a
-			}
-		}
+		ag.DenseRows(src[:n*in], l.W.Data, l.B.Data, dst[:n*width], in, width, act)
+		src, dst, spare = dst, spare, dst
 	}
 }
 
-func applyActInPlace(act Activation, v []float64) {
-	switch act {
-	case ActReLU:
-		for i, x := range v {
-			if x < 0 {
-				v[i] = 0
-			}
-		}
-	case ActTanh:
-		for i, x := range v {
-			v[i] = math.Tanh(x)
+// reluInPlace clamps the negative entries of v to 0.
+func reluInPlace(v []float64) {
+	for i, x := range v {
+		if x < 0 {
+			v[i] = 0
 		}
 	}
 }
@@ -194,12 +163,12 @@ func (l *LeNet) InferLogits(obs []float64, batch int, out []float64) {
 
 	b1 := (*c1)[:batch*4*h1*w1]
 	ag.Conv2DInfer(obs, batch, 1, l.maxObs, l.feat, l.w1.Data, l.b1.Data, 4, 3, 3, b1)
-	applyActInPlace(ActReLU, b1)
+	reluInPlace(b1)
 	b2 := (*p1)[:batch*4*h1p*w1p]
 	ag.MaxPool2DInfer(b1, batch, 4, h1, w1, 2, 1, b2)
 	b3 := (*c2)[:batch*8*h2*w2]
 	ag.Conv2DInfer(b2, batch, 4, h1p, w1p, l.w2.Data, l.b2.Data, 8, 3, 3, b3)
-	applyActInPlace(ActReLU, b3)
+	reluInPlace(b3)
 	b4 := (*p2)[:batch*8*h2p*w2p]
 	ag.MaxPool2DInfer(b3, batch, 8, h2, w2, 2, 1, b4)
 	l.dense.infer(b4, batch, out)

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,7 +11,8 @@ import (
 )
 
 // inferParity checks the graph-free fast path against the autograd forward
-// pass on random observations.
+// pass on random observations: both run ag.DenseRows, so the logits must
+// agree to the bit.
 func inferParity(t *testing.T, net PolicyNet, batch int) {
 	t.Helper()
 	inf, ok := net.(Inferer)
@@ -27,7 +29,7 @@ func inferParity(t *testing.T, net PolicyNet, batch int) {
 	got := make([]float64, batch*maxObs)
 	inf.InferLogits(obs, batch, got)
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s logit %d: fast=%g autograd=%g", net.Kind(), i, got[i], want[i])
 		}
 	}
@@ -72,10 +74,72 @@ func TestInferValuesMatchesAutograd(t *testing.T) {
 		got := make([]float64, batch)
 		v.InferValues(obs, batch, got)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("value %d: fast=%g autograd=%g", i, got[i], want[i])
 			}
 		}
+	}
+}
+
+func TestInferLogitsDoesNotAllocate(t *testing.T) {
+	// The serving and rollout hot path: one observation through the
+	// kernel net's shared forward kernel, scratch from the pool.
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	rng := rand.New(rand.NewSource(8))
+	net := NewKernelNet(rng, 128, 7, nil)
+	obs := make([]float64, 128*7)
+	for i := range obs {
+		if i%3 != 0 {
+			obs[i] = rng.Float64()
+		}
+	}
+	out := make([]float64, 128)
+	if allocs := testing.AllocsPerRun(100, func() { net.InferLogits(obs, 1, out) }); allocs != 0 {
+		t.Errorf("KernelNet.InferLogits allocates %v times per call", allocs)
+	}
+}
+
+func TestAsInfererFallsBackToAutograd(t *testing.T) {
+	// A PolicyNet without a fast path of its own is served by the autograd
+	// forward pass, with the same logits.
+	type graphOnly struct{ PolicyNet }
+	rng := rand.New(rand.NewSource(9))
+	net := NewKernelNet(rng, 16, 7, nil)
+	inf := AsInferer(graphOnly{net})
+	if _, native := inf.(*KernelNet); native {
+		t.Fatal("AsInferer returned the native fast path of a net that hides it")
+	}
+	obs := make([]float64, 2*16*7)
+	for i := range obs {
+		obs[i] = rng.Float64()
+	}
+	got, want := make([]float64, 2*16), make([]float64, 2*16)
+	inf.InferLogits(obs, 2, got)
+	net.InferLogits(obs, 2, want)
+	if !slices.Equal(got, want) {
+		t.Errorf("fallback logits %v, fast path %v", got, want)
+	}
+}
+
+func TestInferRejectsMismatchedBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	obs, out := make([]float64, 16*7), make([]float64, 16)
+	for name, f := range map[string]func(){
+		"kernel obs": func() { NewKernelNet(rng, 16, 7, nil).InferLogits(obs[1:], 1, out) },
+		"mlp out":    func() { NewMLPPolicy(rng, 16, 7, "mlp-v1").InferLogits(obs, 1, out[1:]) },
+		"lenet obs":  func() { NewLeNet(rng, 16, 7).InferLogits(obs, 2, out) },
+		"value out":  func() { NewValueNet(rng, 16, 7, nil).InferValues(obs, 1, out) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: mismatched buffer sizes must panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

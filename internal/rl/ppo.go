@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"math"
 	"math/rand"
 
 	ag "rlsched/internal/autograd"
@@ -188,7 +187,7 @@ func (p *PPO) Update(batch Batch) UpdateStats {
 		} else {
 			var s float64
 			for _, lp := range logProbs.Data {
-				s += math.Exp(lp) * lp
+				s += ag.ExpOrZero(lp) * lp
 			}
 			entropy = -s / float64(n)
 		}
