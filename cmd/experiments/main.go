@@ -1,5 +1,4 @@
-// Command experiments regenerates the paper's tables and figures, and
-// doubles as the load generator for the decision daemon.
+// Command experiments regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -9,12 +8,6 @@
 //
 // Scales: quick (seconds–minutes), standard (tens of minutes), paper
 // (the §V-A settings; hours of CPU).
-//
-// Load-generator mode hammers a running rlservd with synthetic queue
-// states sampled from a preset trace and reports achieved decisions/sec:
-//
-//	experiments -loadgen http://127.0.0.1:9090 -load-duration 10s \
-//	    -load-conns 4 -load-states 16 -load-queue 128
 package main
 
 import (
@@ -27,7 +20,6 @@ import (
 	"time"
 
 	"rlsched/internal/exp"
-	"rlsched/internal/serve"
 	"rlsched/internal/trace"
 )
 
@@ -81,31 +73,7 @@ func main() {
 		"write sampled fleet health series (utilization, queue depth, bsld, fairness, migrations) of a representative fleet run as JSON here (fleet experiments)")
 	reportPath := flag.String("report", "",
 		"write a machine-readable run report (scenario, seeds, metrics, phase timings) as JSON here")
-	loadgen := flag.String("loadgen", "", "load-generator mode: base URL of a running rlservd")
-	loadDur := flag.Duration("load-duration", 5*time.Second, "loadgen measurement window")
-	loadConns := flag.Int("load-conns", 4, "loadgen concurrent connections")
-	loadStates := flag.Int("load-states", 1, "loadgen queue states per request")
-	loadQueue := flag.Int("load-queue", 128, "loadgen pending jobs per queue state")
-	loadPreset := flag.String("load-preset", "Lublin-1", "loadgen trace preset for queue states")
 	flag.Parse()
-
-	if *loadgen != "" {
-		report, err := serve.RunLoad(serve.LoadConfig{
-			Addr:         *loadgen,
-			Conns:        *loadConns,
-			Duration:     *loadDur,
-			Preset:       *loadPreset,
-			QueueJobs:    *loadQueue,
-			StatesPerReq: *loadStates,
-			Seed:         *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: loadgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(report)
-		return
-	}
 
 	if *list {
 		for _, id := range exp.IDs() {

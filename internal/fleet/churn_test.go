@@ -12,6 +12,7 @@ import (
 	"rlsched/internal/sched"
 	"rlsched/internal/sim"
 	"rlsched/internal/telemetry"
+	"rlsched/internal/trace"
 )
 
 // Tests of cluster churn (churn.go): the lifecycle state machine, job
@@ -253,7 +254,7 @@ func TestHeapFullSweepParityWithChurn(t *testing.T) {
 					}
 				}
 				ref := runVariant(t, members, router, stream, func(f *Fleet) {
-					f.SetFullSweep(true)
+					f.fullSweep = true
 					churn(f)
 				})
 				heap := runVariant(t, members, router, stream, churn)
@@ -636,5 +637,63 @@ func TestSamplerChurnSeries(t *testing.T) {
 	}
 	if got := set.Get("fleet.completed").Last().V; got != float64(len(stream)) {
 		t.Fatalf("final completed = %g, want %d", got, len(stream))
+	}
+}
+
+// BenchmarkFleetChurn (DESIGN.md §12) runs Run through a full membership
+// lifecycle and through the identical fleet without a churn plan; the
+// placements/s gap bounds what the churn machinery costs on the placement
+// path. The lifecycle over the stream's span: a join at 10%, an announced
+// failure of a big member at 70% (notice from 30%), and a graceful drain
+// of the small member at 90% (notice from 75%).
+func BenchmarkFleetChurn(b *testing.B) {
+	member := func(name string, procs int) MemberConfig {
+		return MemberConfig{
+			Name:      name,
+			Sim:       sim.Config{Processors: procs, Backfill: true, MaxObserve: 32},
+			Scheduler: sched.FCFS(),
+		}
+	}
+	const arrivals = 2000
+	tr := trace.Preset("Lublin-1", arrivals+64, 61)
+	stream := tr.SampleWindow(rand.New(rand.NewSource(61)), arrivals)
+	// Compress arrivals so members carry real backlogs: the drain and the
+	// failure then force a meaningful batch of re-placements instead of
+	// retiring an idle member.
+	start := stream[0].SubmitTime
+	for _, j := range stream {
+		j.SubmitTime = start + (j.SubmitTime-start)/4
+		if j.RequestedProcs > 64 {
+			j.RequestedProcs = 64
+		}
+	}
+	span := stream[len(stream)-1].SubmitTime - start
+	at := func(frac float64) float64 { return start + frac*span }
+	plan := ChurnPlan{
+		{Kind: ChurnJoin, Time: at(0.10), Member: member("late-128", 128)},
+		{Kind: ChurnFail, Time: at(0.70), Name: "c01-256", Notice: 0.4 * span},
+		{Kind: ChurnDrain, Time: at(0.90), Name: "c03-64", Notice: 0.15 * span},
+	}
+	for _, churn := range []bool{false, true} {
+		name := "static"
+		if churn {
+			name = "lifecycle"
+		}
+		b.Run(name, func(b *testing.B) {
+			var members []MemberConfig
+			for i, procs := range []int{256, 256, 128, 64} {
+				members = append(members, member(fmt.Sprintf("c%02d-%d", i, procs), procs))
+			}
+			f, err := New(members, ChurnAwarePipeline())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if churn {
+				if err := f.EnableChurn(plan); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchRun(b, f, stream)
+		})
 	}
 }

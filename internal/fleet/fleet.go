@@ -227,8 +227,8 @@ type Fleet struct {
 	// Event-heap stepping state (heap.go). candStore is the contiguous
 	// backing array of cands; sims mirrors members for pointer-chase-free
 	// hot loops; active[i] records whether member i holds allocations.
-	// fullSweep selects the pre-heap reference path and workers the
-	// parallel-stepping width (parallel.go).
+	// fullSweep selects the pre-heap reference path (set by tests only;
+	// see heap.go) and workers the parallel-stepping width (parallel.go).
 	fullSweep bool
 	workers   int
 	// clockFree records that the router declared (via the ClockFree

@@ -21,8 +21,11 @@ package fleet
 // every backfill admission test (EASY's ends-in-time bound, conservative's
 // reservation gap) only gets harder as the clock grows — so a member that
 // was at fixpoint stays at fixpoint and advancing it is observationally
-// a no-op. The full-sweep reference path (SetFullSweep) advances every
-// member anyway; a property test pins the two paths byte-identical.
+// a no-op. The full-sweep reference path (Fleet.fullSweep) advances every
+// member and rebuilds every candidate at every arrival anyway. It is not a
+// knob: only this package's tests set it, as the oracle the heap path is
+// pinned byte-identical to, and BenchmarkFleetScale, as the baseline the
+// heap's speedup is measured against.
 
 import (
 	"sort"
@@ -83,14 +86,6 @@ func (h *eventHeap) pop() eventEntry {
 	}
 	return top
 }
-
-// SetFullSweep switches subsequent Runs between event-heap stepping (the
-// default, off) and the pre-heap reference path that advances every member
-// and rebuilds every candidate at every arrival. The two paths produce
-// byte-identical Results (pinned by a randomized property test); the
-// reference exists for that comparison and as the baseline the fleet-scale
-// benchmark measures speedups against. Takes effect at the next Run.
-func (f *Fleet) SetFullSweep(on bool) { f.fullSweep = on }
 
 // SetWorkers sets how many goroutines step woken members per advance
 // (n <= 1 keeps stepping serial, the default). Member simulators are

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"rlsched/internal/job"
@@ -160,3 +161,31 @@ func TestEnableSamplingValidation(t *testing.T) {
 		t.Fatal("nil Set must be rejected")
 	}
 }
+
+// benchmarkPlaceRun routes the scale suite's arrival stream through an
+// 8-member fleet, with or without health sampling at 64 ticks over the
+// stream's span. The sampled/unsampled gap is the telemetry overhead a
+// monitored run pays; DESIGN.md §11 bounds it at a few percent, because
+// sampling rides the event heap instead of adding sweeps.
+func benchmarkPlaceRun(b *testing.B, sampled bool) {
+	stream := scaleBenchStream()
+	f, err := New(scaleBenchMembers(8), BinpackPipeline())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sampled {
+		span := stream[len(stream)-1].SubmitTime - stream[0].SubmitTime
+		cfg := SamplingConfig{Interval: math.Max(1, span/64), Set: telemetry.NewSet()}
+		if err := f.EnableSampling(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchRun(b, f, stream)
+}
+
+// BenchmarkFleetPlaceRun is the unsampled Run baseline.
+func BenchmarkFleetPlaceRun(b *testing.B) { benchmarkPlaceRun(b, false) }
+
+// BenchmarkFleetPlaceRunSampled is BenchmarkFleetPlaceRun with periodic
+// health sampling into a telemetry set.
+func BenchmarkFleetPlaceRunSampled(b *testing.B) { benchmarkPlaceRun(b, true) }

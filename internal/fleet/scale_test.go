@@ -111,10 +111,10 @@ func TestHeapFullSweepParityProperty(t *testing.T) {
 					}
 				}
 				variants := map[string]func(*Fleet){
-					"fullsweep":     func(f *Fleet) { f.SetFullSweep(true) },
+					"fullsweep":     func(f *Fleet) { f.fullSweep = true },
 					"heap":          nil,
 					"heap-workers4": func(f *Fleet) { f.SetWorkers(4) },
-					"mig-fullsweep": func(f *Fleet) { f.SetFullSweep(true); migrate(f) },
+					"mig-fullsweep": func(f *Fleet) { f.fullSweep = true; migrate(f) },
 					"mig-heap":      migrate,
 					"mig-workers4":  func(f *Fleet) { f.SetWorkers(4); migrate(f) },
 				}
@@ -195,7 +195,7 @@ func TestIdleMembersNotStepped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.SetFullSweep(true)
+	ref.fullSweep = true
 	if _, err := ref.Run(cloneStream(stream)); err != nil {
 		t.Fatal(err)
 	}
@@ -243,5 +243,84 @@ func TestWorkerCountParity(t *testing.T) {
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("workers=%d diverges from workers=0", w)
 		}
+	}
+}
+
+// The fleet scalability suite (DESIGN.md §10): end-to-end Run at 1k, 5k
+// and 10k members on the event heap, and at 10k on the full-sweep
+// reference. The ratio of the two 10k placements/s is the heap's speedup.
+
+// scaleBenchMembers synthesizes an n-member fleet from the experiment size
+// template ([256, 128, 64] cycling, SJF + EASY backfill, a fresh scheduler
+// per member — required with parallel stepping).
+func scaleBenchMembers(n int) []MemberConfig {
+	sizes := []int{256, 128, 64}
+	members := make([]MemberConfig, n)
+	for i := range members {
+		members[i] = MemberConfig{
+			Name:      fmt.Sprintf("c%05d", i),
+			Sim:       sim.Config{Processors: sizes[i%3], Backfill: true, MaxObserve: 32},
+			Scheduler: sched.SJF(),
+		}
+	}
+	return members
+}
+
+// scaleBenchStream samples the 4000-arrival stream the scale points route
+// — long enough that per-run reset cost is noise against steady-state
+// placement — clamped so every member size is feasible (the filter phase
+// stays a ranking problem, not a capacity cliff).
+func scaleBenchStream() []*job.Job {
+	const arrivals = 4000
+	tr := trace.Preset("Lublin-1", arrivals+64, 33)
+	rng := rand.New(rand.NewSource(33))
+	stream := tr.SampleWindow(rng, arrivals)
+	for _, j := range stream {
+		if j.RequestedProcs > 64 {
+			j.RequestedProcs = 64
+		}
+	}
+	return stream
+}
+
+// benchRun times b.N Runs of f over copies of stream, reports
+// placements/s, and returns the mean seconds per placement.
+func benchRun(b *testing.B, f *Fleet, stream []*job.Job) float64 {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Run(cloneStream(stream)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	placed := float64(b.N * len(stream))
+	b.ReportMetric(placed/b.Elapsed().Seconds(), "placements/s")
+	return b.Elapsed().Seconds() / placed
+}
+
+// BenchmarkFleetScale is the fleet-size scaling suite; sweep-µs is the
+// mean per-arrival cost of bringing the fleet to the arrival and placing
+// it. CI runs the n=1k point.
+func BenchmarkFleetScale(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		n         int
+		fullSweep bool
+	}{
+		{"n=1k", 1000, false},
+		{"n=5k", 5000, false},
+		{"fullsweep-10k", 10000, true},
+		{"n=10k", 10000, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f, err := New(scaleBenchMembers(c.n), BinpackPipeline())
+			if err != nil {
+				b.Fatal(err)
+			}
+			f.fullSweep = c.fullSweep
+			b.ReportMetric(benchRun(b, f, scaleBenchStream())*1e6, "sweep-µs")
+		})
 	}
 }

@@ -223,9 +223,10 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestMalformedSnapshotIsAnError: dimensions no network can be built with
-// are refused by ReadSnapshot, and a LeNet too small for its conv/pool
-// stages by both Materialize paths — an error each time, never a panic.
+// TestMalformedSnapshotIsAnError: dimensions no network can be built with,
+// or that the file's floats do not back, are refused by ReadSnapshot, and a
+// LeNet too small for its conv/pool stages by both Materialize paths — an
+// error each time, never a panic or a huge allocation.
 func TestMalformedSnapshotIsAnError(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p, _ := NewPolicy(rng, "kernel", testMaxObs, testFeat)
@@ -241,7 +242,15 @@ func TestMalformedSnapshotIsAnError(t *testing.T) {
 		{"max_obs -1", func(s *Snapshot) { s.MaxObs = -1 }, true},
 		{"value_hidden [-1]", func(s *Snapshot) { s.ValueHidden = []int{-1} }, true},
 		{"value_hidden [32 0]", func(s *Snapshot) { s.ValueHidden = []int{32, 0} }, true},
-		{"lenet 2x2", func(s *Snapshot) { s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2 }, false},
+		{"kernel max_obs 1e9", func(s *Snapshot) { s.MaxObs = 1e9 }, true},
+		{"mlp-v1 max_obs 1e9", func(s *Snapshot) { s.PolicyKind, s.MaxObs = "mlp-v1", 1e9 }, true},
+		{"value_hidden [1 1e9]", func(s *Snapshot) { s.ValueHidden = []int{1, 1e9} }, true},
+		{"shape overflows", func(s *Snapshot) { s.Policy[0].Shape = []int{1 << 40, 1 << 40} }, true},
+		{"shape != data", func(s *Snapshot) { s.Value[1].Data = s.Value[1].Data[1:] }, true},
+		{"lenet 2x2", func(s *Snapshot) {
+			s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2
+			s.Value = blobs(NewValueNet(rng, 2, 2, nil))
+		}, false},
 	} {
 		s := Snap(p, v, nil)
 		c.edit(s)
@@ -265,6 +274,25 @@ func TestMalformedSnapshotIsAnError(t *testing.T) {
 		if _, _, err := got.Materialize(rng); err == nil {
 			t.Errorf("%s: Materialize accepted it", c.name)
 		}
+	}
+}
+
+// TestSnapshotEmptyValueHidden: "value_hidden": [] is a critic with no
+// hidden layer, whose one layer ReadSnapshot sizes at max_obs·features×1.
+func TestSnapshotEmptyValueHidden(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	p, _ := NewPolicy(rng, "kernel", testMaxObs, testFeat)
+	v := NewValueNet(rng, testMaxObs, testFeat, []int{})
+	var buf bytes.Buffer
+	if err := Snap(p, v, []int{}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := snap.Materialize(rng); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 )
 
@@ -64,7 +65,7 @@ func Snap(policy PolicyNet, value *ValueNet, valueHidden []int) *Snapshot {
 		PolicyKind:  policy.Kind(),
 		MaxObs:      maxObs,
 		Features:    feat,
-		ValueHidden: append([]int(nil), valueHidden...),
+		ValueHidden: append([]int{}, valueHidden...), // [] stays [], not null
 		Policy:      blobs(policy),
 		Value:       blobs(value),
 	}
@@ -106,9 +107,11 @@ func (s *Snapshot) Write(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// ReadSnapshot decodes a snapshot from JSON. It rejects non-positive
-// dimensions, which no network can be built with, so a malformed model
-// file is an error here rather than a panic in Materialize.
+// ReadSnapshot decodes a snapshot from JSON. It refuses dims no network
+// can be built with or the file's floats do not back — every blob holds the
+// product of its shape, the critic's weights what NewValueNet builds — so a
+// malformed model file is an error here, not a panic or an allocation
+// without bound in Materialize.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -117,12 +120,40 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if s.MaxObs <= 0 || s.Features <= 0 {
 		return nil, fmt.Errorf("nn: snapshot dims max_obs=%d features=%d must be positive", s.MaxObs, s.Features)
 	}
-	for _, h := range s.ValueHidden {
-		if h <= 0 {
-			return nil, fmt.Errorf("nn: snapshot value_hidden %v must be positive", s.ValueHidden)
+	for _, bs := range [][]ParamBlob{s.Policy, s.Value} {
+		for i, b := range bs {
+			if n, ok := product(b.Shape...); !ok || n != len(b.Data) {
+				return nil, fmt.Errorf("nn: snapshot tensor %d of shape %v holds %d values", i, b.Shape, len(b.Data))
+			}
 		}
 	}
+	hidden := s.ValueHidden
+	if hidden == nil {
+		hidden = DefaultValueSizes
+	}
+	// Critic layer k is Linear(in, out) — weights, then bias — and layer 0's
+	// in is max_obs·features, kept as two factors for product.
+	in := []int{s.MaxObs, s.Features}
+	for k, out := range append(hidden[:len(hidden):len(hidden)], 1) {
+		n, ok := product(append(in, out)...)
+		if out <= 0 || !ok || 2*k >= len(s.Value) || len(s.Value[2*k].Data) != n {
+			return nil, fmt.Errorf("nn: snapshot value_hidden %v: critic layer %d does not hold %v×%d weights", s.ValueHidden, k, in, out)
+		}
+		in = []int{out}
+	}
 	return &s, nil
+}
+
+// product multiplies dims; ok is false for a negative dim or an overflow.
+func product(dims ...int) (int, bool) {
+	n := 1
+	for _, d := range dims {
+		if d < 0 || d > 0 && n > math.MaxInt/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // CopyParams copies weights from src to dst (same architecture). It is

@@ -346,32 +346,6 @@ func TestRunReport(t *testing.T) {
 	}
 }
 
-func TestBenchSnapshotWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	s := NewBenchSnapshot("fleetplace", 100, 1234.5, map[string]float64{"placements_per_s": 9000})
-	path, err := s.WriteFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_fleetplace.json" {
-		t.Fatalf("path = %s", path)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchSnapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "fleetplace" || back.Iterations != 100 || back.Metrics["placements_per_s"] != 9000 {
-		t.Fatalf("round-trip = %+v", back)
-	}
-	if back.GoVersion == "" || back.CPUs < 1 {
-		t.Fatalf("host stamp missing: %+v", back)
-	}
-}
-
 func TestNopImplementsRecorder(t *testing.T) {
 	var r Recorder = Nop{}
 	r.Placement(&PlacementDecision{})

@@ -237,3 +237,17 @@ func TestFilterRejectsBrokenWindows(t *testing.T) {
 		t.Error("empty window must be rejected")
 	}
 }
+
+// BenchmarkTrajectoryFilterProbe times the §IV-C filter's probe: 10
+// 128-job SJF rollouts on the skewed PIK-IPLEX trace.
+func BenchmarkTrajectoryFilterProbe(b *testing.B) {
+	tr := trace.Preset("PIK-IPLEX", 2000, 42)
+	cfg := sim.Config{Processors: tr.Processors, MaxObserve: 32}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Probe(tr, cfg, metrics.BoundedSlowdown, 10, 128, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,8 +3,6 @@ package serve
 import (
 	"fmt"
 	"strconv"
-
-	"rlsched/internal/sim"
 )
 
 // The scanner handles the canonical compact bodies high-rate clients emit
@@ -296,9 +294,4 @@ func (rb *reqBuf) parsePlaceFast(body []byte) error {
 func (rb *reqBuf) bail() error {
 	rb.reset()
 	return errFastParse
-}
-
-// ClusterViewOf is a tiny helper for tests constructing states.
-func ClusterViewOf(free, total int) sim.ClusterView {
-	return sim.ClusterView{FreeProcs: free, TotalProcs: total}
 }

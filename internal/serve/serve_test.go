@@ -418,35 +418,6 @@ func TestQueueLenCutoff(t *testing.T) {
 	}
 }
 
-// TestLoadGenAgainstServer runs the full load-generator loop briefly
-// against an httptest daemon — end-to-end coverage of the compact
-// encoding, the fast parser, the batcher, and the report plumbing.
-func TestLoadGenAgainstServer(t *testing.T) {
-	dir := t.TempDir()
-	path := writeSnapshot(t, dir, "kernel", 128)
-	_, ts := newTestServer(t, Config{ModelPath: path})
-
-	report, err := RunLoad(LoadConfig{
-		Addr:         ts.URL,
-		Conns:        2,
-		Duration:     300 * time.Millisecond,
-		QueueJobs:    128,
-		StatesPerReq: 4,
-		Bodies:       8,
-		Seed:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Errors != 0 {
-		t.Fatalf("load run had %d errors", report.Errors)
-	}
-	if report.Decisions == 0 {
-		t.Fatal("load run made no decisions")
-	}
-	t.Logf("loadgen: %v", report)
-}
-
 // TestMaxStatesPerRequest proves the batch-size guard rejects oversized
 // requests instead of forcing an unbounded forward pass.
 func TestMaxStatesPerRequest(t *testing.T) {
@@ -475,29 +446,6 @@ func TestDecideAfterClose(t *testing.T) {
 	b.Close()
 	if _, _, err := b.Decide(context.Background(), states); err == nil {
 		t.Fatal("decide after close should error")
-	}
-}
-
-// TestSyntheticBodiesMatchStates: the allocation-free body builder must
-// produce byte-identical request bodies to encoding the retained states —
-// same RNG stream, same wire format, one reused queue buffer.
-func TestSyntheticBodiesMatchStates(t *testing.T) {
-	for _, statesPerReq := range []int{1, 3} { // bare state and {"states":[...]} wire shapes
-		cfg := LoadConfig{Preset: "Lublin-1", QueueJobs: 32, Bodies: 6, StatesPerReq: statesPerReq, Seed: 9}.withDefaults()
-		bodies, err := syntheticBodies(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		states, err := SyntheticStates(cfg.Preset, cfg.Bodies*cfg.StatesPerReq, cfg.QueueJobs, cfg.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range bodies {
-			want := EncodeStates(states[i*cfg.StatesPerReq : (i+1)*cfg.StatesPerReq])
-			if string(bodies[i]) != string(want) {
-				t.Fatalf("statesPerReq=%d body %d differs:\n%s\nvs\n%s", statesPerReq, i, bodies[i], want)
-			}
-		}
 	}
 }
 

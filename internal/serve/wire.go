@@ -3,12 +3,15 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"strconv"
 	"sync"
 
 	"rlsched/internal/fleet"
 	"rlsched/internal/job"
 	"rlsched/internal/sim"
+	"rlsched/internal/trace"
 )
 
 // Wire format. A decision request is either one queue state
@@ -23,7 +26,7 @@ import (
 //
 //	[submit_time, requested_time, requested_procs, user_id?, id?]
 //
-// which is what the load generator emits. Every body meets the scanner
+// which is what EncodeStates emits. Every body meets the scanner
 // (fastparse.go) first and encoding/json only if that bails, so every valid
 // JSON request is accepted either way.
 
@@ -362,4 +365,96 @@ func appendFloats(dst []byte, vs []float64) []byte {
 		dst = strconv.AppendFloat(dst, v, 'g', 6, 64)
 	}
 	return append(dst, ']')
+}
+
+// EncodeStates renders queue states in the canonical compact wire format
+// the daemon's fast parser consumes.
+func EncodeStates(states []*QueueState) []byte {
+	var b []byte
+	if len(states) == 1 {
+		return appendState(b, states[0])
+	}
+	b = append(b, `{"states":[`...)
+	for i, st := range states {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendState(b, st)
+	}
+	return append(b, ']', '}')
+}
+
+func appendState(b []byte, st *QueueState) []byte {
+	b = append(b, `{"now":`...)
+	b = strconv.AppendFloat(b, st.Now, 'g', -1, 64)
+	b = append(b, `,"free_procs":`...)
+	b = strconv.AppendInt(b, int64(st.View.FreeProcs), 10)
+	b = append(b, `,"total_procs":`...)
+	b = strconv.AppendInt(b, int64(st.View.TotalProcs), 10)
+	if st.QueueLen > 0 {
+		b = append(b, `,"queue_len":`...)
+		b = strconv.AppendInt(b, int64(st.QueueLen), 10)
+	}
+	if st.WantScores {
+		b = append(b, `,"scores":true`...)
+	}
+	b = append(b, `,"jobs":[`...)
+	for i, j := range st.Jobs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		b = strconv.AppendFloat(b, j.SubmitTime, 'g', -1, 64)
+		b = append(b, ',')
+		b = strconv.AppendFloat(b, j.RequestedTime, 'g', -1, 64)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(j.RequestedProcs), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(j.UserID), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(j.ID), 10)
+		b = append(b, ']')
+	}
+	return append(b, ']', '}')
+}
+
+// fillState populates st with a synthetic queue state sampled into the
+// caller's job buffer: clamped to the cluster so states stay schedulable,
+// and times rounded to whole seconds (SWF precision) — shorter wire
+// numbers parse measurably faster at 10k states/sec.
+func fillState(st *QueueState, tr *trace.Trace, rng *rand.Rand, jobs []*job.Job, queueJobs int) {
+	jobs = tr.SampleQueueInto(rng, jobs)
+	for _, j := range jobs {
+		if j.RequestedProcs > tr.Processors {
+			j.RequestedProcs = tr.Processors
+		}
+		j.SubmitTime = math.Round(j.SubmitTime)
+		j.RequestedTime = math.Max(1, math.Round(j.RequestedTime))
+	}
+	st.Jobs = jobs
+	st.Now = 0
+	st.View = ClusterViewOf(rng.Intn(tr.Processors+1), tr.Processors)
+	st.QueueLen = queueJobs + rng.Intn(queueJobs)
+}
+
+// SyntheticStates samples n queue states of queueJobs pending jobs each
+// from the preset trace, with a plausible cluster view: free processors
+// drawn uniformly and now = 0 (job submit times are in the past).
+func SyntheticStates(preset string, n, queueJobs int, seed int64) ([]*QueueState, error) {
+	tr := trace.Preset(preset, 4*queueJobs+n, seed)
+	if tr == nil {
+		return nil, fmt.Errorf("serve: unknown preset %q", preset)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	states := make([]*QueueState, n)
+	for i := range states {
+		states[i] = &QueueState{}
+		fillState(states[i], tr, rng, make([]*job.Job, queueJobs), queueJobs)
+	}
+	return states, nil
+}
+
+// ClusterViewOf is a tiny helper for tests constructing states.
+func ClusterViewOf(free, total int) sim.ClusterView {
+	return sim.ClusterView{FreeProcs: free, TotalProcs: total}
 }

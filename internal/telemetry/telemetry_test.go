@@ -124,16 +124,22 @@ func TestHistogramWindowedQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramUnbounded(t *testing.T) {
+// TestHistogramDefaultWindow: window and slots <= 0 take NewCounter's
+// defaults, 60 s over 8 slots, so a sample at t=0 is gone by t=61.
+func TestHistogramDefaultWindow(t *testing.T) {
 	h := NewHistogram(LogBounds(1e-3, 1, 3), 0, 0)
+	c := NewCounter(0, 0)
 	h.Observe(0, 0.01)
-	h.Observe(1e9, 0.02)
-	if got := h.Count(2e9); got != 2 {
-		t.Fatalf("unbounded Count = %d, want 2", got)
+	c.Add(0, 1)
+	if got := h.Count(59); got != 1 {
+		t.Fatalf("Count(59) = %d, want 1", got)
+	}
+	if hc, cs := h.Count(61), c.Sum(61); hc != 0 || cs != 0 {
+		t.Fatalf("at t=61 Count = %d and Sum = %g, want both 0", hc, cs)
 	}
 	// Overflow mass clamps to the top bound instead of +Inf.
-	h.Observe(0, 50)
-	if got := h.Quantile(0, 1); got != h.Bounds()[len(h.Bounds())-1] {
+	h.Observe(61, 50)
+	if got := h.Quantile(61, 1); got != h.Bounds()[len(h.Bounds())-1] {
 		t.Fatalf("overflow quantile = %g, want top bound", got)
 	}
 }

@@ -114,9 +114,7 @@ func LogBounds(min, max float64, perDecade int) []float64 {
 
 // Histogram is a fixed-bucket histogram over a sliding window: each ring
 // slot holds a full bucket array for one sub-interval, and quantile
-// queries merge the slots still inside the trailing window. With window
-// <= 0 the histogram is unbounded (one immortal slot) — the shape the
-// load generator and benchmarks use for whole-run quantiles. Not
+// queries merge the slots still inside the trailing window. Not
 // concurrency-safe; concurrent writers add their own lock.
 type Histogram struct {
 	bounds  []float64
@@ -128,14 +126,14 @@ type Histogram struct {
 
 // NewHistogram returns a windowed histogram over the given bucket upper
 // bounds (ascending; one overflow bucket is added). window is the trailing
-// length in seconds (<= 0 = unbounded) and slots the sub-interval count
-// (<= 0 takes 8).
+// length in seconds and slots the sub-interval count, with NewCounter's
+// defaults (values <= 0 take 60s and 8 slots).
 func NewHistogram(bounds []float64, window float64, slots int) *Histogram {
+	if window <= 0 {
+		window = 60
+	}
 	if slots <= 0 {
 		slots = 8
-	}
-	if window <= 0 {
-		window, slots = math.Inf(1), 1
 	}
 	h := &Histogram{
 		bounds:  append([]float64(nil), bounds...),
@@ -144,9 +142,6 @@ func NewHistogram(bounds []float64, window float64, slots int) *Histogram {
 		buckets: make([][]uint64, slots),
 		scratch: make([]uint64, len(bounds)+1),
 	}
-	if math.IsInf(window, 1) {
-		h.ring.slotW = 1 // unused: slot 0 is pinned below
-	}
 	for i := range h.buckets {
 		h.buckets[i] = make([]uint64, len(bounds)+1)
 		h.ring.starts[i] = math.Inf(-1)
@@ -154,13 +149,8 @@ func NewHistogram(bounds []float64, window float64, slots int) *Histogram {
 	return h
 }
 
-// slot returns the active slot for now, clearing it on recycle. The
-// unbounded histogram pins slot 0 forever.
+// slot returns the active slot for now, clearing it on recycle.
 func (h *Histogram) slot(now float64) int {
-	if math.IsInf(h.window, 1) {
-		h.ring.starts[0] = 0
-		return 0
-	}
 	return h.ring.slotAt(now, func(i int) {
 		b := h.buckets[i]
 		for k := range b {
@@ -188,7 +178,7 @@ func (h *Histogram) merged(now float64) ([]uint64, uint64) {
 	}
 	var total uint64
 	for i, b := range h.buckets {
-		if math.IsInf(h.window, 1) || h.ring.fresh(i, now, h.window) {
+		if h.ring.fresh(i, now, h.window) {
 			for k, c := range b {
 				m[k] += c
 				total += c

@@ -191,3 +191,11 @@ func TestRescale(t *testing.T) {
 		t.Error("rescale of zeros must be a no-op")
 	}
 }
+
+// BenchmarkLublinGeneration10K times synthesizing a 10k-job Lublin trace
+// on 256 processors.
+func BenchmarkLublinGeneration10K(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		GenerateLublin(DefaultLublin(256, 10000), rand.New(rand.NewSource(int64(i))))
+	}
+}

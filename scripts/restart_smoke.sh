@@ -20,11 +20,17 @@ URL="http://$ADDR"
 WORK="$(mktemp -d)"
 CKPT="$WORK/ckpt"
 PID=""
-LOADPID=""
+LOADPIDS=""
+
+# stop_load kills the background /v1/decide loops.
+stop_load() {
+  [ -n "$LOADPIDS" ] && kill $LOADPIDS 2>/dev/null || true
+  LOADPIDS=""
+}
 
 cleanup() {
   [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
-  [ -n "$LOADPID" ] && kill "$LOADPID" 2>/dev/null || true
+  stop_load
   rm -rf "$WORK"
 }
 trap cleanup EXIT
@@ -70,9 +76,12 @@ say "boot"
 start_daemon
 
 say "background decide load"
-go run ./cmd/experiments -loadgen "$URL" -load-duration 20s -load-conns 2 \
-  >/dev/null 2>&1 &
-LOADPID=$!
+# Two clients re-posting one fixed compact queue state.
+BODY='{"now":0,"free_procs":32,"total_procs":64,"jobs":[[-30,3600,4],[-10,600,16],[0,1200,2]]}'
+for _ in 1 2; do
+  while :; do curl -s -o /dev/null -d "$BODY" "$URL/v1/decide"; done &
+  LOADPIDS="$LOADPIDS $!"
+done
 
 say "feed 5 acked completion batches"
 for seq in 1 2 3 4 5; do feed "$seq" >/dev/null; done
@@ -87,7 +96,7 @@ say "pre-crash fairness (final): $PRE"
 
 say "kill -9"
 kill -9 "$PID"; wait "$PID" 2>/dev/null || true; PID=""
-kill "$LOADPID" 2>/dev/null || true; LOADPID=""
+stop_load
 
 say "restart on the same checkpoint dir"
 start_daemon
