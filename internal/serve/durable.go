@@ -23,13 +23,16 @@ import (
 //     into the tracker — an acked batch is on disk by definition;
 //   - every -checkpoint-interval the tracker is exported, written to a
 //     temp file and atomically renamed over checkpoint.json; the WAL
-//     rotates to a fresh segment first, so the snapshot names the first
-//     segment whose records it does NOT contain;
+//     rotates to a fresh segment first (opened before the old one closes,
+//     so a failed open keeps journaling where it was), and the snapshot
+//     names the first segment whose records it does NOT contain;
 //   - on restart the snapshot is imported and the live segments are
-//     replayed through the exact code path live batches take (same dedup,
-//     same Observe order), restoring the tracker to the last acked batch
-//     the disk retained in full. A torn final record (kill -9 mid-append)
-//     is dropped by the codec, never half-applied.
+//     replayed, restoring the tracker to the last acked batch the disk
+//     retained in full. A torn final record (kill -9 mid-append) is
+//     dropped by the codec, never half-applied.
+//
+// State has one transition, applyRecord: replay runs it per record, and a
+// live commit is absorbed check → append → applyRecord under one mutex.
 //
 // The same struct owns the per-client batch_seq dedup table and the
 // drained-shard set even when no directory is configured — exactly-once
@@ -45,7 +48,7 @@ type durableDeps struct {
 	clusterIndex func(name string) int
 	// clusterName is the inverse, for exporting per-cluster shares.
 	clusterName func(idx int) string
-	// markDrained re-applies a restored cordon to the serving state.
+	// markDrained applies a cordon to the serving state.
 	markDrained func(idx int)
 	// metrics counts WAL appends, checkpoints and deduplicated batches
 	// (nil in unit tests).
@@ -53,9 +56,9 @@ type durableDeps struct {
 }
 
 // durability owns the WAL, the checkpoint loop, the dedup table and the
-// drained set. All state transitions (dedup check, WAL append, tracker
-// fold) happen under one mutex, so the WAL's record order IS the order
-// the tracker observed — the invariant replay correctness rests on.
+// drained set. Every commit (absorbed check, WAL append, applyRecord)
+// happens under one mutex, so the WAL's record order IS the order the
+// tracker observed — the invariant replay correctness rests on.
 type durability struct {
 	durableDeps
 	dir      string
@@ -177,7 +180,7 @@ func decodeSnapshot(data []byte) (*snapshotFile, error) {
 }
 
 // restore loads the snapshot (if any), prunes segments it already covers,
-// and replays the rest through the live apply path. Called once, before
+// and replays the rest through applyRecord. Called once, before
 // the daemon serves, so no locking is needed yet.
 func (d *durability) restore() error {
 	data, err := os.ReadFile(filepath.Join(d.dir, snapshotName))
@@ -266,17 +269,27 @@ func (d *durability) importSnapshot(snap *snapshotFile) {
 	d.seg = snap.FirstSeg
 }
 
-// applyRecord replays one WAL record with the same semantics the live
-// path gave it: dedup first, then fold (batch), or cordon + retire
-// (drain). Invalid fragments — unknown clusters, negative wait/run — are
-// skipped exactly as the live validation would have rejected them.
-func (d *durability) applyRecord(rec *walRecord) {
+// absorbed reports whether rec is already part of the state: a batch whose
+// batch_seq is not above its client's last, or a drain of a drained cluster.
+func (d *durability) absorbed(rec *walRecord) bool {
+	if rec.Kind == "drain" {
+		return d.drained[rec.Cluster]
+	}
+	last, ok := d.lastSeq[rec.Client]
+	return rec.Client != "" && rec.Seq != nil && ok && *rec.Seq <= last
+}
+
+// applyRecord is the one state transition. It returns false, changing
+// nothing, when rec is already absorbed; otherwise it folds the batch, or
+// cordons and retires the drained cluster. Fragments no live request could
+// carry — unknown clusters, negative wait/run — are skipped.
+func (d *durability) applyRecord(rec *walRecord) bool {
+	if d.absorbed(rec) {
+		return false
+	}
 	switch rec.Kind {
 	case "batch":
 		if rec.Client != "" && rec.Seq != nil {
-			if last, ok := d.lastSeq[rec.Client]; ok && *rec.Seq <= last {
-				return
-			}
 			d.lastSeq[rec.Client] = *rec.Seq
 		}
 		for _, wc := range rec.Clusters {
@@ -285,17 +298,13 @@ func (d *durability) applyRecord(rec *walRecord) {
 				continue
 			}
 			for i := range wc.Done {
-				if wc.Done[i].Wait < 0 || wc.Done[i].Run < 0 {
-					continue
+				if wd := &wc.Done[i]; wd.Wait >= 0 && wd.Run >= 0 {
+					dj := wd.toJob()
+					d.fairness.Observe(idx, &dj)
 				}
-				dj := wc.Done[i].toJob()
-				d.fairness.Observe(idx, &dj)
 			}
 		}
 	case "drain":
-		if d.drained[rec.Cluster] {
-			return
-		}
 		d.drained[rec.Cluster] = true
 		if idx := d.clusterIndex(rec.Cluster); idx >= 0 {
 			if d.markDrained != nil {
@@ -304,6 +313,27 @@ func (d *durability) applyRecord(rec *walRecord) {
 			d.fairness.RetireCluster(idx)
 		}
 	}
+	return true
+}
+
+// commit journals one live record and applies it; applied=false, with no
+// write, when it is already absorbed (a client retry, a repeated drain). A
+// batch with neither completions nor a seq has nothing to journal.
+func (d *durability) commit(rec *walRecord) (applied bool, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.absorbed(rec) {
+		if rec.Kind == "batch" && d.metrics != nil {
+			d.metrics.PlaceDedupTotal.Add(1)
+		}
+		return false, nil
+	}
+	if rec.Kind != "batch" || len(rec.Clusters) > 0 || rec.Seq != nil {
+		if err := d.appendLocked(rec); err != nil {
+			return false, err
+		}
+	}
+	return d.applyRecord(rec), nil
 }
 
 // appendLocked encodes rec onto the current segment and fsyncs it — the
@@ -344,61 +374,6 @@ func (d *durability) walHealth() error {
 	return d.walErr
 }
 
-// commitBatch makes one /place completion batch durable and folds it into
-// the tracker. Returns applied=false (and no state change) when the
-// client's batch_seq says the batch was already absorbed — the retry
-// dedup that makes the completion feed idempotent. clusters and idxs are
-// parallel: idxs[i] is the shard index of clusters[i].
-func (d *durability) commitBatch(client string, seq *int64, clusters []walCluster, idxs []int) (applied bool, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	hasSeq := client != "" && seq != nil
-	if hasSeq {
-		if last, ok := d.lastSeq[client]; ok && *seq <= last {
-			if d.metrics != nil {
-				d.metrics.PlaceDedupTotal.Add(1)
-			}
-			return false, nil
-		}
-	}
-	if len(clusters) > 0 || hasSeq {
-		rec := walRecord{Kind: "batch", Client: client, Seq: seq, Clusters: clusters}
-		if !hasSeq {
-			rec.Client, rec.Seq = "", nil
-		}
-		if err := d.appendLocked(&rec); err != nil {
-			return false, err
-		}
-	}
-	if hasSeq {
-		d.lastSeq[client] = *seq
-	}
-	for k, wc := range clusters {
-		for i := range wc.Done {
-			dj := wc.Done[i].toJob()
-			d.fairness.Observe(idxs[k], &dj)
-		}
-	}
-	return true, nil
-}
-
-// commitDrain makes one cordon durable and retires the member's fairness
-// state (ClusterRetirer contract: per-cluster shares drop, the fleet-wide
-// user record stays). Idempotent — a repeated drain writes nothing.
-func (d *durability) commitDrain(name string, idx int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.drained[name] {
-		return nil
-	}
-	if err := d.appendLocked(&walRecord{Kind: "drain", Cluster: name}); err != nil {
-		return err
-	}
-	d.drained[name] = true
-	d.fairness.RetireCluster(idx)
-	return nil
-}
-
 // snapshotLocked exports the current durable state. Callers hold d.mu, so
 // the export is consistent with the WAL rotation around it.
 func (d *durability) snapshotLocked() *snapshotFile {
@@ -433,26 +408,27 @@ func (d *durability) snapshotLocked() *snapshotFile {
 }
 
 // checkpoint writes one atomic snapshot: rotate the WAL to a fresh
-// segment, export the tracker (which by the commit ordering contains
-// every record of the closed segments), write-temp-then-rename the
-// snapshot, and only then delete the segments it covers. A crash at ANY
-// point leaves a directory that restores to the same state: before the
-// rename the old snapshot plus all segments replay everything; after it,
-// stale segments below FirstSeg are ignored and cleaned up on restore.
+// segment (a failed open leaves the current one in use), export the
+// tracker (which by the commit ordering contains every record of the
+// closed segments), write-temp-then-rename the snapshot, and only then
+// delete the segments it covers. A crash at ANY point leaves a directory
+// that restores to the same state: before the rename the old snapshot plus
+// all segments replay everything; after it, stale segments below FirstSeg
+// are ignored and cleaned up on restore.
 func (d *durability) checkpoint() error {
 	if d.dir == "" {
 		return nil
 	}
 	d.mu.Lock()
-	if d.wal != nil {
-		d.wal.Close()
-	}
-	d.seg++
-	f, err := os.OpenFile(segPath(d.dir, d.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(segPath(d.dir, d.seg+1), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		d.mu.Unlock()
 		return fmt.Errorf("serve: rotate wal: %w", err)
 	}
+	if d.wal != nil {
+		d.wal.Close()
+	}
+	d.seg++
 	d.wal, d.walErr = f, nil
 	snap := d.snapshotLocked()
 	d.mu.Unlock()

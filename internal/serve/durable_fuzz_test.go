@@ -69,9 +69,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 
 	d := bareDurability()
 	seq := int64(1)
-	if _, err := d.commitBatch("c", &seq, []walCluster{
+	if _, err := d.commit(&walRecord{Kind: "batch", Client: "c", Seq: &seq, Clusters: []walCluster{
 		{Name: "a", Done: []wireDone{{UserID: 7, Wait: 9000, Run: 60}}},
-	}, []int{0}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	d.drained["b"] = true
@@ -92,10 +92,10 @@ func TestWriteFuzzCorpus(t *testing.T) {
 func FuzzSnapshotRestore(f *testing.F) {
 	d := bareDurability()
 	seq := int64(1)
-	if _, err := d.commitBatch("c", &seq, []walCluster{
+	if _, err := d.commit(&walRecord{Kind: "batch", Client: "c", Seq: &seq, Clusters: []walCluster{
 		{Name: "a", Done: []wireDone{{UserID: 7, Wait: 9000, Run: 60}}},
 		{Name: "b", Done: []wireDone{{UserID: 3, Wait: 12, Run: 600}}},
-	}, []int{0, 1}); err != nil {
+	}}); err != nil {
 		f.Fatal(err)
 	}
 	d.drained["b"] = true

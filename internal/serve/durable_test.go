@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rlsched/internal/fleet"
@@ -574,5 +576,243 @@ func TestPoisonedWALIsVisible(t *testing.T) {
 	probe(http.StatusOK, "rlserv_wal_healthy 1\n")
 	if code, out := postJSON(t, ts.URL+"/place", batch(2)); code != http.StatusOK || strings.Contains(string(out), "deduped") {
 		t.Errorf("retry after recovery: %d %s, want a fresh 200", code, out)
+	}
+}
+
+// TestFailedRotationKeepsJournaling: a checkpoint that cannot open the
+// next WAL segment fails, and the daemon keeps journaling to the segment
+// it has. /readyz and rlserv_wal_healthy say healthy, and that is the
+// truth: the next batch is acked and survives a restart.
+func TestFailedRotationKeepsJournaling(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, durableConfig(dir))
+	srv.durable.mu.Lock()
+	blocker := segPath(dir, srv.durable.seg+1)
+	srv.durable.mu.Unlock()
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.durable.checkpoint(); err == nil {
+		t.Fatal("checkpoint rotated onto a directory")
+	}
+	if code, out := getJSON(t, ts.URL+"/readyz"); code != http.StatusOK {
+		t.Errorf("/readyz after the failed rotation = %d %q, want 200", code, out)
+	}
+	if _, page := getJSON(t, ts.URL+"/metrics"); !strings.Contains(string(page), "rlserv_wal_healthy 1\n") {
+		t.Error("rlserv_wal_healthy is not 1 after the failed rotation")
+	}
+	code, out := postJSON(t, ts.URL+"/place", placeBodySeq(t, `[0, 600, 1, 3]`, "feed", 1,
+		fairClusterState("a", 64, 64, `[7, 9000, 60]`),
+		fairClusterState("b", 64, 64, `[3, 12, 600]`)))
+	if code != http.StatusOK {
+		t.Fatalf("batch after the failed rotation: %d %s, want 200", code, out)
+	}
+	acked := srv.fairness.ExportState()
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	dir2 := t.TempDir()
+	copyDir(t, dir, dir2)
+	restored, _ := newTestServer(t, durableConfig(dir2))
+	if got := restored.fairness.ExportState(); !reflect.DeepEqual(acked, got) {
+		t.Errorf("restart lost the batch journaled after the failed rotation:\n acked %+v\n now   %+v", acked, got)
+	}
+}
+
+// TestConcurrentDrainAnswersOnce: racing drains of one shard agree — one
+// answers "already":false, the rest true — with or without a durable
+// tracker behind them, and a durable daemon journals the cordon once. Each
+// case runs on several fresh daemons, since one race may happen to
+// serialize.
+func TestConcurrentDrainAnswersOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"durable", func() Config { return durableConfig(t.TempDir()) }},
+		{"non-durable", func() Config {
+			return Config{PlaceRouter: "least-loaded", Shards: []ShardConfig{
+				{Name: "a", Procs: 64, PolicyName: "SJF"},
+				{Name: "b", Procs: 64, PolicyName: "F1"},
+			}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 5; round++ {
+				cfg := tc.cfg()
+				srv, ts := newTestServer(t, cfg)
+				answers := make([]string, 16)
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for i := range answers {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						<-start
+						resp, err := http.Post(ts.URL+"/drain", "application/json", strings.NewReader(`{"cluster":"a"}`))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						defer resp.Body.Close()
+						body, err := io.ReadAll(resp.Body)
+						if err != nil || resp.StatusCode != http.StatusOK {
+							t.Errorf("drain %d: %d %s %v", i, resp.StatusCode, body, err)
+						}
+						answers[i] = string(body)
+					}(i)
+				}
+				close(start)
+				wg.Wait()
+				fresh := 0
+				for _, a := range answers {
+					if strings.Contains(a, `"already":false`) {
+						fresh++
+					}
+				}
+				if fresh != 1 {
+					t.Errorf("round %d: %d of %d racing drains answered already:false, want 1", round, fresh, len(answers))
+				}
+				if !srv.shards[0].cordoned.Load() {
+					t.Errorf("round %d: shard a not cordoned", round)
+				}
+				if got := srv.Metrics().WALRecordsTotal.Load(); cfg.CheckpointDir != "" && got != 1 {
+					t.Errorf("round %d: racing drains wrote %d WAL records, want 1", round, got)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayMatchesLive is the model-based property behind the one
+// transition. Seeded random histories commit batches (clients "", c0 and
+// c1, whose seqs repeat and go backwards; 0–2 clusters from a, b and the
+// unknown z) and drains, checkpoint, and restart from a copy of the
+// directory, continuing on the restored layer. Every restore, and the one
+// after the final graceful close, must equal the live tracker, dedup table
+// and drained set. A reference model predicts each commit's verdict, the
+// tracker, and how many commits wrote a WAL record.
+func TestReplayMatchesLive(t *testing.T) {
+	bare := bareDurability()
+	clusters := []string{"a", "b", "z"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		metrics := NewMetrics()
+		open := func(dir string) *durability {
+			t.Helper()
+			d, err := newDurability(dir, 0, durableDeps{
+				fairness:     fleet.NewFairnessScorer(fleet.FairnessConfig{}),
+				clusterIndex: bare.clusterIndex,
+				clusterName:  bare.clusterName,
+				metrics:      metrics,
+			})
+			if err != nil {
+				t.Fatalf("seed %d: restore: %v", seed, err)
+			}
+			return d
+		}
+		// The model: what every commit should have done, kept without
+		// durability's code.
+		ref := fleet.NewFairnessScorer(fleet.FairnessConfig{})
+		lastSeq, drained := map[string]int64{}, map[string]bool{}
+		var records, dedups uint64
+		check := func(step int, what string, live, restored *durability) {
+			t.Helper()
+			want := ref.ExportState()
+			for _, d := range []*durability{live, restored} {
+				if got := d.fairness.ExportState(); !reflect.DeepEqual(want, got) {
+					t.Fatalf("seed %d step %d %s: tracker differs:\n want %+v\n got  %+v", seed, step, what, want, got)
+				}
+				if !reflect.DeepEqual(lastSeq, d.lastSeq) || !reflect.DeepEqual(drained, d.drained) {
+					t.Fatalf("seed %d step %d %s: lastSeq %v drained %v, want %v %v",
+						seed, step, what, d.lastSeq, d.drained, lastSeq, drained)
+				}
+			}
+			if got := metrics.WALRecordsTotal.Load(); got != records {
+				t.Fatalf("seed %d step %d %s: %d WAL records, want %d", seed, step, what, got, records)
+			}
+			if got := metrics.PlaceDedupTotal.Load(); got != dedups {
+				t.Fatalf("seed %d step %d %s: %d deduped batches, want %d", seed, step, what, got, dedups)
+			}
+		}
+
+		dir := t.TempDir()
+		live := open(dir)
+		for step := 0; step < 150; step++ {
+			var rec walRecord
+			var absorbed bool
+			switch r := rng.Intn(20); {
+			case r < 13:
+				rec.Kind = "batch"
+				if client := []string{"", "c0", "c1"}[rng.Intn(3)]; client != "" {
+					last, ok := lastSeq[client]
+					seq := max(0, last+int64(rng.Intn(5))-2)
+					rec.Client, rec.Seq = client, &seq
+					absorbed = ok && seq <= last
+				}
+				for _, c := range rng.Perm(len(clusters))[:rng.Intn(3)] {
+					wc := walCluster{Name: clusters[c]}
+					for k := 1 + rng.Intn(2); k > 0; k-- {
+						wc.Done = append(wc.Done, wireDone{UserID: rng.Intn(5),
+							Wait: float64(rng.Intn(3600)), Run: float64(1 + rng.Intn(7200))})
+					}
+					rec.Clusters = append(rec.Clusters, wc)
+				}
+			case r < 15:
+				rec.Kind, rec.Cluster = "drain", clusters[rng.Intn(2)]
+				absorbed = drained[rec.Cluster]
+			case r < 17:
+				if err := live.checkpoint(); err != nil {
+					t.Fatalf("seed %d step %d: checkpoint: %v", seed, step, err)
+				}
+				continue
+			default:
+				dir2 := t.TempDir()
+				copyDir(t, dir, dir2)
+				restored := open(dir2)
+				check(step, "restart", live, restored)
+				live.close()
+				live, dir = restored, dir2
+				continue
+			}
+
+			applied, err := live.commit(&rec)
+			if err != nil {
+				t.Fatalf("seed %d step %d: commit: %v", seed, step, err)
+			}
+			if applied == absorbed {
+				t.Fatalf("seed %d step %d: commit %+v applied=%t, model says absorbed=%t", seed, step, rec, applied, absorbed)
+			}
+			switch {
+			case absorbed:
+				if rec.Kind == "batch" {
+					dedups++
+				}
+			case rec.Kind == "drain":
+				records++
+				drained[rec.Cluster] = true
+				ref.RetireCluster(bare.clusterIndex(rec.Cluster))
+			default:
+				if rec.Seq != nil || len(rec.Clusters) > 0 {
+					records++
+				}
+				if rec.Seq != nil {
+					lastSeq[rec.Client] = *rec.Seq
+				}
+				for _, wc := range rec.Clusters {
+					if idx := bare.clusterIndex(wc.Name); idx >= 0 {
+						for i := range wc.Done {
+							dj := wc.Done[i].toJob()
+							ref.Observe(idx, &dj)
+						}
+					}
+				}
+			}
+		}
+		live.close()
+		restored := open(dir)
+		check(150, "after close", live, restored)
+		restored.close()
 	}
 }

@@ -345,8 +345,11 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	deduped := false
 	if s.fairness != nil {
-		rb.wcs, rb.idxs = rb.wcs[:0], rb.idxs[:0]
-		for i, cl := range rb.clusters {
+		rec := walRecord{Kind: "batch", Clusters: rb.wcs[:0]}
+		if rb.batchSeq != nil {
+			rec.Client, rec.Seq = rb.client, rb.batchSeq
+		}
+		for _, cl := range rb.clusters {
 			for k := range cl.Completed {
 				if wd := &cl.Completed[k]; wd.Wait < 0 || wd.Run < 0 {
 					s.fail(w, http.StatusBadRequest,
@@ -355,15 +358,13 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if len(cl.Completed) > 0 {
-				rb.wcs = append(rb.wcs, walCluster{Name: cl.Name, Done: cl.Completed})
-				rb.idxs = append(rb.idxs, cands[i].Index)
+				rec.Clusters = append(rec.Clusters, walCluster{Name: cl.Name, Done: cl.Completed})
 			}
 		}
+		rb.wcs = rec.Clusters
 		// Fold them in before scoring, so the placement below already sees
-		// them. The durability layer owns the fold: WAL append (when
-		// configured) strictly before Observe, and the batch_seq dedup
-		// check strictly before both — a replayed batch changes nothing.
-		applied, err := s.durable.commitBatch(rb.client, rb.batchSeq, rb.wcs, rb.idxs)
+		// them: dedup check, WAL append (when configured), then Observe.
+		applied, err := s.durable.commit(&rec)
 		if err != nil {
 			// The WAL refused the batch; acking it would promise a
 			// durability the disk did not deliver.

@@ -570,22 +570,24 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: not running in fleet mode"))
 		return
 	}
-	idx, sh := s.shardByName(spec.Cluster)
+	_, sh := s.shardByName(spec.Cluster)
 	if sh == nil {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: unknown cluster %q", spec.Cluster))
 		return
 	}
-	already := sh.cordoned.Load()
-	if !already && s.durable != nil {
-		// Make the cordon durable and retire the shard's fairness state
-		// BEFORE the serving flag flips: once a placement can see the
-		// cordon, a crash must not forget it.
-		if err := s.durable.commitDrain(sh.name, idx); err != nil {
+	var already bool
+	if s.durable != nil {
+		// The cordon is journaled before markDrained flips it: once a
+		// placement can see the cordon, a crash must not forget it.
+		applied, err := s.durable.commit(&walRecord{Kind: "drain", Cluster: sh.name})
+		if err != nil {
 			s.fail(w, http.StatusInternalServerError, err)
 			return
 		}
+		already = !applied
+	} else {
+		already = sh.cordoned.Swap(true)
 	}
-	sh.cordoned.Store(true)
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"cluster\":%q,\"drained\":true,\"already\":%t}\n", sh.name, already)
 }

@@ -184,7 +184,6 @@ type reqBuf struct {
 	cands  []*fleet.Candidate
 	scores []float64
 	wcs    []walCluster
-	idxs   []int
 }
 
 var reqBufPool = sync.Pool{New: func() interface{} {
