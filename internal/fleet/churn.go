@@ -316,9 +316,7 @@ func (f *Fleet) churnStep(ch *churner, mig *migrator, sam *sampler) error {
 	a := ch.actions[ch.next]
 	ch.next++
 	now := a.t
-	if err := f.advanceMembers(now); err != nil {
-		return err
-	}
+	f.advanceMembers(now)
 	switch a.kind {
 	case actAnnounce:
 		i := f.findMember(a.ev.Name)
@@ -399,6 +397,7 @@ func (f *Fleet) retireMember(i int, fail bool, sam *sampler, now float64) (int, 
 	var moved []*job.Job
 	if pend := m.sim.PendingJobs(); len(pend) > 0 {
 		// Copy before withdrawing: PendingJobs aliases the live queue.
+		// Withdrawing the committed pick clears it.
 		moved = append(make([]*job.Job, 0, len(pend)), pend...)
 		for _, j := range moved {
 			if _, err := m.sim.Withdraw(j.ID); err != nil {
@@ -406,7 +405,6 @@ func (f *Fleet) retireMember(i int, fail bool, sam *sampler, now float64) (int, 
 			}
 		}
 	}
-	m.committed = nil
 	if fail {
 		moved = append(moved, m.sim.EvictRunning()...)
 	}

@@ -104,17 +104,15 @@ type MemberConfig struct {
 }
 
 // member wraps a simulator driven through the incremental stepping
-// surface. committed is the job the local policy has chosen and is
-// waiting to start — exactly the job sim.Schedule would be blocking on.
-// movedIn/movedOut count migration moves into and out of the member.
-// doneCursor marks how much of the member's completion log has already
-// been fed to stateful scorers.
+// surface: sim.Pump with the member's own policy between clock advances.
+// The simulator holds the policy's committed pick. movedIn/movedOut count
+// migration moves into and out of the member. doneCursor marks how much
+// of the member's completion log has already been fed to stateful scorers.
 type member struct {
 	name       string
 	cfg        sim.Config
 	sim        *sim.Simulator
 	sched      sim.Scheduler
-	committed  *job.Job
 	placements int
 	movedIn    int
 	movedOut   int
@@ -143,45 +141,13 @@ type member struct {
 	evicting bool
 }
 
-// pump applies local scheduling decisions at the current instant without
-// advancing time: pick (when uncommitted), start when possible, backfill
-// while the committed job waits. Together with the event loop in syncTo
-// this reproduces sim.Run's semantics exactly — the single-member parity
-// test pins that equivalence.
-func (m *member) pump() error {
+// syncTo advances the member to global time t, pumping its policy's
+// decisions at every internal event (completions) on the way — sim.Run's
+// loop with the clock stopped at t, which the single-member parity test
+// pins.
+func (m *member) syncTo(t float64) {
 	for {
-		if m.committed == nil {
-			vis := m.sim.Visible()
-			if len(vis) == 0 {
-				return nil
-			}
-			idx := m.sched.Pick(vis, m.sim.Now(), m.sim.View())
-			if idx < 0 || idx >= len(vis) {
-				idx = 0
-			}
-			m.committed = vis[idx]
-		}
-		if m.sim.CanStartNow(m.committed) {
-			if err := m.sim.StartNow(m.committed); err != nil {
-				return fmt.Errorf("fleet: %s: %w", m.name, err)
-			}
-			m.committed = nil
-			continue
-		}
-		m.sim.BackfillNow(m.committed)
-		if !m.sim.CanStartNow(m.committed) {
-			return nil
-		}
-	}
-}
-
-// syncTo advances the member to global time t, applying scheduling
-// decisions at every internal event (completions) on the way.
-func (m *member) syncTo(t float64) error {
-	for {
-		if err := m.pump(); err != nil {
-			return err
-		}
+		m.sim.Pump(m.sched)
 		et, ok := m.sim.NextEventTime()
 		if !ok || et > t {
 			break
@@ -189,7 +155,7 @@ func (m *member) syncTo(t float64) error {
 		m.sim.AdvanceClock(et)
 	}
 	m.sim.AdvanceClock(t)
-	return m.pump()
+	m.sim.Pump(m.sched)
 }
 
 // Fleet routes a job stream across member clusters.
@@ -398,7 +364,6 @@ func (f *Fleet) reset() error {
 		if err := m.sim.Load(nil); err != nil {
 			return err
 		}
-		m.committed = nil
 		m.placements = 0
 		m.movedIn = 0
 		m.movedOut = 0
@@ -519,9 +484,7 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 				return nil, err
 			}
 		}
-		if err := f.advanceMembers(j.SubmitTime); err != nil {
-			return nil, err
-		}
+		f.advanceMembers(j.SubmitTime)
 		f.observeCompletions()
 		k, err := f.route(j, j.SubmitTime, "route")
 		if err != nil {
@@ -629,9 +592,7 @@ func (f *Fleet) route(j *job.Job, t float64, verb string) (int, error) {
 		return -1, fmt.Errorf("fleet: %s to %s: %w", verb, m.name, err)
 	}
 	f.observeAssign(k, j)
-	if err := m.pump(); err != nil {
-		return -1, err
-	}
+	m.sim.Pump(m.sched)
 	f.markDirty(k)
 	f.touch(k)
 	return k, nil
@@ -661,17 +622,13 @@ func (f *Fleet) hooksUntil(mig *migrator, sam *sampler, ch *churner, t float64) 
 				return err
 			}
 		case sweepDue && (!sampleDue || mig.nextSweep <= sam.next):
-			if err := f.advanceMembers(mig.nextSweep); err != nil {
-				return err
-			}
+			f.advanceMembers(mig.nextSweep)
 			if err := f.sweep(mig, mig.nextSweep); err != nil {
 				return err
 			}
 			mig.nextSweep += mig.cfg.Interval
 		case sampleDue:
-			if err := f.advanceMembers(sam.next); err != nil {
-				return err
-			}
+			f.advanceMembers(sam.next)
 			sam.sample(f, sam.next, mig)
 			sam.next += sam.cfg.Interval
 		default:
@@ -702,17 +659,13 @@ func (f *Fleet) drainHooked(mig *migrator, sam *sampler, ch *churner) error {
 			}
 			continue
 		}
-		if err := f.advanceMembers(next); err != nil {
-			return err
-		}
+		f.advanceMembers(next)
 	}
 	for _, m := range f.members {
-		if err := m.pump(); err != nil {
-			return err
-		}
-		if m.committed != nil {
+		m.sim.Pump(m.sched)
+		if j := m.sim.Committed(); j != nil {
 			return fmt.Errorf("fleet: %s: job %d (%d procs) can never start",
-				m.name, m.committed.ID, m.committed.RequestedProcs)
+				m.name, j.ID, j.RequestedProcs)
 		}
 	}
 	return nil

@@ -89,10 +89,9 @@ func (h *eventHeap) pop() eventEntry {
 
 // SetWorkers sets how many goroutines step woken members per advance
 // (n <= 1 keeps stepping serial, the default). Member simulators are
-// disjoint, and the wake list is partitioned into a fixed number of
-// index-ordered blocks with any error reduced in block order, so results
-// are byte-identical for every worker count. A run with a recorder
-// attached steps serially regardless (members share the recorder).
+// disjoint, so results are byte-identical for every worker count. A run
+// with a recorder attached steps serially regardless (members share the
+// recorder).
 func (f *Fleet) SetWorkers(n int) { f.workers = n }
 
 // touch re-arms member i's heap entry after an operation that may have
@@ -136,17 +135,15 @@ func (f *Fleet) markObs(i int) {
 // the members with events due at or before t (in member-index order);
 // full-sweep mode advances everyone. Woken members are marked dirty and
 // observation-pending, and re-armed in the heap.
-func (f *Fleet) advanceMembers(t float64) error {
+func (f *Fleet) advanceMembers(t float64) {
 	if f.fullSweep {
 		for i, m := range f.members {
 			m.syncs++
-			if err := m.syncTo(t); err != nil {
-				return err
-			}
+			m.syncTo(t)
 			f.markDirty(i)
 			f.markObs(i)
 		}
-		return nil
+		return
 	}
 	wake := f.wake[:0]
 	for len(f.events) > 0 {
@@ -163,20 +160,17 @@ func (f *Fleet) advanceMembers(t float64) error {
 	}
 	f.wake = wake
 	if len(wake) == 0 {
-		return nil
+		return
 	}
 	// Entries pop in time order; stepping and state feeds want member-index
 	// order (each member appears at most once — one live entry per stamp).
 	sort.Ints(wake)
-	if err := f.stepWake(t, wake); err != nil {
-		return err
-	}
+	f.stepWake(t, wake)
 	for _, i := range wake {
 		f.markDirty(i)
 		f.markObs(i)
 		f.touch(i)
 	}
-	return nil
 }
 
 // candidatesAt refreshes the plugin-visible state of the fleet at global

@@ -186,7 +186,7 @@ func (f *Fleet) sweep(mig *migrator, now float64) error {
 			// A job an earlier move's pump started is gone; the one the
 			// local policy has committed to (it holds the backfill
 			// reservation) moves only under MigrateCommitted.
-			if j.Started() || (j == m.committed && !mig.cfg.MigrateCommitted) {
+			if j.Started() || (j == m.sim.Committed() && !mig.cfg.MigrateCommitted) {
 				continue
 			}
 			if inf := mig.info[j]; inf != nil {
@@ -247,7 +247,7 @@ func MoveVerdict(scores []float64, from, best int, hysteresis float64, startNow 
 // footprint from biasing its current cluster's backlog signals.
 func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, error) {
 	srcM := f.members[src]
-	wasCommitted := srcM.committed == j
+	wasCommitted := srcM.sim.Committed() == j
 	if _, err := srcM.sim.Withdraw(j.ID); err != nil {
 		return false, fmt.Errorf("fleet: migrate from %s: %w", srcM.name, err)
 	}
@@ -289,9 +289,12 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 		// Not worth moving: the resubmission restored the exact
 		// pre-withdraw state (pinned by sim's withdraw/resubmit parity
 		// test), so the probe is invisible to results. A committed pick
-		// stays committed — re-picking here would let time-dependent
+		// is committed again — re-picking here would let time-dependent
 		// policies (SJF/F1 over newer arrivals) change a decision sim.Run
 		// would have held, breaking ineffective-sweep parity.
+		if wasCommitted {
+			m.sim.Commit(j)
+		}
 		return false, nil
 	}
 	inf := mig.info[j]
@@ -306,20 +309,16 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 	srcM.movedOut++
 	m.movedIn++
 	f.observeAssign(dst, j)
-	if err := m.pump(); err != nil {
-		return true, err
-	}
+	m.sim.Pump(m.sched)
 	f.touch(dst)
 	if wasCommitted {
-		// The source's pick genuinely left: let its policy re-pick (and
-		// backfill) at this instant, exactly as sim.Run would after a
-		// queue change. Time-dependent policies must see the sweep
-		// instant, so bring a trailing clock up first (again a pure move).
+		// The source's pick genuinely left (Withdraw cleared it): let its
+		// policy re-pick (and backfill) at this instant, exactly as sim.Run
+		// would after a queue change. Time-dependent policies must see the
+		// sweep instant, so bring a trailing clock up first (again a pure
+		// move).
 		srcM.sim.AdvanceClock(now)
-		srcM.committed = nil
-		if err := srcM.pump(); err != nil {
-			return true, err
-		}
+		srcM.sim.Pump(srcM.sched)
 		f.markDirty(src)
 	}
 	f.touch(src)

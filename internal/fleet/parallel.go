@@ -4,12 +4,11 @@ import "sync"
 
 // Parallel stepping of woken members — the fixed-block idiom the autograd
 // Dense backward uses (internal/autograd/parallel.go): the wake list is
-// cut into a FIXED number of contiguous index-ordered blocks, blocks run
-// on however many workers SetWorkers granted, and the only cross-block
-// reduction (the error, if any) happens in block order. Member simulators
-// are disjoint state, so the interleaving cannot influence results:
-// stepping is byte-identical for every worker count, pinned by a parity
-// test under -race.
+// cut into a FIXED number of contiguous index-ordered blocks, and blocks
+// run on however many workers SetWorkers granted. Member simulators are
+// disjoint state and stepping cannot fail, so the interleaving cannot
+// influence results: stepping is byte-identical for every worker count,
+// pinned by a parity test under -race.
 
 // stepBlocks is the fixed block count of parallel stepping (also its
 // maximum useful parallelism per advance).
@@ -22,7 +21,7 @@ const stepBlocks = 8
 const minParallelWake = 16
 
 // stepWake advances every member on the index-sorted wake list to time t.
-func (f *Fleet) stepWake(t float64, wake []int) error {
+func (f *Fleet) stepWake(t float64, wake []int) {
 	workers := f.workers
 	if workers > stepBlocks {
 		workers = stepBlocks
@@ -32,14 +31,11 @@ func (f *Fleet) stepWake(t float64, wake []int) error {
 		for _, i := range wake {
 			m := f.members[i]
 			m.syncs++
-			if err := m.syncTo(t); err != nil {
-				return err
-			}
+			m.syncTo(t)
 		}
-		return nil
+		return
 	}
 	n := len(wake)
-	var errs [stepBlocks]error
 	var wg sync.WaitGroup
 	ch := make(chan int)
 	for p := 0; p < workers; p++ {
@@ -51,10 +47,7 @@ func (f *Fleet) stepWake(t float64, wake []int) error {
 				for _, i := range wake[lo:hi] {
 					m := f.members[i]
 					m.syncs++
-					if err := m.syncTo(t); err != nil {
-						errs[b] = err
-						break
-					}
+					m.syncTo(t)
 				}
 			}
 		}()
@@ -64,13 +57,4 @@ func (f *Fleet) stepWake(t float64, wake []int) error {
 	}
 	close(ch)
 	wg.Wait()
-	// Blocks partition the ascending wake list, so the first errored block
-	// holds the lowest errored member — the same error the serial path
-	// would have returned.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	ag "rlsched/internal/autograd"
@@ -224,33 +225,46 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 }
 
 // TestMalformedSnapshotIsAnError: dimensions no network can be built with,
-// or that the file's floats do not back, are refused by ReadSnapshot, and a
-// LeNet too small for its conv/pool stages by both Materialize paths — an
-// error each time, never a panic or a huge allocation.
+// and blobs the policy or critic would not build or the file's floats do
+// not back, are refused by ReadSnapshot — an error each time, never a panic
+// or a huge allocation. Materialize refuses a LeNet too small for its
+// conv/pool stages on its own too.
 func TestMalformedSnapshotIsAnError(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p, _ := NewPolicy(rng, "kernel", testMaxObs, testFeat)
 	v := NewValueNet(rng, testMaxObs, testFeat, nil)
+	lenet2x2 := func(s *Snapshot) {
+		s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2
+		s.Value = blobs(NewValueNet(rng, 2, 2, nil))
+	}
 	for _, c := range []struct {
-		name     string
-		edit     func(s *Snapshot)
-		readFail bool // refused by ReadSnapshot; otherwise by Materialize
+		name string
+		edit func(s *Snapshot)
 	}{
-		{"features 0", func(s *Snapshot) { s.Features = 0 }, true},
-		{"features -1", func(s *Snapshot) { s.Features = -1 }, true},
-		{"max_obs 0", func(s *Snapshot) { s.MaxObs = 0 }, true},
-		{"max_obs -1", func(s *Snapshot) { s.MaxObs = -1 }, true},
-		{"value_hidden [-1]", func(s *Snapshot) { s.ValueHidden = []int{-1} }, true},
-		{"value_hidden [32 0]", func(s *Snapshot) { s.ValueHidden = []int{32, 0} }, true},
-		{"kernel max_obs 1e9", func(s *Snapshot) { s.MaxObs = 1e9 }, true},
-		{"mlp-v1 max_obs 1e9", func(s *Snapshot) { s.PolicyKind, s.MaxObs = "mlp-v1", 1e9 }, true},
-		{"value_hidden [1 1e9]", func(s *Snapshot) { s.ValueHidden = []int{1, 1e9} }, true},
-		{"shape overflows", func(s *Snapshot) { s.Policy[0].Shape = []int{1 << 40, 1 << 40} }, true},
-		{"shape != data", func(s *Snapshot) { s.Value[1].Data = s.Value[1].Data[1:] }, true},
-		{"lenet 2x2", func(s *Snapshot) {
-			s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2
-			s.Value = blobs(NewValueNet(rng, 2, 2, nil))
-		}, false},
+		{"features 0", func(s *Snapshot) { s.Features = 0 }},
+		{"features -1", func(s *Snapshot) { s.Features = -1 }},
+		{"max_obs 0", func(s *Snapshot) { s.MaxObs = 0 }},
+		{"max_obs -1", func(s *Snapshot) { s.MaxObs = -1 }},
+		{"value_hidden [-1]", func(s *Snapshot) { s.ValueHidden = []int{-1} }},
+		{"value_hidden [32 0]", func(s *Snapshot) { s.ValueHidden = []int{32, 0} }},
+		{"kernel max_obs 1e9", func(s *Snapshot) { s.MaxObs = 1e9 }},
+		{"mlp-v1 max_obs 1e9", func(s *Snapshot) { s.PolicyKind, s.MaxObs = "mlp-v1", 1e9 }},
+		{"value_hidden [1 1e9]", func(s *Snapshot) { s.ValueHidden = []int{1, 1e9} }},
+		{"shape overflows", func(s *Snapshot) { s.Policy[0].Shape = []int{1 << 40, 1 << 40} }},
+		{"shape != data", func(s *Snapshot) { s.Value[1].Data = s.Value[1].Data[1:] }},
+		{"lenet 2x2", lenet2x2},
+		{"unknown kind", func(s *Snapshot) { s.PolicyKind = "mlp-v9" }},
+		{"policy shape transposed", func(s *Snapshot) {
+			sh := s.Policy[0].Shape
+			s.Policy[0].Shape = []int{sh[1], sh[0]}
+		}},
+		// A bare critic sized by max_obs·features backs the file, but the
+		// policy it declares is missing: building that policy would cost
+		// ~300 MB before the tensor count mismatch surfaced.
+		{"mlp-v1 policy [] at max_obs 20000", func(s *Snapshot) {
+			s.PolicyKind, s.MaxObs, s.ValueHidden, s.Policy = "mlp-v1", 20000, []int{}, nil
+			s.Value = blobs(NewValueNet(rng, 20000, testFeat, []int{}))
+		}},
 	} {
 		s := Snap(p, v, nil)
 		c.edit(s)
@@ -258,22 +272,47 @@ func TestMalformedSnapshotIsAnError(t *testing.T) {
 		if err := s.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadSnapshot(&buf)
-		if c.readFail {
-			if err == nil {
-				t.Errorf("%s: ReadSnapshot accepted it", c.name)
+		if _, err := ReadSnapshot(&buf); err == nil {
+			t.Errorf("%s: ReadSnapshot accepted it", c.name)
+		}
+	}
+	s := Snap(p, v, nil)
+	lenet2x2(s)
+	if _, err := s.MaterializePolicy(rng); err == nil {
+		t.Error("lenet 2x2: MaterializePolicy accepted it")
+	}
+	if _, _, err := s.Materialize(rng); err == nil {
+		t.Error("lenet 2x2: Materialize accepted it")
+	}
+}
+
+// TestPolicyShapesMatchNewPolicy: the shapes ReadSnapshot checks policy
+// blobs against are the ones NewPolicy builds, for every architecture.
+func TestPolicyShapesMatchNewPolicy(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, kind := range PolicyKinds {
+		for _, dims := range [][2]int{{testMaxObs, testFeat}, {12, 5}, {33, 9}} {
+			p, err := NewPolicy(rng, kind, dims[0], dims[1])
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			want, err := policyShapes(kind, dims[0], dims[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := p.Params()
+			if len(ps) != len(want) {
+				t.Fatalf("%s %v: %d shapes for %d tensors", kind, dims, len(want), len(ps))
+			}
+			for i, q := range ps {
+				if !slices.Equal(q.Shape, want[i]) {
+					t.Errorf("%s %v: tensor %d has shape %v, policyShapes says %v", kind, dims, i, q.Shape, want[i])
+				}
+			}
 		}
-		if err != nil {
-			t.Fatalf("%s: ReadSnapshot: %v", c.name, err)
-		}
-		if _, err := got.MaterializePolicy(rng); err == nil {
-			t.Errorf("%s: MaterializePolicy accepted it", c.name)
-		}
-		if _, _, err := got.Materialize(rng); err == nil {
-			t.Errorf("%s: Materialize accepted it", c.name)
-		}
+	}
+	if _, err := policyShapes("lenet", 2, 2); err == nil {
+		t.Error("policyShapes must refuse a LeNet NewPolicy refuses")
 	}
 }
 
@@ -293,22 +332,6 @@ func TestSnapshotEmptyValueHidden(t *testing.T) {
 	}
 	if _, _, err := snap.Materialize(rng); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCopyParams(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := NewKernelNet(rng, testMaxObs, testFeat, nil)
-	b := NewKernelNet(rng, testMaxObs, testFeat, nil)
-	if err := CopyParams(b, a); err != nil {
-		t.Fatal(err)
-	}
-	obs := randObs(rng, 1)
-	la, lb := a.Logits(obs).Data, b.Logits(obs).Data
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatal("CopyParams must make networks identical")
-		}
 	}
 }
 

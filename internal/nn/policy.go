@@ -253,5 +253,35 @@ func NewPolicy(rng *rand.Rand, kind string, maxObs, feat int) (PolicyNet, error)
 	return nil, fmt.Errorf("nn: unknown policy kind %q", kind)
 }
 
+// policyShapes lists, in Params order, the tensor shapes NewPolicy builds
+// for kind at maxObs×feat, without building anything (maxObs·feat must not
+// overflow). It fails exactly where NewPolicy does.
+func policyShapes(kind string, maxObs, feat int) ([][]int, error) {
+	switch kind {
+	case "kernel":
+		return mlpShapes(append(append([]int{feat}, DefaultKernelSizes...), 1)...), nil
+	case "mlp-v1", "mlp-v2", "mlp-v3":
+		return mlpShapes(append(append([]int{maxObs * feat}, MLPVariants[kind]...), maxObs)...), nil
+	case "lenet":
+		flat, err := lenetFlat(maxObs, feat)
+		if err != nil {
+			return nil, err
+		}
+		conv := [][]int{{4, 1, 3, 3}, {1, 4}, {8, 4, 3, 3}, {1, 8}}
+		return append(conv, mlpShapes(flat, 64, maxObs)...), nil
+	}
+	return nil, fmt.Errorf("nn: unknown policy kind %q", kind)
+}
+
+// mlpShapes lists, in Params order, the tensor shapes NewMLP builds for
+// sizes: each layer's weights, then its bias.
+func mlpShapes(sizes ...int) [][]int {
+	var out [][]int
+	for i := 0; i+1 < len(sizes); i++ {
+		out = append(out, []int{sizes[i], sizes[i+1]}, []int{1, sizes[i+1]})
+	}
+	return out
+}
+
 // PolicyKinds lists the Table IV architectures in comparison order.
 var PolicyKinds = []string{"mlp-v1", "mlp-v2", "mlp-v3", "lenet", "kernel"}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Snapshot is a serializable model state: the architecture identity plus
@@ -108,40 +109,58 @@ func (s *Snapshot) Write(w io.Writer) error {
 }
 
 // ReadSnapshot decodes a snapshot from JSON. It refuses dims no network
-// can be built with or the file's floats do not back — every blob holds the
-// product of its shape, the critic's weights what NewValueNet builds — so a
-// malformed model file is an error here, not a panic or an allocation
+// can be built with, and blobs that differ in count or shape from what
+// NewPolicy and NewValueNet build or that the file's floats do not fill.
+// Every tensor Materialize allocates is then backed by the file itself, so
+// a malformed model file is an error here, not a panic or an allocation
 // without bound in Materialize.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("nn: decode snapshot: %w", err)
 	}
-	if s.MaxObs <= 0 || s.Features <= 0 {
-		return nil, fmt.Errorf("nn: snapshot dims max_obs=%d features=%d must be positive", s.MaxObs, s.Features)
-	}
-	for _, bs := range [][]ParamBlob{s.Policy, s.Value} {
-		for i, b := range bs {
-			if n, ok := product(b.Shape...); !ok || n != len(b.Data) {
-				return nil, fmt.Errorf("nn: snapshot tensor %d of shape %v holds %d values", i, b.Shape, len(b.Data))
-			}
-		}
+	in, ok := product(s.MaxObs, s.Features)
+	if s.MaxObs <= 0 || s.Features <= 0 || !ok {
+		return nil, fmt.Errorf("nn: snapshot dims max_obs=%d features=%d must be positive with a product that fits an int", s.MaxObs, s.Features)
 	}
 	hidden := s.ValueHidden
 	if hidden == nil {
 		hidden = DefaultValueSizes
 	}
-	// Critic layer k is Linear(in, out) — weights, then bias — and layer 0's
-	// in is max_obs·features, kept as two factors for product.
-	in := []int{s.MaxObs, s.Features}
-	for k, out := range append(hidden[:len(hidden):len(hidden)], 1) {
-		n, ok := product(append(in, out)...)
-		if out <= 0 || !ok || 2*k >= len(s.Value) || len(s.Value[2*k].Data) != n {
-			return nil, fmt.Errorf("nn: snapshot value_hidden %v: critic layer %d does not hold %v×%d weights", s.ValueHidden, k, in, out)
+	for _, h := range hidden {
+		if h <= 0 {
+			return nil, fmt.Errorf("nn: snapshot value_hidden %v must be positive", s.ValueHidden)
 		}
-		in = []int{out}
+	}
+	policy, err := policyShapes(s.PolicyKind, s.MaxObs, s.Features)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkBlobs("policy", s.Policy, policy); err != nil {
+		return nil, err
+	}
+	sizes := append(append([]int{in}, hidden...), 1)
+	if err := checkBlobs("value", s.Value, mlpShapes(sizes...)); err != nil {
+		return nil, err
 	}
 	return &s, nil
+}
+
+// checkBlobs refuses blobs that differ in count or shape from want, or
+// whose data does not fill its shape.
+func checkBlobs(net string, bs []ParamBlob, want [][]int) error {
+	if len(bs) != len(want) {
+		return fmt.Errorf("nn: snapshot %s has %d tensors, model has %d", net, len(bs), len(want))
+	}
+	for i, b := range bs {
+		if !slices.Equal(b.Shape, want[i]) {
+			return fmt.Errorf("nn: snapshot %s tensor %d has shape %v, model wants %v", net, i, b.Shape, want[i])
+		}
+		if n, ok := product(b.Shape...); !ok || n != len(b.Data) {
+			return fmt.Errorf("nn: snapshot %s tensor %d of shape %v holds %d values", net, i, b.Shape, len(b.Data))
+		}
+	}
+	return nil
 }
 
 // product multiplies dims; ok is false for a negative dim or an overflow.
@@ -154,10 +173,4 @@ func product(dims ...int) (int, bool) {
 		n *= d
 	}
 	return n, true
-}
-
-// CopyParams copies weights from src to dst (same architecture). It is
-// SyncParams under the historical name.
-func CopyParams(dst, src Module) error {
-	return SyncParams(dst, src)
 }

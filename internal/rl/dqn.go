@@ -130,7 +130,7 @@ func (r *Replay) Sample(rng *rand.Rand, n int) []Transition {
 // NewDQN builds the learner; target starts as a copy of Q.
 func NewDQN(q, target nn.PolicyNet, cfg DQNConfig) (*DQN, error) {
 	cfg = cfg.defaults()
-	if err := nn.CopyParams(target, q); err != nil {
+	if err := nn.SyncParams(target, q); err != nil {
 		return nil, err
 	}
 	maxObs, feat := q.Dims()
@@ -194,7 +194,7 @@ func (d *DQN) Observe(rng *rand.Rand, t Transition) float64 {
 		}
 	}
 	if d.steps%d.cfg.TargetEvery == 0 {
-		if err := nn.CopyParams(d.Target, d.Q); err != nil {
+		if err := nn.SyncParams(d.Target, d.Q); err != nil {
 			panic("rl: target sync: " + err.Error())
 		}
 	}

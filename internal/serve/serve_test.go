@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -299,9 +300,10 @@ func TestConcurrentDecideAndReload(t *testing.T) {
 	}
 }
 
-// TestReloadMalformedModel: a model file whose dimensions no network can
-// be built with is a 400 from /reload, and the engine already loaded keeps
-// answering.
+// TestReloadMalformedModel: a model file whose dimensions or tensors no
+// network can be built with is a 400 from /reload, refused before the
+// daemon allocates more than the file backs, and the engine already loaded
+// keeps answering.
 func TestReloadMalformedModel(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := newTestServer(t, Config{ModelPath: writeSnapshot(t, dir, "kernel", 32)})
@@ -312,11 +314,18 @@ func TestReloadMalformedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	val := nn.NewValueNet(rng, 32, sim.JobFeatures, nil)
+	// A critic with no hidden layer over max_obs 20000 backs a ~3 MB file;
+	// the mlp-v1 policy that file declares but omits would cost ~300 MB.
+	bare := nn.NewValueNet(rng, 20000, sim.JobFeatures, []int{})
 	for name, edit := range map[string]func(s *nn.Snapshot){
 		"features 0":        func(s *nn.Snapshot) { s.Features = 0 },
 		"max_obs -1":        func(s *nn.Snapshot) { s.MaxObs = -1 },
 		"value_hidden [-1]": func(s *nn.Snapshot) { s.ValueHidden = []int{-1} },
 		"lenet 2x2":         func(s *nn.Snapshot) { s.PolicyKind, s.MaxObs, s.Features = "lenet", 2, 2 },
+		"mlp-v1 policy [] at max_obs 20000": func(s *nn.Snapshot) {
+			*s = *nn.Snap(pol, bare, []int{})
+			s.PolicyKind, s.MaxObs, s.Policy = "mlp-v1", 20000, nil
+		},
 	} {
 		snap := nn.Snap(pol, val, nil)
 		edit(snap)
@@ -332,8 +341,14 @@ func TestReloadMalformedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if code, out := postJSON(t, ts.URL+"/reload", spec); code != http.StatusBadRequest {
 			t.Errorf("%s: /reload answered %d %s, want 400", name, code, out)
+		}
+		runtime.ReadMemStats(&after)
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 64 {
+			t.Errorf("%s: refusing the file allocated %d MB", name, mb)
 		}
 		if code, out := postJSON(t, ts.URL+"/v1/decide", body); code != http.StatusOK ||
 			!bytes.Contains(out, []byte(`"policy":"kernel"`)) {

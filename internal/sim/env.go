@@ -73,13 +73,23 @@ func (e *Env) ResetOnly(seq []*job.Job) error {
 	if err := e.sim.Load(seq); err != nil {
 		return err
 	}
-	// Advance until a decision is needed.
-	for e.sim.PendingCount() == 0 && !e.sim.Done() {
+	e.toDecision()
+	return nil
+}
+
+// toDecision pumps the simulator, advancing the clock event by event, until
+// the agent must pick: nothing committed and a job pending. It reports
+// false when the run ended instead (no events remain).
+func (e *Env) toDecision() bool {
+	for {
+		e.sim.Pump(nil)
+		if e.sim.committed == nil && len(e.sim.pending) > 0 {
+			return true
+		}
 		if !e.sim.advanceToNextEvent() {
-			break
+			return false
 		}
 	}
-	return nil
 }
 
 // Step schedules the visible job at slot action (invalid or padded slots
@@ -103,22 +113,15 @@ func (e *Env) StepOnly(action int) (float64, bool) {
 	if action < 0 || action >= len(visible) {
 		action = 0
 	}
-	e.sim.Schedule(visible[action])
-	for e.sim.PendingCount() == 0 && !e.sim.Done() {
-		if !e.sim.advanceToNextEvent() {
-			break
-		}
+	e.sim.Commit(visible[action])
+	if e.toDecision() {
+		return 0, false
 	}
-	if e.sim.Done() || (e.sim.PendingCount() == 0 && e.sim.arrivalIdx == len(e.sim.seq)) {
-		for e.sim.advanceToNextEvent() {
-		}
-		res := e.sim.result()
-		if e.reward != nil {
-			return e.reward(res), true
-		}
-		return metrics.Reward(e.goal, res), true
+	res := e.sim.result()
+	if e.reward != nil {
+		return e.reward(res), true
 	}
-	return 0, false
+	return metrics.Reward(e.goal, res), true
 }
 
 // Mask returns validity flags for each action slot: true where a real
@@ -164,9 +167,6 @@ func (e *Env) ObserveInto(dst Obs) {
 
 // Result returns the finished run's jobs and utilization.
 func (e *Env) Result() metrics.Result { return e.sim.result() }
-
-// Sim exposes the underlying simulator (read-only use intended).
-func (e *Env) Sim() *Simulator { return e.sim }
 
 // observe builds a fresh fixed-size observation matrix. Each call
 // allocates so callers (e.g. trajectory buffers) may retain the slice.

@@ -10,6 +10,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"rlsched/internal/cluster"
 	"rlsched/internal/job"
@@ -91,6 +92,7 @@ type Simulator struct {
 	seq        []*job.Job // the full sequence, submit-ordered
 	arrivalIdx int        // next job to arrive
 	pending    []*job.Job // arrived, not started (FCFS order)
+	committed  *job.Job   // the pending job picked to run next (nil = none)
 	running    runHeap
 	completed  int
 	done       []*job.Job // append-only completion log, in completion order
@@ -152,6 +154,7 @@ func (s *Simulator) Load(seq []*job.Job) error {
 	s.seq = seq
 	s.arrivalIdx = 0
 	s.pending = s.pending[:0]
+	s.committed = nil
 	s.running = s.running[:0]
 	s.completed = 0
 	s.done = s.done[:0]
@@ -252,21 +255,11 @@ func (s *Simulator) advanceTo(t float64) {
 // advanceToNextEvent advances to the earliest pending event (arrival or
 // completion). It reports false when no events remain.
 func (s *Simulator) advanceToNextEvent() bool {
-	t := -1.0
-	if len(s.running) > 0 {
-		t = s.running[0].EndTime
+	t, ok := s.NextEventTime()
+	if ok {
+		s.advanceTo(t)
 	}
-	if s.arrivalIdx < len(s.seq) {
-		at := s.seq[s.arrivalIdx].SubmitTime
-		if t < 0 || at < t {
-			t = at
-		}
-	}
-	if t < 0 {
-		return false
-	}
-	s.advanceTo(t)
-	return true
+	return ok
 }
 
 // start allocates and launches a pending job at the current time.
@@ -291,28 +284,52 @@ func (s *Simulator) start(j *job.Job) {
 	}
 }
 
-// Schedule runs the chosen job as soon as possible. If it does not fit now,
-// time advances (completing/admitting jobs); with Backfill enabled, other
-// pending jobs that cannot delay the chosen job's reservation are started
-// meanwhile (EASY backfilling). On return the chosen job has started.
-func (s *Simulator) Schedule(chosen *job.Job) {
-	for !s.canStart(chosen) {
-		if s.cfg.Backfill {
-			if s.cfg.Conservative {
-				s.conservativeBackfill(chosen)
-			} else {
-				s.backfill(chosen)
+// Pump applies every scheduling decision due at the current instant,
+// without advancing the clock: it asks sched for a pick when nothing is
+// committed, starts the committed job once it fits, and otherwise
+// backfills around it (when Backfill is on), so the committed job holds its
+// reservation while it waits. With a nil sched Pump stops where a pick is
+// due and leaves the choice to the caller (Commit) — how Env lets the agent
+// decide. Pump between clock advances is the whole scheduling loop: Run,
+// Env and every fleet member drive the simulator through it.
+func (s *Simulator) Pump(sched Scheduler) {
+	for {
+		if s.committed == nil {
+			if len(s.pending) == 0 || sched == nil {
+				return
 			}
-			if s.canStart(chosen) {
-				break
+			vis := s.Visible()
+			idx := sched.Pick(vis, s.now, s.View())
+			if idx < 0 || idx >= len(vis) {
+				idx = 0
+			}
+			s.committed = vis[idx]
+		}
+		if !s.canStart(s.committed) {
+			if s.cfg.Backfill {
+				if s.cfg.Conservative {
+					s.conservativeBackfill(s.committed)
+				} else {
+					s.backfill(s.committed)
+				}
+			}
+			if !s.canStart(s.committed) {
+				return
 			}
 		}
-		if !s.advanceToNextEvent() {
-			panic(fmt.Sprintf("sim: job %d (%d procs) can never start", chosen.ID, chosen.RequestedProcs))
-		}
+		s.start(s.committed)
+		s.committed = nil
 	}
-	s.start(chosen)
 }
+
+// Committed returns the job the scheduler picked and that waits to start,
+// or nil when no pick is outstanding.
+func (s *Simulator) Committed() *job.Job { return s.committed }
+
+// Commit makes j, which must be pending, the pick the next Pump starts or
+// backfills around — the agent's action in Env, and how the fleet restores
+// a pick a migration probe withdrew and resubmitted.
+func (s *Simulator) Commit(j *job.Job) { s.committed = j }
 
 // shadow computes the EASY reservation for the chosen job: the earliest
 // time enough processors will be free — and, when quotas are active, the
@@ -405,27 +422,21 @@ func (s *Simulator) conservativeBackfill(chosen *job.Job) {
 	}
 }
 
-// Run drives the full sequence with the scheduler and returns the result.
+// Run drives the full sequence with the scheduler — Pump, then advance to
+// the next event, until no events remain — and returns the result. The
+// clock ends at the last completion, so utilization covers the full run.
 func (s *Simulator) Run(sched Scheduler) (metrics.Result, error) {
 	if len(s.seq) == 0 {
 		return metrics.Result{}, fmt.Errorf("sim: no sequence loaded")
 	}
-	for !s.Done() {
-		if len(s.pending) == 0 {
-			if !s.advanceToNextEvent() {
-				break
-			}
-			continue
+	for {
+		s.Pump(sched)
+		if !s.advanceToNextEvent() {
+			break
 		}
-		visible := s.Visible()
-		idx := sched.Pick(visible, s.now, s.View())
-		if idx < 0 || idx >= len(visible) {
-			idx = 0
-		}
-		s.Schedule(visible[idx])
 	}
-	// Drain remaining completions so utilization covers the full run.
-	for s.advanceToNextEvent() {
+	if j := s.committed; j != nil {
+		return metrics.Result{}, fmt.Errorf("sim: job %d (%d procs) can never start", j.ID, j.RequestedProcs)
 	}
 	return s.result(), nil
 }
@@ -459,6 +470,9 @@ func (s *Simulator) CheckInvariants() error {
 	}
 	if inFlight := started - s.completed; inFlight != len(s.running) {
 		return fmt.Errorf("sim: %d in flight but %d running", inFlight, len(s.running))
+	}
+	if c := s.committed; c != nil && (!slices.Contains(s.pending, c) || c.Started()) {
+		return fmt.Errorf("sim: committed job %d is not a pending, unstarted job", c.ID)
 	}
 	// Processors are counts, so conservation is checked against the jobs
 	// holding them: the cluster's busy count and every user's held count

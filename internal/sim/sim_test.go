@@ -27,6 +27,11 @@ func (sjfPick) Pick(v []*job.Job, _ float64, _ ClusterView) int {
 	return best
 }
 
+// randPick selects a uniformly random visible job.
+type randPick struct{ rng *rand.Rand }
+
+func (r randPick) Pick(v []*job.Job, _ float64, _ ClusterView) int { return r.rng.Intn(len(v)) }
+
 func seq(jobs ...*job.Job) []*job.Job { return jobs }
 
 func TestRunSerialJobs(t *testing.T) {
@@ -248,20 +253,14 @@ func TestSimInvariantsUnderRandomScheduling(t *testing.T) {
 			if err := s.Load(tr.SampleWindow(rng, 150)); err != nil {
 				t.Fatal(err)
 			}
-			for !s.Done() {
-				if s.PendingCount() == 0 {
-					if !s.advanceToNextEvent() {
-						break
-					}
-					continue
-				}
-				v := s.Visible()
-				s.Schedule(v[rng.Intn(len(v))])
+			for {
+				s.Pump(randPick{rng})
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatalf("backfill=%v: %v", bf, err)
 				}
-			}
-			for s.advanceToNextEvent() {
+				if !s.advanceToNextEvent() {
+					break
+				}
 			}
 			res := s.result()
 			for _, j := range res.Jobs {
@@ -280,8 +279,8 @@ func TestSimInvariantsUnderRandomScheduling(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesCountDrift corrupts the processor counts the
-// simulator keeps beside its running jobs and expects CheckInvariants to
-// notice each one.
+// simulator keeps beside its running jobs, and its committed pick, and
+// expects CheckInvariants to notice each one.
 func TestCheckInvariantsCatchesCountDrift(t *testing.T) {
 	for name, corrupt := range map[string]func(s *Simulator){
 		"cluster holds procs no running job requested": func(s *Simulator) {
@@ -292,14 +291,15 @@ func TestCheckInvariantsCatchesCountDrift(t *testing.T) {
 		"running job's user holds one proc too many": func(s *Simulator) { s.userProcs[0]++ },
 		"user with no running job holds procs":       func(s *Simulator) { s.userProcs[7] = 3 },
 		"running job's user holds nothing":           func(s *Simulator) { delete(s.userProcs, 1) },
+		"committed pick is running":                  func(s *Simulator) { s.Commit(s.running[0]) },
+		"committed pick never arrived":               func(s *Simulator) { s.Commit(userJob(9, 0, 10, 1, 0)) },
 	} {
 		s := New(Config{Processors: 8})
 		if err := s.Load(seq(userJob(1, 0, 100, 3, 0), userJob(2, 0, 100, 2, 1))); err != nil {
 			t.Fatal(err)
 		}
 		s.advanceTo(0) // admit both arrivals
-		s.Schedule(s.pending[0])
-		s.Schedule(s.pending[0])
+		s.Pump(fcfsPick{})
 		if err := s.CheckInvariants(); err != nil {
 			t.Fatalf("%s: before corruption: %v", name, err)
 		}

@@ -15,11 +15,10 @@ import (
 // member clusters against one global arrival stream. A member is driven
 // externally: jobs arrive via Submit at the moment a placement decision
 // routes them, the clock advances event-by-event via NextEventTime +
-// AdvanceClock, and scheduling decisions are applied through CanStartNow /
-// StartNow / BackfillNow. Driven this way, a single cluster reproduces
-// Run's scheduling semantics exactly (asserted by a parity test in
-// internal/fleet): the primitives below are the same code paths Schedule
-// uses, only with the time advance hoisted out to the caller.
+// AdvanceClock, and Pump applies the scheduling decisions due at each
+// instant. Pump is Run's own loop body — Run is Pump plus its own clock
+// advance — so a cluster driven this way schedules exactly as Run would
+// (asserted by a parity test in internal/fleet).
 
 // Submit injects an arriving job at the current clock: it joins the
 // sequence history and the pending queue immediately. Submit is the
@@ -94,9 +93,10 @@ func insertOrdered(s *[]*job.Job, j *job.Job) {
 // (internal/fleet) is built from: withdraw from the source cluster,
 // re-score, Submit to the destination. A job that has started (or already
 // completed) cannot be withdrawn; neither can one the simulator never
-// received. Withdraw-then-resubmit to the same cluster at the same instant
-// restores the exact pre-withdraw schedule (Submit reinserts by original
-// submit time), so an aborted migration is a provable no-op.
+// received. Withdrawing the committed job clears the pick. Withdraw-then-
+// resubmit to the same cluster at the same instant restores the exact
+// pre-withdraw schedule (Submit reinserts by original submit time; Commit
+// restores a withdrawn pick), so an aborted migration is a provable no-op.
 func (s *Simulator) Withdraw(id int) (*job.Job, error) {
 	if s.arrivalIdx != len(s.seq) {
 		return nil, fmt.Errorf("sim: cannot Withdraw while %d preloaded arrivals are pending",
@@ -107,6 +107,9 @@ func (s *Simulator) Withdraw(id int) (*job.Job, error) {
 			continue
 		}
 		s.pending = append(s.pending[:i], s.pending[i+1:]...)
+		if s.committed == j {
+			s.committed = nil
+		}
 		for k, q := range s.seq {
 			if q == j {
 				s.seq = append(s.seq[:k], s.seq[k+1:]...)
@@ -211,36 +214,6 @@ func (s *Simulator) NextEventTime() (float64, bool) {
 // instant (free processors and, when quotas are active, quota headroom).
 func (s *Simulator) CanStartNow(j *job.Job) bool { return s.canStart(j) }
 
-// StartNow launches a pending job at the current clock. It is the caller's
-// Schedule: the job must be pending and startable.
-func (s *Simulator) StartNow(j *job.Job) error {
-	if !s.canStart(j) {
-		return fmt.Errorf("sim: job %d (%d procs) cannot start now (%d free)",
-			j.ID, j.RequestedProcs, s.cluster.Free())
-	}
-	for _, p := range s.pending {
-		if p == j {
-			s.start(j)
-			return nil
-		}
-	}
-	return fmt.Errorf("sim: job %d is not pending", j.ID)
-}
-
-// BackfillNow runs one backfilling pass at the current instant around the
-// committed job — exactly the pass Schedule runs per event while the
-// chosen job waits. A no-op when backfilling is disabled.
-func (s *Simulator) BackfillNow(chosen *job.Job) {
-	if !s.cfg.Backfill {
-		return
-	}
-	if s.cfg.Conservative {
-		s.conservativeBackfill(chosen)
-	} else {
-		s.backfill(chosen)
-	}
-}
-
 // Result snapshots the run's metrics at the current instant (final once no
 // events remain).
 func (s *Simulator) Result() metrics.Result { return s.result() }
@@ -272,19 +245,14 @@ func (s *Simulator) PendingWork() float64 {
 	return w
 }
 
-// RunningWork returns the committed remaining work area
-// Σ (end−now)·procs over running jobs, using the actual end times the
-// simulator knows (schedulers never see them; the placement layer uses the
-// aggregate the way a monitoring system would).
-func (s *Simulator) RunningWork() float64 { return s.RunningWorkAt(s.now) }
-
 // RunningWorkAt returns the remaining work area Σ (end−t)·procs over
-// running jobs, evaluated at an explicit instant t instead of the
-// simulator's own clock. The fleet's event-heap stepping uses it to
-// refresh candidate state at the global clock without advancing members
-// that have no events: as long as no running job ends at or before t
-// (which would be an event waking the member), the value is identical to
-// advancing the clock to t and calling RunningWork.
+// running jobs at instant t, using the actual end times the simulator
+// knows (schedulers never see them; the placement layer uses the aggregate
+// the way a monitoring system would). The fleet's event-heap stepping
+// evaluates it at the global clock without advancing members that have no
+// events: as long as no running job ends at or before t (which would be an
+// event waking the member), the value is the one the member would report
+// with its own clock advanced to t.
 func (s *Simulator) RunningWorkAt(t float64) float64 {
 	w := 0.0
 	for _, j := range s.running {

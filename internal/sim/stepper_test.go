@@ -31,19 +31,15 @@ func TestSubmitAndEventStepping(t *testing.T) {
 	if !s.CanStartNow(a) {
 		t.Fatal("job fits an idle cluster")
 	}
-	if err := s.StartNow(a); err != nil {
-		t.Fatal(err)
+	s.Pump(fcfsPick{})
+	if !a.Started() || s.Committed() != nil {
+		t.Fatalf("Pump must start the job that fits: started=%v committed=%v", a.Started(), s.Committed())
 	}
-	if got := s.RunningWork(); got != 400 {
-		t.Fatalf("RunningWork = %g, want 400", got)
-	}
-
-	// Starting it again must fail: it is no longer pending.
-	if err := s.StartNow(a); err == nil {
-		t.Fatal("StartNow on a running job must error")
+	if got := s.RunningWorkAt(s.Now()); got != 400 {
+		t.Fatalf("RunningWorkAt(now) = %g, want 400", got)
 	}
 
-	// A job too wide for the free processors cannot start.
+	// A job too wide for the free processors stays committed, not started.
 	b := stepJob(2, 0, 50, 6)
 	if err := s.Submit(b); err != nil {
 		t.Fatal(err)
@@ -51,8 +47,9 @@ func TestSubmitAndEventStepping(t *testing.T) {
 	if s.CanStartNow(b) {
 		t.Fatal("6 procs cannot start with 4 free")
 	}
-	if err := s.StartNow(b); err == nil {
-		t.Fatal("StartNow must refuse an unstartable job")
+	s.Pump(fcfsPick{})
+	if b.Started() || s.Committed() != b {
+		t.Fatalf("the unstartable pick must wait committed: started=%v committed=%v", b.Started(), s.Committed())
 	}
 
 	et, ok := s.NextEventTime()
@@ -60,8 +57,8 @@ func TestSubmitAndEventStepping(t *testing.T) {
 		t.Fatalf("next event = %v,%v, want 100,true", et, ok)
 	}
 	s.AdvanceClock(50)
-	if got := s.RunningWork(); got != 200 {
-		t.Fatalf("RunningWork at t=50 = %g, want 200", got)
+	if got := s.RunningWorkAt(s.Now()); got != 200 {
+		t.Fatalf("RunningWorkAt(now) at t=50 = %g, want 200", got)
 	}
 	s.AdvanceClock(40) // never backwards
 	if s.Now() != 50 {
@@ -71,8 +68,10 @@ func TestSubmitAndEventStepping(t *testing.T) {
 	if !s.CanStartNow(b) {
 		t.Fatal("completion must free processors")
 	}
-	if err := s.StartNow(b); err != nil {
-		t.Fatal(err)
+	// Starting an existing pick needs no scheduler.
+	s.Pump(nil)
+	if b.StartTime != 100 || s.Committed() != nil {
+		t.Fatalf("committed job started at %g (committed=%v), want 100", b.StartTime, s.Committed())
 	}
 	s.AdvanceClock(150)
 	if !s.Done() {
@@ -135,8 +134,9 @@ func TestWithdraw(t *testing.T) {
 	if _, err := s.Withdraw(1); err == nil {
 		t.Fatal("double withdraw must error")
 	}
-	if err := s.StartNow(b); err != nil {
-		t.Fatal(err)
+	s.Pump(fcfsPick{})
+	if !b.Started() {
+		t.Fatal("the remaining job fits and must start")
 	}
 	if _, err := s.Withdraw(2); err == nil {
 		t.Fatal("withdrawing a started job must error")
@@ -156,6 +156,45 @@ func TestWithdraw(t *testing.T) {
 	}
 	if _, err := s2.Withdraw(3); err == nil {
 		t.Fatal("Withdraw must refuse while preloaded arrivals are pending")
+	}
+
+	// Withdrawing the committed pick clears it, resubmitting does not
+	// commit it again, and Commit restores it.
+	s3 := New(Config{Processors: 4})
+	long, wide := stepJob(4, 0, 100, 4), stepJob(5, 0, 50, 4)
+	for _, j := range []*job.Job{long, wide} {
+		if err := s3.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s3.Pump(fcfsPick{})
+	if !long.Started() || s3.Committed() != wide {
+		t.Fatalf("want long running and wide committed, got committed=%v", s3.Committed())
+	}
+	w, err := s3.Withdraw(wide.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.Committed() != nil {
+		t.Fatal("withdrawing the committed job must clear the pick")
+	}
+	if err := s3.Submit(w); err != nil {
+		t.Fatal(err)
+	}
+	if s3.Committed() != nil {
+		t.Fatal("Submit must not commit a pick")
+	}
+	s3.Commit(w)
+	if s3.Committed() != wide {
+		t.Fatal("Commit must restore the pick")
+	}
+	if err := s3.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	s3.AdvanceClock(100)
+	s3.Pump(nil)
+	if wide.StartTime != 100 {
+		t.Fatalf("restored pick started at %g, want 100", wide.StartTime)
 	}
 }
 
@@ -197,18 +236,7 @@ func TestWithdrawResubmitParity(t *testing.T) {
 		}
 		// Drive FCFS to completion through the stepping surface.
 		for {
-			for len(s.Visible()) > 0 {
-				head := s.Visible()[0]
-				if !s.CanStartNow(head) {
-					s.BackfillNow(head)
-				}
-				if !s.CanStartNow(head) {
-					break
-				}
-				if err := s.StartNow(head); err != nil {
-					t.Fatal(err)
-				}
-			}
+			s.Pump(fcfsPick{})
 			et, ok := s.NextEventTime()
 			if !ok {
 				break
@@ -226,16 +254,18 @@ func TestWithdrawResubmitParity(t *testing.T) {
 	}
 }
 
-// TestBackfillNowMatchesScheduleBackfill: with backfilling enabled,
-// BackfillNow starts exactly the jobs Schedule's internal pass would.
-func TestBackfillNowStartsSafeJobs(t *testing.T) {
+// TestPumpBackfillsAroundCommittedJob: while the committed job waits, Pump
+// backfills only jobs that cannot delay its reservation, and starts it the
+// moment it fits.
+func TestPumpBackfillsAroundCommittedJob(t *testing.T) {
 	s := New(Config{Processors: 8, Backfill: true})
 	long := stepJob(1, 0, 1000, 8)
 	if err := s.Submit(long); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StartNow(long); err != nil {
-		t.Fatal(err)
+	s.Pump(fcfsPick{})
+	if !long.Started() {
+		t.Fatal("long fits an idle cluster")
 	}
 	// Wide job must wait for the full cluster; a short narrow job can
 	// backfill ahead of it without delaying its reservation.
@@ -247,18 +277,22 @@ func TestBackfillNowStartsSafeJobs(t *testing.T) {
 	if err := s.Submit(short); err != nil {
 		t.Fatal(err)
 	}
-	s.BackfillNow(wide)
+	s.Pump(fcfsPick{})
+	if s.Committed() != wide {
+		t.Fatalf("FCFS must commit to wide, got %v", s.Committed())
+	}
 	if short.Started() {
 		t.Fatal("nothing is free at t=0; backfill cannot start anything")
 	}
 	s.AdvanceClock(1000) // long completes; 8 free
-	// wide's reservation is now; short (50s, 2p) would delay it.
-	s.BackfillNow(wide)
+	// wide's reservation is now: it starts, and short (50s, 2p) would
+	// delay it, so short does not backfill ahead of it.
+	s.Pump(nil)
+	if wide.StartTime != 1000 {
+		t.Fatalf("wide started at %g, want 1000", wide.StartTime)
+	}
 	if short.Started() {
 		t.Fatal("backfill must not delay the committed job's reservation")
-	}
-	if !s.CanStartNow(wide) {
-		t.Fatal("wide fits after the long job completes")
 	}
 }
 
@@ -276,9 +310,7 @@ func TestCompletionsLog(t *testing.T) {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.StartNow(j); err != nil {
-			t.Fatal(err)
-		}
+		s.Pump(fcfsPick{})
 	}
 	s.AdvanceClock(60)
 	if got := s.Completions(); len(got) != 1 || got[0] != b {

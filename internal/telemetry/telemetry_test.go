@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
@@ -42,28 +41,6 @@ func TestSeriesSetRoundTrip(t *testing.T) {
 	set.Reset()
 	if set.Len() != 0 || set.Get("a.util") != nil {
 		t.Fatal("Reset must drop every series")
-	}
-}
-
-func TestCounterWindow(t *testing.T) {
-	c := NewCounter(10, 5)
-	c.Add(0, 1)
-	c.Add(1, 2)
-	c.Add(9, 4)
-	if got := c.Sum(9); got != 7 {
-		t.Fatalf("Sum(9) = %g, want 7", got)
-	}
-	// At t=12 the t=0..1 samples have aged out of the 10s window.
-	if got := c.Sum(12); got != 4 {
-		t.Fatalf("Sum(12) = %g, want 4", got)
-	}
-	if got := c.Rate(12); math.Abs(got-0.4) > 1e-12 {
-		t.Fatalf("Rate(12) = %g, want 0.4", got)
-	}
-	// Far beyond the window everything is stale, including after a long
-	// idle gap that wraps the ring many times over.
-	if got := c.Sum(1e6); got != 0 {
-		t.Fatalf("Sum(1e6) = %g, want 0", got)
 	}
 }
 
@@ -124,18 +101,16 @@ func TestHistogramWindowedQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramDefaultWindow: window and slots <= 0 take NewCounter's
-// defaults, 60 s over 8 slots, so a sample at t=0 is gone by t=61.
+// TestHistogramDefaultWindow: window and slots <= 0 take the defaults,
+// 60 s over 8 slots, so a sample at t=0 is gone by t=61.
 func TestHistogramDefaultWindow(t *testing.T) {
 	h := NewHistogram(LogBounds(1e-3, 1, 3), 0, 0)
-	c := NewCounter(0, 0)
 	h.Observe(0, 0.01)
-	c.Add(0, 1)
 	if got := h.Count(59); got != 1 {
 		t.Fatalf("Count(59) = %d, want 1", got)
 	}
-	if hc, cs := h.Count(61), c.Sum(61); hc != 0 || cs != 0 {
-		t.Fatalf("at t=61 Count = %d and Sum = %g, want both 0", hc, cs)
+	if got := h.Count(61); got != 0 {
+		t.Fatalf("Count(61) = %d, want 0", got)
 	}
 	// Overflow mass clamps to the top bound instead of +Inf.
 	h.Observe(61, 50)
