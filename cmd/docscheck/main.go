@@ -43,6 +43,7 @@ var godocTargets = []struct {
 	{dir: "internal/fleet"},
 	{dir: "internal/metrics"},
 	{dir: "internal/obs"},
+	{dir: "internal/policy"},
 	{dir: "internal/sim", file: "stepper.go"},
 	{dir: "internal/telemetry"},
 	{dir: "internal/trace", file: "zoo.go"},

@@ -62,7 +62,6 @@ func TestGradElementwiseOps(t *testing.T) {
 	checkGrads(t, "sub", []*Tensor{a, b}, func() *Tensor { return Mean(Sub(a, b)) })
 	checkGrads(t, "mul", []*Tensor{a, b}, func() *Tensor { return Sum(Mul(a, b)) })
 	checkGrads(t, "scale", []*Tensor{a}, func() *Tensor { return Sum(Scale(a, -2.5)) })
-	checkGrads(t, "addscalar", []*Tensor{a}, func() *Tensor { return Sum(AddScalar(a, 3)) })
 	checkGrads(t, "square", []*Tensor{a}, func() *Tensor { return Sum(Square(a)) })
 	checkGrads(t, "exp", []*Tensor{a}, func() *Tensor { return Sum(Exp(a)) })
 	checkGrads(t, "tanh", []*Tensor{a}, func() *Tensor { return Sum(Tanh(a)) })

@@ -92,21 +92,6 @@ func Scale(a *Tensor, s float64) *Tensor {
 	return out
 }
 
-// AddScalar returns a + s.
-func AddScalar(a *Tensor, s float64) *Tensor {
-	out := newFrom("adds", a.Shape, a)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + s
-	}
-	out.backFn = func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			a.Grad[i] += g
-		}
-	}
-	return out
-}
-
 // MatMul returns a[m,k] × b[k,n].
 func MatMul(a, b *Tensor) *Tensor {
 	a.want2D()

@@ -182,12 +182,6 @@ func (t *Tensor) Backward() {
 	}
 }
 
-// Detach returns a gradient-free copy sharing the data buffer, cutting the
-// graph (used for targets and rollout-time inference values).
-func (t *Tensor) Detach() *Tensor {
-	return &Tensor{Shape: append([]int(nil), t.Shape...), Data: t.Data}
-}
-
 // Clone returns an independent deep copy (no graph, no grad tracking).
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.Shape...)

@@ -67,19 +67,6 @@ func TestBackwardAccumulatesAcrossUses(t *testing.T) {
 	}
 }
 
-func TestDetachCutsGraph(t *testing.T) {
-	a := Param([]float64{3}, 1)
-	b := Scale(a, 2)
-	d := b.Detach()
-	Sum(Mul(d, d)).Backward()
-	if a.Grad[0] != 0 {
-		t.Errorf("grad through Detach = %g, want 0", a.Grad[0])
-	}
-	if d.Data[0] != 6 {
-		t.Errorf("Detach data = %g, want 6", d.Data[0])
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := FromSlice([]float64{1, 2}, 2)
 	c := a.Clone()

@@ -163,7 +163,7 @@ func New(cfg Config) (*Agent, error) {
 		rewardFn = metrics.WeightedReward(cfg.RewardWeights)
 	}
 	a.collector = rl.NewCollector(rl.CollectorConfig{
-		Policy:  a.ppo.Inferer(),
+		Policy:  a.ppo.Policy,
 		Value:   val,
 		MaxObs:  cfg.MaxObserve,
 		Feat:    sim.JobFeatures,
@@ -269,7 +269,11 @@ func (a *Agent) Train(epochs int) ([]EpochStats, error) {
 // Scheduler returns the trained policy as a deterministic sim.Scheduler
 // (argmax inference).
 func (a *Agent) Scheduler() sim.Scheduler {
-	return policy.NewNetScheduler(a.ppo.Policy)
+	ns, err := policy.NewNetScheduler(a.ppo.Policy)
+	if err != nil {
+		panic("core: agent policy is built for sim.JobFeatures: " + err.Error())
+	}
+	return ns
 }
 
 // Save writes the trained networks as a JSON snapshot.
@@ -289,5 +293,9 @@ func LoadScheduler(r io.Reader) (sim.Scheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return policy.NewNetScheduler(pol), nil
+	ns, err := policy.NewNetScheduler(pol)
+	if err != nil {
+		return nil, err // not ns: a nil *NetScheduler is a non-nil sim.Scheduler
+	}
+	return ns, nil
 }

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"rlsched/internal/metrics"
+	"rlsched/internal/nn"
 	"rlsched/internal/rl"
 	"rlsched/internal/sched"
+	"rlsched/internal/sim"
 	"rlsched/internal/trace"
 )
 
@@ -212,6 +215,26 @@ func TestSaveLoadScheduler(t *testing.T) {
 	}
 	if _, err := LoadScheduler(bytes.NewBufferString("{")); err == nil {
 		t.Error("broken snapshot must fail to load")
+	}
+}
+
+// TestLoadSchedulerRejectsFeatureMismatch: a well-formed snapshot of a
+// network built for another per-job width must fail to load, not panic in
+// the first Pick.
+func TestLoadSchedulerRejectsFeatureMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const feat = sim.JobFeatures - 2
+	var buf bytes.Buffer
+	snap := nn.Snap(nn.NewKernelNet(rng, 16, feat, nil), nn.NewValueNet(rng, 16, feat, nil), nil)
+	if err := snap.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadScheduler(&buf)
+	if err == nil {
+		t.Fatalf("a %d-feature model loaded; the encoder produces %d", feat, sim.JobFeatures)
+	}
+	if s != nil {
+		t.Errorf("LoadScheduler returned scheduler %#v with its error, want nil", s)
 	}
 }
 

@@ -317,6 +317,33 @@ func TestRLScorerShape(t *testing.T) {
 	}
 }
 
+// TestRLScorerDoesNotAllocate: scoring a job against several clusters,
+// queues longer than the window included, runs on pooled scratch.
+func TestRLScorerDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	rl, err := NewRLScorer(nn.NewKernelNet(rand.New(rand.NewSource(5)), 16, sim.JobFeatures, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := lublinStream(t, 24, 3)
+	var cands []*Candidate
+	for _, n := range []int{0, 3, 15, 24} {
+		cands = append(cands, &Candidate{
+			View:    sim.ClusterView{FreeProcs: 8 * n, TotalProcs: 256},
+			Visible: queue[:n],
+			Pending: n,
+		})
+	}
+	j := job.New(99, 0, 300, 8, 300)
+	out := make([]float64, len(cands))
+	rl.Score(j, cands, out) // warm the scratch pools
+	if allocs := testing.AllocsPerRun(100, func() { rl.Score(j, cands, out) }); allocs != 0 {
+		t.Errorf("RLScorer.Score allocates %v times per call", allocs)
+	}
+}
+
 // TestNewValidation covers fleet construction errors.
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, NewRoundRobin()); err == nil {

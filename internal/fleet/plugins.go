@@ -8,7 +8,7 @@ import (
 	"rlsched/internal/job"
 	"rlsched/internal/nn"
 	"rlsched/internal/obs"
-	"rlsched/internal/sim"
+	"rlsched/internal/policy"
 )
 
 // The placement pipeline mirrors the two-phase predicate/priority split of
@@ -553,35 +553,25 @@ func (QueueWait) Score(j *job.Job, cands []*Candidate, out []float64) {
 func (QueueWait) ClockFree() bool { return true }
 
 // RLScorer scores the job's marginal impact per cluster with a trained
-// policy network through the graph-free nn.Inferer fast path (the same
-// path training rollouts and the serving daemon use): for each candidate
-// the job is appended to the cluster's visible queue, one batched forward
-// pass scores all clusters, and the job's log-probability under the
-// policy's softmax is the score — the policy's judgement of how soon it
-// would run the job there, relative to the backlog it must beat.
+// policy network through policy.NetScheduler (the decision path the
+// simulator and the serving daemon run): for each candidate the job is
+// appended to the cluster's visible queue, one batched forward pass scores
+// all clusters, and the job's log-probability under the policy's softmax
+// is the score — the policy's judgement of how soon it would run the job
+// there, relative to the backlog it must beat.
 type RLScorer struct {
-	inf    nn.Inferer
-	maxObs int
-	feat   int
-	pool   sync.Pool // *rlScratch
-}
-
-type rlScratch struct {
-	obs    []float64
-	logits []float64
-	queue  []*job.Job
-	limits []int
+	ns     *policy.NetScheduler
+	queues sync.Pool // *[]*job.Job, a candidate's queue plus the job
 }
 
 // NewRLScorer wraps a policy network built for sim.JobFeatures features
 // per job.
 func NewRLScorer(net nn.PolicyNet) (*RLScorer, error) {
-	maxObs, feat := net.Dims()
-	if feat != sim.JobFeatures {
-		return nil, fmt.Errorf("fleet: policy expects %d features per job, encoder produces %d",
-			feat, sim.JobFeatures)
+	ns, err := policy.NewNetScheduler(net)
+	if err != nil {
+		return nil, err
 	}
-	return &RLScorer{inf: nn.AsInferer(net), maxObs: maxObs, feat: feat}, nil
+	return &RLScorer{ns: ns, queues: sync.Pool{New: func() any { return new([]*job.Job) }}}, nil
 }
 
 // Name implements Scorer.
@@ -590,38 +580,17 @@ func (r *RLScorer) Name() string { return "rl" }
 // Score implements Scorer. Safe for concurrent use (scratch is pooled,
 // weights are only read).
 func (r *RLScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
-	b := len(cands)
-	rowLen := r.maxObs * r.feat
-	sc, _ := r.pool.Get().(*rlScratch)
-	if sc == nil {
-		sc = &rlScratch{}
-	}
-	if cap(sc.obs) < b*rowLen {
-		sc.obs = make([]float64, b*rowLen)
-		sc.logits = make([]float64, b*r.maxObs)
-	}
-	if cap(sc.limits) < b {
-		sc.limits = make([]int, b)
-	}
-	obs := sc.obs[:b*rowLen]
-	logits := sc.logits[:b*r.maxObs]
-	limits := sc.limits[:b]
-	for i, c := range cands {
+	buf := r.queues.Get().(*[]*job.Job)
+	r.ns.Logits(len(cands), func(i int) policy.Queue {
+		c := cands[i]
 		vis := c.Visible
-		if len(vis) > r.maxObs-1 {
-			vis = vis[:r.maxObs-1] // keep a slot for the candidate job
+		if max := r.ns.MaxObs() - 1; len(vis) > max {
+			vis = vis[:max] // keep a slot for the candidate job
 		}
-		sc.queue = append(sc.queue[:0], vis...)
-		sc.queue = append(sc.queue, j)
-		limits[i] = len(sc.queue)
-		sim.BuildObsInto(obs[i*rowLen:(i+1)*rowLen], sc.queue, c.Now, c.View, c.Pending+1, r.maxObs)
-	}
-	r.inf.InferLogits(obs, b, logits)
-	for i := range cands {
-		// log-softmax of the appended job's slot (the last real row).
-		out[i] = LastLogSoftmax(logits[i*r.maxObs : i*r.maxObs+limits[i]])
-	}
-	r.pool.Put(sc)
+		*buf = append(append((*buf)[:0], vis...), j)
+		return policy.Queue{Jobs: *buf, Now: c.Now, View: c.View, QueueLen: c.Pending + 1}
+	}, func(i int, row []float64) { out[i] = LastLogSoftmax(row) })
+	r.queues.Put(buf)
 }
 
 // LastLogSoftmax returns the log-softmax of row's last element — the

@@ -17,10 +17,9 @@ import (
 // swaps whole models atomically instead).
 
 // Inferer is the graph-free fast path of a PolicyNet: an allocation-light
-// forward pass that is safe for concurrent use. Every built-in policy
-// architecture (kernel, the MLP variants, LeNet) implements it, so both the
-// serving daemon and the training rollout collector select actions without
-// ever touching the autograd engine.
+// forward pass that is safe for concurrent use. Every PolicyNet implements
+// it, so both the serving daemon and the training rollout collector select
+// actions without ever touching the autograd engine.
 type Inferer interface {
 	// InferLogits scores a batch of flattened observations
 	// obs[batch, maxObs·feat] into out[batch·maxObs].
@@ -35,27 +34,9 @@ type ValueInferer interface {
 	InferValues(obs []float64, batch int, out []float64)
 }
 
-// AsInferer returns the graph-free fast path of net. All built-in
-// architectures implement Inferer directly (sharing weights with the
-// trainable network, so no sync is ever needed); an unknown third-party
-// PolicyNet is wrapped in an adapter that falls back to the autograd
-// forward pass — correct, but paying graph-construction cost per call.
-func AsInferer(net PolicyNet) Inferer {
-	if inf, ok := net.(Inferer); ok {
-		return inf
-	}
-	return graphInferer{net: net}
-}
-
-// graphInferer adapts a PolicyNet without a fast path to Inferer via the
-// autograd forward pass.
-type graphInferer struct{ net PolicyNet }
-
-func (g graphInferer) InferLogits(obs []float64, batch int, out []float64) {
-	maxObs, feat := g.net.Dims()
-	res := g.net.Logits(ag.FromSlice(obs, batch, maxObs*feat))
-	copy(out, res.Data)
-}
+// AsInferer returns net's graph-free fast path, which every PolicyNet
+// carries.
+func AsInferer(net PolicyNet) Inferer { return net }
 
 // SyncParams is a cheap weight refresh: it copies every parameter tensor of
 // src into dst in Params() order without allocating (unlike a snapshot
@@ -183,10 +164,6 @@ func (v *ValueNet) InferValues(obs []float64, batch int, out []float64) {
 	v.mlp.infer(obs, batch, out)
 }
 
-// Compile-time proof that every built-in architecture has the fast path.
-var (
-	_ Inferer      = (*KernelNet)(nil)
-	_ Inferer      = (*MLPPolicy)(nil)
-	_ Inferer      = (*LeNet)(nil)
-	_ ValueInferer = (*ValueNet)(nil)
-)
+// Compile-time proof that the critic has the fast path (NewPolicy proves
+// it for every policy architecture).
+var _ ValueInferer = (*ValueNet)(nil)

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -15,10 +14,6 @@ import (
 // agree to the bit.
 func inferParity(t *testing.T, net PolicyNet, batch int) {
 	t.Helper()
-	inf, ok := net.(Inferer)
-	if !ok {
-		t.Fatalf("%s does not implement Inferer", net.Kind())
-	}
 	maxObs, feat := net.Dims()
 	rng := rand.New(rand.NewSource(7))
 	obs := make([]float64, batch*maxObs*feat)
@@ -27,7 +22,7 @@ func inferParity(t *testing.T, net PolicyNet, batch int) {
 	}
 	want := net.Logits(ag.FromSlice(obs, batch, maxObs*feat)).Data
 	got := make([]float64, batch*maxObs)
-	inf.InferLogits(obs, batch, got)
+	net.InferLogits(obs, batch, got)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("%s logit %d: fast=%g autograd=%g", net.Kind(), i, got[i], want[i])
@@ -46,17 +41,14 @@ func TestInferLogitsMatchesAutograd(t *testing.T) {
 }
 
 func TestEveryPolicyKindInfers(t *testing.T) {
-	// AsInferer must return the native fast path for every registered
-	// architecture — the rollout collector and the serving daemon both
+	// Every registered architecture's fast path matches its autograd
+	// forward pass — the rollout collector and the serving daemon both
 	// rely on it.
 	rng := rand.New(rand.NewSource(4))
 	for _, kind := range PolicyKinds {
 		net, err := NewPolicy(rng, kind, 16, 7)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if _, ok := net.(Inferer); !ok {
-			t.Errorf("%s lacks the graph-free Inferer fast path", kind)
 		}
 		inferParity(t, net, 2)
 	}
@@ -98,28 +90,6 @@ func TestInferLogitsDoesNotAllocate(t *testing.T) {
 	out := make([]float64, 128)
 	if allocs := testing.AllocsPerRun(100, func() { net.InferLogits(obs, 1, out) }); allocs != 0 {
 		t.Errorf("KernelNet.InferLogits allocates %v times per call", allocs)
-	}
-}
-
-func TestAsInfererFallsBackToAutograd(t *testing.T) {
-	// A PolicyNet without a fast path of its own is served by the autograd
-	// forward pass, with the same logits.
-	type graphOnly struct{ PolicyNet }
-	rng := rand.New(rand.NewSource(9))
-	net := NewKernelNet(rng, 16, 7, nil)
-	inf := AsInferer(graphOnly{net})
-	if _, native := inf.(*KernelNet); native {
-		t.Fatal("AsInferer returned the native fast path of a net that hides it")
-	}
-	obs := make([]float64, 2*16*7)
-	for i := range obs {
-		obs[i] = rng.Float64()
-	}
-	got, want := make([]float64, 2*16), make([]float64, 2*16)
-	inf.InferLogits(obs, 2, got)
-	net.InferLogits(obs, 2, want)
-	if !slices.Equal(got, want) {
-		t.Errorf("fallback logits %v, fast path %v", got, want)
 	}
 }
 

@@ -29,17 +29,6 @@ const (
 	ActIdentity
 )
 
-func (a Activation) apply(x *ag.Tensor) *ag.Tensor {
-	switch a {
-	case ActTanh:
-		return ag.Tanh(x)
-	case ActReLU:
-		return ag.ReLU(x)
-	default:
-		return x
-	}
-}
-
 // denseCode maps the activation to the fused ag.Dense layer code.
 func (a Activation) denseCode() int {
 	switch a {
@@ -63,11 +52,6 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 	w := ag.RandParam(rng, scale, in, out)
 	b := ag.Param(make([]float64, out), 1, out)
 	return &Linear{W: w, B: b}
-}
-
-// Forward applies the layer to x[B,in].
-func (l *Linear) Forward(x *ag.Tensor) *ag.Tensor {
-	return ag.AddBias(ag.MatMul(x, l.W), l.B)
 }
 
 // Params implements Module.
@@ -127,9 +111,12 @@ func ParamCount(m Module) int {
 
 // PolicyNet maps a batch of flattened observations [B, maxObs·feat] to one
 // logit per observable job slot [B, maxObs]. Implementations differ only in
-// architecture; the PPO machinery is architecture-agnostic.
+// architecture; the PPO machinery is architecture-agnostic. Logits builds
+// the autograd graph training differentiates; the embedded Inferer is the
+// graph-free forward pass every decision runs, equal to it bit for bit.
 type PolicyNet interface {
 	Module
+	Inferer
 	// Logits scores every slot of every observation in the batch.
 	Logits(obs *ag.Tensor) *ag.Tensor
 	// Kind names the architecture for serialization and reports.

@@ -26,10 +26,8 @@ func randObs(rng *rand.Rand, batch int) *ag.Tensor {
 func TestLinearShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, 4, 3)
-	x := ag.New(5, 4)
-	y := l.Forward(x)
-	if y.Rows() != 5 || y.Cols() != 3 {
-		t.Fatalf("Linear out shape %v", y.Shape)
+	if !slices.Equal(l.W.Shape, []int{4, 3}) || !slices.Equal(l.B.Shape, []int{1, 3}) {
+		t.Fatalf("Linear shapes W %v B %v, want [4 3] and [1 3]", l.W.Shape, l.B.Shape)
 	}
 	if len(l.Params()) != 2 {
 		t.Fatalf("Linear params = %d, want 2", len(l.Params()))
@@ -335,18 +333,20 @@ func TestSnapshotEmptyValueHidden(t *testing.T) {
 	}
 }
 
+// TestActivations: each Activation selects its fused ag.Dense
+// nonlinearity (through an identity layer, so the output is act(x)).
 func TestActivations(t *testing.T) {
 	x := ag.FromSlice([]float64{-1, 0, 2}, 1, 3)
-	r := ActReLU.apply(x)
-	if r.Data[0] != 0 || r.Data[2] != 2 {
-		t.Errorf("relu = %v", r.Data)
+	eye := ag.FromSlice([]float64{1, 0, 0, 0, 1, 0, 0, 0, 1}, 3, 3)
+	bias := ag.New(1, 3)
+	apply := func(a Activation) []float64 { return ag.Dense(x, eye, bias, a.denseCode()).Data }
+	if r := apply(ActReLU); r[0] != 0 || r[2] != 2 {
+		t.Errorf("relu = %v", r)
 	}
-	th := ActTanh.apply(x)
-	if math.Abs(th.Data[2]-math.Tanh(2)) > 1e-12 {
-		t.Errorf("tanh = %v", th.Data)
+	if th := apply(ActTanh); math.Abs(th[2]-math.Tanh(2)) > 1e-12 {
+		t.Errorf("tanh = %v", th)
 	}
-	id := ActIdentity.apply(x)
-	if id != x {
-		t.Error("identity must pass through")
+	if id := apply(ActIdentity); !slices.Equal(id, x.Data) {
+		t.Errorf("identity = %v, must pass through", id)
 	}
 }

@@ -1,6 +1,6 @@
-// Package optim provides the gradient-descent optimizers used to train
+// Package optim provides the gradient-descent machinery used to train
 // RLScheduler's networks: Adam (the paper trains with learning rate 1e-3)
-// and plain SGD.
+// and global gradient-norm clipping.
 package optim
 
 import (
@@ -8,57 +8,6 @@ import (
 
 	ag "rlsched/internal/autograd"
 )
-
-// Optimizer updates a fixed parameter set from accumulated gradients.
-type Optimizer interface {
-	// Step applies one update from the current gradients.
-	Step()
-	// ZeroGrad clears all parameter gradients.
-	ZeroGrad()
-}
-
-// SGD is vanilla stochastic gradient descent with optional momentum.
-type SGD struct {
-	params   []*ag.Tensor
-	lr       float64
-	momentum float64
-	velocity [][]float64
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*ag.Tensor, lr, momentum float64) *SGD {
-	s := &SGD{params: params, lr: lr, momentum: momentum}
-	if momentum != 0 {
-		s.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float64, p.Size())
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.velocity != nil {
-			v := s.velocity[i]
-			for j := range p.Data {
-				v[j] = s.momentum*v[j] + p.Grad[j]
-				p.Data[j] -= s.lr * v[j]
-			}
-		} else {
-			for j := range p.Data {
-				p.Data[j] -= s.lr * p.Grad[j]
-			}
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() { zero(s.params) }
 
 // Adam implements Kingma & Ba's Adam with bias correction.
 type Adam struct {
@@ -83,7 +32,7 @@ func NewAdam(params []*ag.Tensor, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update from the current gradients.
 func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
@@ -104,11 +53,9 @@ func (a *Adam) Step() {
 	}
 }
 
-// ZeroGrad implements Optimizer.
-func (a *Adam) ZeroGrad() { zero(a.params) }
-
-func zero(params []*ag.Tensor) {
-	for _, p := range params {
+// ZeroGrad clears all parameter gradients.
+func (a *Adam) ZeroGrad() {
+	for _, p := range a.params {
 		p.ZeroGrad()
 	}
 }

@@ -14,38 +14,6 @@ func lossOf(p *ag.Tensor, target []float64) *ag.Tensor {
 	return ag.Sum(ag.Square(ag.Sub(p, t)))
 }
 
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := ag.Param([]float64{5, -3}, 1, 2)
-	target := []float64{1, 2}
-	opt := NewSGD([]*ag.Tensor{p}, 0.1, 0)
-	for i := 0; i < 200; i++ {
-		opt.ZeroGrad()
-		lossOf(p, target).Backward()
-		opt.Step()
-	}
-	for i, want := range target {
-		if math.Abs(p.Data[i]-want) > 1e-3 {
-			t.Errorf("SGD p[%d] = %g, want %g", i, p.Data[i], want)
-		}
-	}
-}
-
-func TestSGDMomentumFasterThanPlain(t *testing.T) {
-	run := func(momentum float64) float64 {
-		p := ag.Param([]float64{10}, 1, 1)
-		opt := NewSGD([]*ag.Tensor{p}, 0.01, momentum)
-		for i := 0; i < 50; i++ {
-			opt.ZeroGrad()
-			lossOf(p, []float64{0}).Backward()
-			opt.Step()
-		}
-		return math.Abs(p.Data[0])
-	}
-	if run(0.9) >= run(0) {
-		t.Error("momentum should accelerate convergence on a smooth bowl")
-	}
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := ag.RandParam(rng, 3, 4, 4)
@@ -90,7 +58,6 @@ func TestZeroGrad(t *testing.T) {
 
 func TestNilGradSkipped(t *testing.T) {
 	p := &ag.Tensor{Shape: []int{1}, Data: []float64{7}} // no grad buffer
-	NewSGD([]*ag.Tensor{p}, 0.1, 0).Step()
 	NewAdam([]*ag.Tensor{p}, 0.1).Step()
 	if p.Data[0] != 7 {
 		t.Error("parameters without gradients must be untouched")

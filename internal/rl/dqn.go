@@ -20,8 +20,6 @@ type DQN struct {
 	Q      nn.PolicyNet
 	Target nn.PolicyNet
 	cfg    DQNConfig
-	inf    nn.Inferer // graph-free Q fast path for action selection
-	tinf   nn.Inferer // graph-free target fast path for bootstrap targets
 	opt    *optim.Adam
 	replay *Replay
 	obsDim int
@@ -138,8 +136,6 @@ func NewDQN(q, target nn.PolicyNet, cfg DQNConfig) (*DQN, error) {
 		Q:      q,
 		Target: target,
 		cfg:    cfg,
-		inf:    nn.AsInferer(q),
-		tinf:   nn.AsInferer(target),
 		opt:    optim.NewAdam(q.Params(), cfg.LR),
 		replay: NewReplay(cfg.ReplayCap),
 		obsDim: maxObs * feat,
@@ -166,7 +162,7 @@ func (d *DQN) Act(rng *rand.Rand, obs []float64, mask []bool) int {
 // Best returns the greedy action (inference mode, graph-free).
 func (d *DQN) Best(obs []float64, mask []bool) int {
 	q := make([]float64, d.maxObs)
-	d.inf.InferLogits(obs, 1, q)
+	d.Q.InferLogits(obs, 1, q)
 	return argmaxValid(q, mask)
 }
 
@@ -217,7 +213,7 @@ func (d *DQN) trainStep(rng *rand.Rand) float64 {
 	// Bootstrapped targets from the frozen network: one batched graph-free
 	// forward pass (no gradient flows through targets by construction).
 	nextQ := make([]float64, n*d.maxObs)
-	d.tinf.InferLogits(nextFlat, n, nextQ)
+	d.Target.InferLogits(nextFlat, n, nextQ)
 	targets := make([]float64, n)
 	for i, t := range batch {
 		y := t.Rew

@@ -67,7 +67,7 @@ func TestDQNTargetStartsAsCopy(t *testing.T) {
 
 func argmaxOfTarget(d *DQN, obs []float64, mask []bool) int {
 	// Swap networks temporarily via a second DQN view.
-	tmp := &DQN{Q: d.Target, inf: nn.AsInferer(d.Target), obsDim: d.obsDim, maxObs: d.maxObs}
+	tmp := &DQN{Q: d.Target, obsDim: d.obsDim, maxObs: d.maxObs}
 	return tmp.Best(obs, mask)
 }
 

@@ -63,13 +63,12 @@ func (c PPOConfig) Defaults() PPOConfig {
 
 // PPO couples a policy network and a value network with their optimizers
 // (the actor–critic model of §IV-B). The autograd graph is built only
-// inside Update; action selection (SelectAction/BestAction) runs on the
+// inside Update; action selection (SelectAction) runs on the policy's
 // graph-free inference fast path shared with the serving daemon.
 type PPO struct {
 	Policy nn.PolicyNet
 	Value  *nn.ValueNet
 	cfg    PPOConfig
-	inf    nn.Inferer
 	piOpt  *optim.Adam
 	vOpt   *optim.Adam
 	obsDim int
@@ -84,7 +83,6 @@ func NewPPO(policy nn.PolicyNet, value *nn.ValueNet, cfg PPOConfig) *PPO {
 		Policy: policy,
 		Value:  value,
 		cfg:    cfg,
-		inf:    nn.AsInferer(policy),
 		piOpt:  optim.NewAdam(policy.Params(), cfg.PiLR),
 		vOpt:   optim.NewAdam(value.Params(), cfg.VLR),
 		obsDim: maxObs * feat,
@@ -97,7 +95,7 @@ func (p *PPO) Config() PPOConfig { return p.cfg }
 
 // Inferer returns the policy's graph-free fast path (shared with rollout
 // collection and serving).
-func (p *PPO) Inferer() nn.Inferer { return p.inf }
+func (p *PPO) Inferer() nn.Inferer { return p.Policy }
 
 // maskedLogProbs runs the policy on a batch, pushes invalid slots to -inf
 // and log-softmaxes row-wise, all through the fused masking op. obs is
@@ -112,21 +110,16 @@ func (p *PPO) maskedLogProbs(obs *ag.Tensor, masks []bool) *ag.Tensor {
 // it is sampled ... to keep exploring"). The forward passes are graph-free.
 func (p *PPO) SelectAction(rng *rand.Rand, obs []float64, mask []bool) (act int, logp, val float64) {
 	logits := make([]float64, p.maxObs)
-	p.inf.InferLogits(obs, 1, logits)
+	p.Policy.InferLogits(obs, 1, logits)
 	act, logp = sampleMasked(rng, logits, mask)
 	var v [1]float64
 	p.Value.InferValues(obs, 1, v[:])
 	return act, logp, v[0]
 }
 
-// BestAction returns the argmax action (inference mode: "during testing,
-// it is directly used to select the job with the highest probability").
-func (p *PPO) BestAction(obs []float64, mask []bool) int {
-	logits := make([]float64, p.maxObs)
-	p.inf.InferLogits(obs, 1, logits)
-	return argmaxValid(logits, mask)
-}
-
+// argmaxValid returns the highest-scoring valid slot (the greedy action
+// of "during testing, it is directly used to select the job with the
+// highest probability"), or 0 when no slot is valid.
 func argmaxValid(scores []float64, mask []bool) int {
 	best := -1
 	for j, v := range scores {

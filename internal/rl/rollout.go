@@ -20,7 +20,7 @@ import (
 
 // CollectorConfig wires a Collector.
 type CollectorConfig struct {
-	// Policy is the graph-free actor fast path (nn.AsInferer(policyNet)).
+	// Policy is the graph-free actor fast path (the policy network itself).
 	Policy nn.Inferer
 	// Value is the graph-free critic. Nil is allowed (e.g. value-free
 	// learners); collected Vals are then zero.

@@ -22,7 +22,7 @@ func newTestCollector(t *testing.T, workers int) (*Collector, *trace.Trace) {
 	val := nn.NewValueNet(rng, cMaxObs, sim.JobFeatures, nil)
 	tr := trace.Preset("Lublin-1", 400, 12)
 	c := NewCollector(CollectorConfig{
-		Policy:  nn.AsInferer(pol),
+		Policy:  pol,
 		Value:   val,
 		MaxObs:  cMaxObs,
 		Feat:    sim.JobFeatures,
@@ -95,7 +95,7 @@ func TestCollectMatchesSelectAction(t *testing.T) {
 	simCfg := sim.Config{Processors: tr.Processors, MaxObserve: cMaxObs}
 
 	c := NewCollector(CollectorConfig{
-		Policy: nn.AsInferer(pol), Value: val,
+		Policy: pol, Value: val,
 		MaxObs: cMaxObs, Feat: sim.JobFeatures,
 		Sim: simCfg, Goal: metrics.BoundedSlowdown,
 	})

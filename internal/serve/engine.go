@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 
 	"rlsched/internal/job"
 	"rlsched/internal/nn"
+	"rlsched/internal/policy"
 	"rlsched/internal/sched"
 	"rlsched/internal/sim"
 )
@@ -32,13 +32,6 @@ type QueueState struct {
 	// pick. Off by default: encoding 128 floats per decision costs more
 	// than the decision itself.
 	WantScores bool
-}
-
-func (s *QueueState) queueLen() int {
-	if s.QueueLen > 0 {
-		return s.QueueLen
-	}
-	return len(s.Jobs)
 }
 
 // Decision is the answer for one QueueState.
@@ -66,91 +59,41 @@ type Engine interface {
 	DecideBatch(states []*QueueState, out []Decision)
 }
 
-// PolicyEngine serves a trained policy network. One forward pass scores a
-// whole batch of states: everything one request carried.
+// PolicyEngine serves a trained policy network through policy.NetScheduler,
+// the decision path the simulator evaluates: one forward pass scores a
+// whole batch of states, everything one request carried.
 type PolicyEngine struct {
-	net    nn.PolicyNet
-	inf    nn.Inferer // the shared graph-free fast path (nn.AsInferer)
-	maxObs int
-	feat   int
-	pool   sync.Pool // *policyScratch
-}
-
-type policyScratch struct {
-	obs    []float64
-	logits []float64
+	ns *policy.NetScheduler
 }
 
 // NewPolicyEngine wraps a policy network built for sim.JobFeatures
-// features per job (the shared queue-state encoding). The decision path is
-// the same nn.Inferer fast path training rollouts use — every built-in
-// architecture is graph-free here.
+// features per job (the shared queue-state encoding).
 func NewPolicyEngine(net nn.PolicyNet) (*PolicyEngine, error) {
-	maxObs, feat := net.Dims()
-	if feat != sim.JobFeatures {
-		return nil, fmt.Errorf("serve: policy expects %d features per job, encoder produces %d",
-			feat, sim.JobFeatures)
+	ns, err := policy.NewNetScheduler(net)
+	if err != nil {
+		return nil, err
 	}
-	return &PolicyEngine{net: net, inf: nn.AsInferer(net), maxObs: maxObs, feat: feat}, nil
-}
-
-// SyncFrom refreshes the engine's weights in place from a same-architecture
-// policy (a cheap alternative to materializing a snapshot when a training
-// loop serves its own policy). The caller must guarantee no DecideBatch is
-// in flight — a live server should keep swapping whole engines atomically
-// via /reload instead.
-func (e *PolicyEngine) SyncFrom(src nn.PolicyNet) error {
-	return nn.SyncParams(e.net, src)
+	return &PolicyEngine{ns: ns}, nil
 }
 
 // Name implements Engine.
-func (e *PolicyEngine) Name() string { return e.net.Kind() }
+func (e *PolicyEngine) Name() string { return e.ns.Net.Kind() }
 
 // MaxJobs implements Engine.
-func (e *PolicyEngine) MaxJobs() int { return e.maxObs }
+func (e *PolicyEngine) MaxJobs() int { return e.ns.MaxObs() }
 
-// DecideBatch implements Engine: encode every state into one observation
-// matrix, run one forward pass, argmax each state's visible slots.
+// DecideBatch implements Engine: argmax of each state's visible slots,
+// plus the logits as scores when a state asks for them.
 func (e *PolicyEngine) DecideBatch(states []*QueueState, out []Decision) {
-	b := len(states)
-	rowLen := e.maxObs * e.feat
-	sc, _ := e.pool.Get().(*policyScratch)
-	if sc == nil {
-		sc = &policyScratch{}
-	}
-	if cap(sc.obs) < b*rowLen {
-		sc.obs = make([]float64, b*rowLen)
-		sc.logits = make([]float64, b*e.maxObs)
-	}
-	obs := sc.obs[:b*rowLen]
-	logits := sc.logits[:b*e.maxObs]
-
-	for i, st := range states {
-		visible := st.Jobs
-		if len(visible) > e.maxObs {
-			visible = visible[:e.maxObs]
+	e.ns.Logits(len(states), func(i int) policy.Queue {
+		st := states[i]
+		return policy.Queue{Jobs: st.Jobs, Now: st.Now, View: st.View, QueueLen: st.QueueLen}
+	}, func(i int, row []float64) {
+		out[i] = Decision{Pick: policy.Argmax(row)}
+		if states[i].WantScores {
+			out[i].Scores = append([]float64(nil), row...)
 		}
-		sim.BuildObsInto(obs[i*rowLen:(i+1)*rowLen], visible, st.Now, st.View, st.queueLen(), e.maxObs)
-	}
-	e.inf.InferLogits(obs, b, logits)
-	for i, st := range states {
-		row := logits[i*e.maxObs : (i+1)*e.maxObs]
-		limit := len(st.Jobs)
-		if limit > e.maxObs {
-			limit = e.maxObs
-		}
-		best := 0
-		for j := 1; j < limit; j++ {
-			if row[j] > row[best] {
-				best = j
-			}
-		}
-		out[i] = Decision{Pick: best}
-		if st.WantScores {
-			out[i].Scores = append([]float64(nil), row[:limit]...)
-		}
-	}
-	e.pool.Put(sc)
+	})
 }
 
 // HeuristicEngine serves a priority-function scheduler. There is nothing

@@ -110,7 +110,10 @@ func TestSnapshotRoundTripThroughLoader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := policy.NewNetScheduler(pol)
+		ref, err := policy.NewNetScheduler(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		states := testStates(t, 20, 32)
 		out := make([]Decision, len(states))
@@ -464,56 +467,21 @@ func TestDecideAfterClose(t *testing.T) {
 	}
 }
 
-// TestPolicyEngineSyncFrom: refreshing weights in place from a trained
-// same-architecture policy must change the engine's scores to the donor's.
-func TestPolicyEngineSyncFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	net := nn.NewKernelNet(rng, sim.DefaultMaxObserve, sim.JobFeatures, nil)
-	donor := nn.NewKernelNet(rng, sim.DefaultMaxObserve, sim.JobFeatures, nil)
+// TestPolicyEngineDecideDoesNotAllocate: a decision without scores runs
+// entirely on pooled scratch.
+func TestPolicyEngineDecideDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch under -race")
+	}
+	net := nn.NewKernelNet(rand.New(rand.NewSource(12)), sim.DefaultMaxObserve, sim.JobFeatures, nil)
 	eng, err := NewPolicyEngine(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewPolicyEngine(donor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := SyntheticStates("Lublin-1", 4, 32, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range states {
-		st.WantScores = true
-	}
-	before := make([]Decision, len(states))
-	eng.DecideBatch(states, before)
-	if err := eng.SyncFrom(donor); err != nil {
-		t.Fatal(err)
-	}
-	after := make([]Decision, len(states))
-	eng.DecideBatch(states, after)
-	wantOut := make([]Decision, len(states))
-	want.DecideBatch(states, wantOut)
-	changed := false
-	for i := range after {
-		if after[i].Pick != wantOut[i].Pick {
-			t.Fatalf("state %d: pick %d after sync, donor engine picks %d", i, after[i].Pick, wantOut[i].Pick)
-		}
-		for j := range after[i].Scores {
-			if after[i].Scores[j] != wantOut[i].Scores[j] {
-				t.Fatalf("state %d score %d differs from donor after SyncFrom", i, j)
-			}
-			if after[i].Scores[j] != before[i].Scores[j] {
-				changed = true
-			}
-		}
-	}
-	if !changed {
-		t.Fatal("SyncFrom left every score unchanged; weights were not refreshed")
-	}
-	// Architecture mismatch must surface as an error.
-	small := nn.NewKernelNet(rng, sim.DefaultMaxObserve, sim.JobFeatures, []int{4})
-	if err := eng.SyncFrom(small); err == nil {
-		t.Fatal("SyncFrom across architectures must error")
+	states := testStates(t, 1, sim.DefaultMaxObserve)
+	out := make([]Decision, len(states))
+	eng.DecideBatch(states, out) // warm the scratch pool
+	if allocs := testing.AllocsPerRun(100, func() { eng.DecideBatch(states, out) }); allocs != 0 {
+		t.Errorf("PolicyEngine.DecideBatch allocates %v times per call", allocs)
 	}
 }
