@@ -16,8 +16,11 @@
 //
 //	curl -s localhost:9090/v1/decide -d '{
 //	  "now": 0, "free_procs": 96, "total_procs": 128,
-//	  "jobs": [{"id": 1, "submit_time": -30, "requested_time": 3600, "requested_procs": 4},
-//	           {"id": 2, "submit_time": -10, "requested_time": 60,  "requested_procs": 2}]}'
+//	  "jobs": [[-30, 3600, 4, 0, 1], [-10, 60, 2, 0, 2]]}'
+//
+// Each job is a compact row [submit_time, requested_time,
+// requested_procs, user_id?, id?]; a body outside the wire format (README
+// "Wire format") gets a 400 naming the construct and its byte offset.
 //
 // Hot-swap the model under load (zero dropped requests):
 //

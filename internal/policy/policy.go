@@ -25,7 +25,7 @@ type Queue struct {
 	Now  float64
 	View sim.ClusterView
 	// QueueLen is the full pending-queue length, which may exceed
-	// len(Jobs). 0 means len(Jobs).
+	// len(Jobs). A value below len(Jobs), 0 included, means len(Jobs).
 	QueueLen int
 }
 
@@ -77,9 +77,7 @@ func (n *NetScheduler) Logits(count int, queue func(i int) Queue, use func(i int
 	obs, logits, limits := sc.obs[:count*rowLen], sc.logits[:count*n.maxObs], sc.limits[:count]
 	for i := range limits {
 		q := queue(i)
-		if q.QueueLen == 0 {
-			q.QueueLen = len(q.Jobs)
-		}
+		q.QueueLen = max(q.QueueLen, len(q.Jobs))
 		sim.BuildObsInto(obs[i*rowLen:(i+1)*rowLen], q.Jobs, q.Now, q.View, q.QueueLen, n.maxObs)
 		limits[i] = min(len(q.Jobs), n.maxObs)
 	}

@@ -30,7 +30,7 @@ type Batcher struct {
 type BatcherConfig struct {
 	// Workers is how many engine calls may run at once (default GOMAXPROCS).
 	Workers int
-	// Metrics, when set, receives every call's wait for a slot (BatchQueue).
+	// Metrics, when set, receives every call's wait for a slot (SlotWait).
 	Metrics *Metrics
 }
 
@@ -91,7 +91,7 @@ func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision,
 	}
 	defer func() { <-b.slots }()
 	if b.metrics != nil {
-		b.metrics.BatchQueue.ObserveDuration(time.Since(start))
+		b.metrics.SlotWait.ObserveDuration(time.Since(start))
 	}
 	eng := b.Engine()
 	out := make([]Decision, len(states))

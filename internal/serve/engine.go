@@ -26,7 +26,8 @@ type QueueState struct {
 	Now  float64
 	View sim.ClusterView
 	// QueueLen is the full pending-queue length (≥ len(Jobs) when the
-	// caller's backlog exceeds the visible window). 0 means len(Jobs).
+	// caller's backlog exceeds the visible window). A value below
+	// len(Jobs), 0 included, means len(Jobs).
 	QueueLen int
 	// WantScores asks the engine to return per-job scores, not just the
 	// pick. Off by default: encoding 128 floats per decision costs more

@@ -45,7 +45,7 @@ type fairPlaceResp struct {
 func feedHistory(t *testing.T, url string) {
 	t.Helper()
 	body := placeBody(t, `[0, 600, 1, 3]`,
-		fairClusterState("a", 64, 64, `[7, 9000, 60], [7, 9100, 60], {"user_id": 3, "wait": 10, "run_time": 600}`),
+		fairClusterState("a", 64, 64, `[7, 9000, 60], [7, 9100, 60], [3, 10, 600]`),
 		fairClusterState("b", 64, 64, `[7, 5, 60], [7, 6, 60], [3, 12, 600]`))
 	code, resp := postJSON(t, url+"/place", body)
 	if code != http.StatusOK {
@@ -189,7 +189,7 @@ func TestFairnessValidation(t *testing.T) {
 	for _, completed := range []string{
 		`[7, -5, 60]`, // negative wait
 		`[7, 5, -60]`, // negative run
-		`{"user_id": 7, "wait": -1, "run_time": 60}`, // object form, negative wait
+		`{"user_id": 7, "wait": 10, "run_time": 60}`, // object form: outside the wire format
 	} {
 		code, _ := postJSON(t, ts.URL+"/place", placeBody(t, `[0, 600, 1, 7]`,
 			fairClusterState("a", 64, 64, completed),
@@ -198,7 +198,7 @@ func TestFairnessValidation(t *testing.T) {
 			t.Errorf("completed %s answered %d, want 400", completed, code)
 		}
 	}
-	// Malformed compact rows fail the JSON decode.
+	// A short compact row is outside the wire format.
 	code, _ := postJSON(t, ts.URL+"/place", placeBody(t, `[0, 600, 1, 7]`,
 		fairClusterState("a", 64, 64, `[7, 5]`),
 		fairClusterState("b", 64, 64, "")))

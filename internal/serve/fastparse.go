@@ -1,23 +1,52 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
-// The scanner handles the canonical compact bodies high-rate clients emit
-// on /v1/decide, /place and /migrate: objects with the documented keys,
-// JSON numbers, booleans, escape-free ASCII strings, and job and completed
-// rows as arrays of numbers. Anything else — escapes, object rows, unknown
-// or repeated array keys, null — makes it bail to encoding/json. It accepts
-// nothing encoding/json rejects and agrees with it on everything it accepts
-// (FuzzParseRequest, FuzzPlaceParse): the answer never depends on the tier.
+// The scanner is the one decoder of /v1/decide, /place and /migrate
+// bodies, and its grammar is the wire format: an object of the endpoint's
+// documented keys, JSON numbers, booleans, ASCII strings without escapes,
+// and job and completed rows as arrays of numbers. Anything else is
+// refused, and the refusal names the first construct outside the grammar
+// and its byte offset: a string escape or non-ASCII byte, an object-form
+// row, an unknown or case-folded key, null, a repeated jobs, completed,
+// clusters or states key. Whatever it accepts, encoding/json decodes to
+// the same parsed form (FuzzParseRequest, FuzzPlaceParse).
 
-var errFastParse = fmt.Errorf("serve: not a canonical compact request")
+// stateKeys are a queue state's keys, for naming a case-folded key.
+const stateKeys = "now free_procs total_procs queue_len scores jobs"
 
 type fastParser struct {
-	b []byte
-	i int
+	b     []byte
+	i     int
+	keyAt int    // offset of the object key being read
+	what  string // the first refusal, found at byte at
+	at    int
+}
+
+// fail records the first refusal, found at the current byte, and returns
+// false. A null where a value belongs is named as such.
+func (p *fastParser) fail(what string) bool {
+	if p.what == "" {
+		if bytes.HasPrefix(p.b[p.i:], []byte("null")) {
+			what = "null"
+		}
+		p.what, p.at = what, p.i
+	}
+	return false
+}
+
+// done turns the outcome of a whole-body parse into its error: nil when
+// ok and nothing but whitespace is left, else the first refusal.
+func (p *fastParser) done(ok bool) error {
+	if ok && (p.end() || p.fail("data after the request")) {
+		return nil
+	}
+	return fmt.Errorf("%s at byte %d", p.what, p.at)
 }
 
 func (p *fastParser) ws() {
@@ -51,22 +80,26 @@ func (p *fastParser) end() bool {
 	return p.i == len(p.b)
 }
 
-// str parses a JSON string that needs no decoding — ASCII, no escapes —
-// and returns its bytes, which alias the body.
+// str parses a string of printable ASCII without escapes — its bytes are
+// its value — and returns them; they alias the body.
 func (p *fastParser) str() ([]byte, bool) {
 	if !p.eat('"') {
-		return nil, false
+		return nil, p.fail("expected a string")
 	}
 	for start := p.i; p.i < len(p.b); p.i++ {
 		switch c := p.b[p.i]; {
 		case c == '"':
 			p.i++
 			return p.b[start : p.i-1], true
-		case c == '\\' || c < ' ' || c >= 0x80:
-			return nil, false
+		case c == '\\':
+			return nil, p.fail("string escape")
+		case c >= 0x80:
+			return nil, p.fail("non-ASCII byte")
+		case c < ' ':
+			return nil, p.fail("control character in a string")
 		}
 	}
-	return nil, false
+	return nil, p.fail("unterminated string")
 }
 
 // digits skips a run of decimal digits and reports its length.
@@ -101,11 +134,16 @@ func (p *fastParser) number() (v float64, isInt, ok bool) {
 		isInt, bad = false, bad || p.digits() == 0
 	}
 	if bad {
-		return 0, false, false
+		p.i = start
+		return 0, false, p.fail("expected a number")
 	}
 	if !isInt {
 		v, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
-		return v, false, err == nil
+		if err != nil {
+			p.i = start
+			return 0, false, p.fail("number out of range")
+		}
+		return v, false, true
 	}
 	if v = float64(n); neg {
 		v = -v
@@ -116,34 +154,38 @@ func (p *fastParser) number() (v float64, isInt, ok bool) {
 // integer parses an int field's value: like encoding/json, integer tokens
 // only (no 1.5, no 1e3), and none a float64 would round.
 func (p *fastParser) integer() (int, bool) {
+	p.ws()
+	start := p.i
 	v, isInt, ok := p.number()
-	return int(v), ok && isInt
+	if ok && !isInt {
+		p.i = start
+		return 0, p.fail("expected an integer of at most 15 digits")
+	}
+	return int(v), ok
 }
 
 func (p *fastParser) boolean() (bool, bool) {
 	p.ws()
-	if len(p.b)-p.i >= 4 && string(p.b[p.i:p.i+4]) == "true" {
-		p.i += 4
-		return true, true
+	for _, lit := range [...]string{"true", "false"} {
+		if bytes.HasPrefix(p.b[p.i:], []byte(lit)) {
+			p.i += len(lit)
+			return lit == "true", true
+		}
 	}
-	if len(p.b)-p.i >= 5 && string(p.b[p.i:p.i+5]) == "false" {
-		p.i += 5
-		return false, true
-	}
-	return false, false
+	return false, p.fail("expected true or false")
 }
 
 // list parses open item,item,... close; item consumes each item.
 func (p *fastParser) list(open, close byte, item func() bool) bool {
 	if !p.eat(open) {
-		return false
+		return p.fail("expected " + string(open))
 	}
 	if p.eat(close) {
 		return true
 	}
 	for item() {
 		if !p.eat(',') {
-			return p.eat(close)
+			return p.eat(close) || p.fail("expected , or "+string(close))
 		}
 	}
 	return false
@@ -155,72 +197,112 @@ func (p *fastParser) array(elem func() bool) bool { return p.list('[', ']', elem
 // object parses {"key":value,...}; field consumes the value of each key.
 func (p *fastParser) object(field func(key []byte) bool) bool {
 	return p.list('{', '}', func() bool {
+		p.ws()
+		p.keyAt = p.i
 		key, ok := p.str()
-		return ok && p.eat(':') && field(key)
+		return ok && (p.eat(':') || p.fail("expected :")) && field(key)
 	})
 }
 
-// row parses one compact row of up to len(vals) numbers — a job or a
-// completed record — and reports how many it held.
-func (p *fastParser) row(vals *[5]float64) (n int, ok bool) {
-	ok = p.array(func() bool {
-		if n == len(vals) {
-			return false
+// badKey refuses the key being read.
+func (p *fastParser) badKey(what string, key []byte) bool {
+	p.i = p.keyAt
+	return p.fail(fmt.Sprintf("%s %q", what, key))
+}
+
+// unknown refuses a key that is none of known's; one that differs from a
+// known key only in case is named case-folded (encoding/json would have
+// matched it).
+func (p *fastParser) unknown(key []byte, known string) bool {
+	for _, k := range strings.Fields(known) {
+		if strings.EqualFold(k, string(key)) {
+			return p.badKey("case-folded key", key)
 		}
-		v, _, ok := p.number()
-		vals[n] = v
-		n++
-		return ok
-	})
-	return n, ok
+	}
+	return p.badKey("unknown key", key)
 }
 
-// state parses one {...} queue state into the arena/state lists. name,
-// running_work and completed are a /place cluster's, kept with cluster set
-// (/v1/decide reads past them, as encoding/json does).
+// once refuses the second occurrence of an array-valued key.
+func (p *fastParser) once(seen *bool, key []byte) bool {
+	if *seen {
+		return p.badKey("repeated key", key)
+	}
+	*seen = true
+	return true
+}
+
+// row parses one compact row of least to len(vals) numbers — a job or a
+// completed record — into vals.
+func (p *fastParser) row(vals []float64, least int, what string) bool {
+	p.ws()
+	start, n := p.i, 0
+	if p.i < len(p.b) && p.b[p.i] == '{' {
+		return p.fail("object-form " + what)
+	}
+	ok := p.array(func() bool {
+		if n == len(vals) {
+			return p.fail(fmt.Sprintf("%s of more than %d values", what, len(vals)))
+		}
+		var good bool
+		vals[n], _, good = p.number()
+		n++
+		return good
+	})
+	if ok && n < least {
+		p.i = start
+		return p.fail(fmt.Sprintf("%s of %d values, fewer than %d", what, n, least))
+	}
+	return ok
+}
+
+// state parses one {...} queue state into the arena/state lists. With
+// cluster set it is a /place cluster, which also takes name, running_work
+// and completed.
 func (p *fastParser) state(rb *reqBuf, cluster bool) bool {
 	var st QueueState
 	var vals [5]float64
 	var cl placeCluster
+	var jobs, completed bool
 	base, doneBase := len(rb.jobPtr), len(rb.done)
 	ok := p.object(func(key []byte) (ok bool) {
-		switch string(key) {
-		case "now":
+		switch k := string(key); {
+		case k == "now":
 			st.Now, _, ok = p.number()
-		case "free_procs":
+		case k == "free_procs":
 			st.View.FreeProcs, ok = p.integer()
-		case "total_procs":
+		case k == "total_procs":
 			st.View.TotalProcs, ok = p.integer()
-		case "queue_len":
+		case k == "queue_len":
 			st.QueueLen, ok = p.integer()
-		case "scores":
+		case k == "scores":
 			st.WantScores, ok = p.boolean()
-		case "jobs":
-			// encoding/json decodes a repeated array over the first one's
-			// elements; leave that to it.
-			ok = len(rb.jobPtr) == base && p.array(func() bool {
-				var w wireJob
-				n, ok := p.row(&vals)
-				if ok = ok && w.fromRow(&vals, n); ok {
-					rb.addJob(w.toJob())
+		case k == "jobs":
+			ok = p.once(&jobs, key) && p.array(func() bool {
+				vals = [5]float64{3: -1}
+				ok := p.row(vals[:], 3, "job row")
+				if ok {
+					rb.addJob(rowJob(&vals))
 				}
 				return ok
 			})
-		case "name":
+		case cluster && k == "name":
 			var name []byte
 			name, ok = p.str()
 			cl.Name = string(name)
-		case "running_work":
+		case cluster && k == "running_work":
 			cl.RunningWork, _, ok = p.number()
-		case "completed":
-			ok = len(rb.done) == doneBase && p.array(func() bool {
-				var w wireDone
-				n, ok := p.row(&vals)
-				if ok = ok && w.fromRow(&vals, n); ok {
-					rb.done = append(rb.done, w)
+		case cluster && k == "completed":
+			ok = p.once(&completed, key) && p.array(func() bool {
+				ok := p.row(vals[:3], 3, "completed row")
+				if ok {
+					rb.done = append(rb.done, wireDone{UserID: int(vals[0]), Wait: vals[1], Run: vals[2]})
 				}
 				return ok
 			})
+		case cluster:
+			ok = p.unknown(key, stateKeys+" name running_work completed")
+		default:
+			ok = p.unknown(key, stateKeys)
 		}
 		return ok
 	})
@@ -235,40 +317,36 @@ func (p *fastParser) state(rb *reqBuf, cluster bool) bool {
 	return true
 }
 
-// parseFast attempts the canonical compact parse of a /v1/decide body: the
-// batch form {"states":[{...},...]}, else the whole object as one state.
+// parseFast parses a /v1/decide body: one queue state, or the batch form
+// {"states":[{...},...]}, which is told apart by its first key.
 func (rb *reqBuf) parseFast(body []byte) error {
 	p := fastParser{b: body}
-	if p.object(func(key []byte) bool {
-		if rb.batch || string(key) != "states" {
-			return false
-		}
-		rb.batch = true
-		return p.array(func() bool { return p.state(rb, false) })
-	}) && len(rb.states) > 0 && p.end() {
-		return nil
-	}
-	rb.bail()
+	rb.batch = p.eat('{') && p.eat('"') && bytes.HasPrefix(body[p.i:], []byte(`states"`))
 	p.i = 0
-	if p.state(rb, false) && p.end() {
-		return nil
+	if !rb.batch {
+		return p.done(p.state(rb, false))
 	}
-	return rb.bail()
+	var seen bool
+	return p.done(p.object(func(key []byte) bool {
+		if string(key) != "states" {
+			return p.unknown(key, "states")
+		}
+		return p.once(&seen, key) && p.array(func() bool { return p.state(rb, false) }) &&
+			(len(rb.states) > 0 || p.badKey("empty", key))
+	}))
 }
 
-// parsePlaceFast attempts the canonical compact parse of a /place or
-// /migrate body.
+// parsePlaceFast parses a /place or /migrate body.
 func (rb *reqBuf) parsePlaceFast(body []byte) error {
 	p := fastParser{b: body}
-	if p.object(func(key []byte) (ok bool) {
+	var clusters bool
+	return p.done(p.object(func(key []byte) (ok bool) {
 		var s []byte
 		switch string(key) {
 		case "job":
-			var vals [5]float64
-			var w wireJob
-			n, rowOK := p.row(&vals)
-			ok = rowOK && w.fromRow(&vals, n)
-			rb.job = w.toJob()
+			vals := [5]float64{3: -1}
+			ok = p.row(vals[:], 3, "job row")
+			rb.job = rowJob(&vals)
 		case "from":
 			s, ok = p.str()
 			rb.from = string(s)
@@ -281,17 +359,10 @@ func (rb *reqBuf) parsePlaceFast(body []byte) error {
 			seq := int64(v)
 			rb.batchSeq = &seq
 		case "clusters":
-			ok = len(rb.states) == 0 && p.array(func() bool { return p.state(rb, true) })
+			ok = p.once(&clusters, key) && p.array(func() bool { return p.state(rb, true) })
+		default:
+			ok = p.unknown(key, "job from client batch_seq clusters")
 		}
 		return ok
-	}) && p.end() {
-		return nil
-	}
-	return rb.bail()
-}
-
-// bail clears what a failed scan parsed before the encoding/json retry.
-func (rb *reqBuf) bail() error {
-	rb.reset()
-	return errFastParse
+	}))
 }

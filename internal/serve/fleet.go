@@ -199,36 +199,17 @@ func (sc *shardEngineScorer) Score(j *job.Job, cands []*fleet.Candidate, out []f
 	}
 }
 
-// placeCluster is one cluster's state in a /place or /migrate request: a
-// named queue state. Unlike /v1/decide states, an empty jobs list is legal
-// (an idle cluster is the best possible placement). RunningWork is the
-// committed remaining work of the cluster's running jobs in seconds·procs
+// placeCluster is what a /place or /migrate cluster state adds to its queue
+// state. Unlike /v1/decide states, an empty jobs list is legal (an idle
+// cluster is the best possible placement). RunningWork is the committed
+// remaining work of the cluster's running jobs in seconds·procs
 // (fleet.Candidate.RunningWork; 0 when the caller does not track it).
 // Completed carries the jobs the cluster finished since its last report —
 // the fairness tracker's incremental feed (/place with a fairness weight).
 type placeCluster struct {
-	Name        string     `json:"name"`
-	RunningWork float64    `json:"running_work"`
-	Completed   []wireDone `json:"completed"`
-	wireState
-}
-
-// placeRequest is the body /place and /migrate share: a job and every
-// cluster's state. From is /migrate's alone (/place ignores it): the cluster
-// whose queue holds the job; like the offline migration controller, the
-// caller reports states as if the job were already withdrawn — its own
-// footprint must not bias the incumbent's score. Client and BatchSeq
-// (/place) are the optional dedup identity of the completed-records batch: a
-// client that tags each batch with a monotonically increasing sequence can
-// retry a /place request (timeout, 5xx) without double-counting its
-// completions — a batch whose seq is not above the client's highest absorbed
-// seq is acknowledged but not re-observed.
-type placeRequest struct {
-	Job      wireJob        `json:"job"`
-	From     string         `json:"from"`
-	Clusters []placeCluster `json:"clusters"`
-	Client   string         `json:"client"`
-	BatchSeq *int64         `json:"batch_seq"`
+	Name        string
+	RunningWork float64
+	Completed   []wireDone
 }
 
 // cordonTaints marks a shard cordoned by /drain. No job tolerates it, so
@@ -254,7 +235,7 @@ func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate
 	case len(s.shards) == 0 || (migrate && s.migrateMargin < 0):
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: %s not enabled (needs fleet mode; /migrate also needs -migrate)", r.URL.Path))
 	default:
-		rb = s.readRequest(w, r, (*reqBuf).parsePlaceFast, (*reqBuf).parsePlaceSlow)
+		rb = s.readRequest(w, r, (*reqBuf).parsePlaceFast)
 	}
 	if rb == nil {
 		return nil, -1

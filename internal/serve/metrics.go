@@ -18,12 +18,8 @@ type Metrics struct {
 	ErrorsTotal    atomic.Uint64 // rejected/failed decision requests
 	ReloadsTotal   atomic.Uint64 // successful engine swaps
 
-	// ParseFallback counts, per parsePaths endpoint, the bodies the scanner
-	// bailed on: 0 means every client is on the fast path.
-	ParseFallback [len(parsePaths)]atomic.Uint64
-
-	Latency    Histogram // per-request decision latency (seconds)
-	BatchQueue Histogram // per-request wait for an engine slot (seconds)
+	Latency  Histogram // per-request decision latency (seconds)
+	SlotWait Histogram // per-request wait for an engine slot (seconds)
 
 	// Fleet-mode placement instrumentation: total placement decisions,
 	// the per-request placement latency histogram, and one counter per
@@ -51,9 +47,6 @@ type Metrics struct {
 	WALRecordsTotal  atomic.Uint64 // records appended to the WAL
 	PlaceDedupTotal  atomic.Uint64 // /place batches dropped as replays
 }
-
-// parsePaths are the endpoints whose bodies go through readRequest.
-var parsePaths = [...]string{"/v1/decide", "/place", "/migrate"}
 
 // RegisterPlaceClusters installs one placement counter and one migration
 // counter per fleet shard. Call once at startup, before the handler
@@ -101,7 +94,7 @@ func (m *Metrics) Placements() []uint64 {
 }
 
 // NewMetrics returns a registry with latency buckets spanning 50µs–1s and
-// batch-queue buckets from 1µs: an idle batcher grants a slot in a
+// slot-wait buckets from 1µs: an idle engine grants a slot in a
 // microsecond or two, which the latency floor would clip.
 func NewMetrics() *Metrics {
 	m := &Metrics{}
@@ -110,11 +103,11 @@ func NewMetrics() *Metrics {
 		1e-3, 2e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3, 1,
 	}
 	m.Latency.counts = make([]atomic.Uint64, len(m.Latency.bounds)+1)
-	m.BatchQueue.bounds = []float64{
+	m.SlotWait.bounds = []float64{
 		1e-6, 2e-6, 5e-6, 10e-6, 20e-6, 50e-6, 100e-6, 200e-6, 500e-6,
 		1e-3, 2e-3, 5e-3, 10e-3, 100e-3, 1,
 	}
-	m.BatchQueue.counts = make([]atomic.Uint64, len(m.BatchQueue.bounds)+1)
+	m.SlotWait.counts = make([]atomic.Uint64, len(m.SlotWait.bounds)+1)
 	m.PlaceLatency.bounds = m.Latency.bounds
 	m.PlaceLatency.counts = make([]atomic.Uint64, len(m.PlaceLatency.bounds)+1)
 	m.MigrateLatency.bounds = m.Latency.bounds
@@ -219,12 +212,8 @@ func (m *Metrics) WriteProm(w io.Writer, policy string) {
 	promCounter(w, "rlserv_decisions_total", "Queue states decided.", m.DecisionsTotal.Load())
 	promCounter(w, "rlserv_errors_total", "Rejected or failed requests.", m.ErrorsTotal.Load())
 	promCounter(w, "rlserv_reloads_total", "Successful engine hot-swaps.", m.ReloadsTotal.Load())
-	promFamily(w, "rlserv_parse_fallback_total", "Request bodies the scanner bailed on, decoded by encoding/json.", "counter")
-	for i, path := range parsePaths {
-		fmt.Fprintf(w, "rlserv_parse_fallback_total{path=%q} %d\n", path, m.ParseFallback[i].Load())
-	}
 	m.Latency.writeProm(w, "rlserv_decision_latency_seconds", "Per-request decision latency in seconds.")
-	m.BatchQueue.writeProm(w, "rlserv_batch_queue_seconds", "Per-request wait for an engine slot in seconds.")
+	m.SlotWait.writeProm(w, "rlserv_engine_slot_wait_seconds", "Per-request wait for an engine slot in seconds.")
 	if len(m.placeNames) > 0 {
 		promFamily(w, "rlserv_placements_total", "Placement decisions per destination cluster.", "counter")
 		for i, name := range m.placeNames {

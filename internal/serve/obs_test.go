@@ -273,14 +273,18 @@ func TestMetricsHelpAndType(t *testing.T) {
 		"rlserv_migrate_latency_seconds_count 1",
 		`rlserv_fairness_score{stat="jain"}`,
 		"rlserv_wal_healthy 1",
-		`rlserv_batch_queue_seconds_bucket{le="1e-06"}`, // the µs floor
+		`rlserv_engine_slot_wait_seconds_bucket{le="1e-06"}`, // the µs floor
 		"rlserv_degradation_level 0",
 		"rlserv_slo_breaches_total ",
 		`rlserv_request_latency_seconds{path="/place",quantile="0.99"}`,
-		`rlserv_parse_fallback_total{path="/migrate"} 0`, // both bodies above are canonical
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	for _, gone := range []string{"rlserv_parse_fallback_total", "rlserv_batch_queue_seconds"} {
+		if strings.Contains(string(raw), gone) {
+			t.Errorf("metrics output still has %q", gone)
 		}
 	}
 }

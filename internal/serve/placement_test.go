@@ -158,69 +158,41 @@ func newBenchShapedServer(t *testing.T, n int) (*Server, *httptest.Server) {
 	return newTestServer(t, cfg)
 }
 
-// fallbacks reads rlserv_parse_fallback_total in parsePaths order.
-func fallbacks(srv *Server) (n [len(parsePaths)]uint64) {
-	for i := range n {
-		n[i] = srv.Metrics().ParseFallback[i].Load()
-	}
-	return n
-}
-
-// TestPlaceTiersAgree: the scanner and the encoding/json fallback are one
-// decoder to a client. A canonical compact body never reaches the fallback,
-// and the same request spelled so that the scanner bails — an ignored
-// unknown key, an object-form row — is answered byte for byte the same,
-// ?explain=1 and /migrate included, each such body moving
-// rlserv_parse_fallback_total by one.
-func TestPlaceTiersAgree(t *testing.T) {
+// TestPlaceSpellingsAgree: the wire format is a grammar, not a byte
+// layout. The bench-shaped canonical body and its respellings — JSON
+// whitespace, keys in another order, the same numbers written another
+// way — are answered byte for byte the same, ?explain=1 and /migrate
+// included.
+func TestPlaceSpellingsAgree(t *testing.T) {
 	canonical := benchShapedPlaceBody(t, 3, 16, 17)
-	from := []byte(`{"from":"s1",`)
 	paths := []string{"/place", "/place?explain=1", "/migrate"}
-	ask := func(body []byte) (answers [][]byte, fell [len(parsePaths)]uint64) {
-		srv, ts := newBenchShapedServer(t, 3)
+	ask := func(body []byte) (answers [][]byte) {
+		_, ts := newBenchShapedServer(t, 3)
 		for _, path := range paths {
-			code, out := postJSON(t, ts.URL+path, append(from[:len(from):len(from)], body[1:]...))
+			code, out := postJSON(t, ts.URL+path, append([]byte(`{"from":"s1",`), body[1:]...))
 			if code != http.StatusOK {
 				t.Fatalf("%s: %d %s", path, code, out)
 			}
 			answers = append(answers, out)
 		}
-		return answers, fallbacks(srv)
+		return answers
 	}
-	want, fell := ask(canonical)
-	if fell != [len(parsePaths)]uint64{} {
-		t.Fatalf("canonical bodies fell back to encoding/json: %v (order %v)", fell, parsePaths)
-	}
+	want := ask(canonical)
+	identity := []byte(`"client":"c0","batch_seq":17,`)
 	for name, body := range map[string][]byte{
-		"unknown key":     append(canonical[:len(canonical)-1:len(canonical)-1], `,"trace_id":"abc"}`...),
-		"object-form job": bytes.Replace(canonical, []byte(`"job":[0,600,4,17]`), []byte(`"job":{"requested_time":600,"requested_procs":4,"user_id":17}`), 1),
-		"escaped name":    bytes.Replace(canonical, []byte(`"name":"s2"`), []byte(`"name":"s\u0032"`), 1),
+		"whitespace": bytes.ReplaceAll(bytes.ReplaceAll(canonical, []byte(","), []byte(",\n  ")), []byte(":"), []byte(" : ")),
+		"key order": append(append(bytes.Replace(canonical[:len(canonical)-1], identity, nil, 1), ',', '\n'),
+			append(identity[:len(identity)-1:len(identity)-1], '}')...),
+		"number spelling": bytes.Replace(canonical, []byte(`"job":[0,600,4,17]`), []byte(`"job":[0.0,6.0e2,4.0,1.7E+1]`), 1),
 	} {
 		if bytes.Equal(body, canonical) {
 			t.Fatalf("%s: variant equals the canonical body", name)
 		}
-		got, fell := ask(body)
-		if fell != [len(parsePaths)]uint64{0, 2, 1} {
-			t.Errorf("%s: fallbacks %v (order %v), want one per request", name, fell, parsePaths)
-		}
+		got := ask(body)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
-				t.Errorf("%s, %s: tiers disagree\nscanner  %s\nfallback %s", name, paths[i], want[i], got[i])
+				t.Errorf("%s, %s: answers differ\ncanonical %s\nrespelled %s", name, paths[i], want[i], got[i])
 			}
-		}
-	}
-
-	// /v1/decide counts under its own label.
-	srv, ts := newTestServer(t, Config{PolicyName: "SJF"})
-	for i, body := range []string{
-		`{"free_procs":4,"total_procs":8,"jobs":[[0,60,2]]}`,
-		`{"free_procs":4,"total_procs":8,"jobs":[{"requested_time":60,"requested_procs":2}]}`,
-	} {
-		if code, out := postJSON(t, ts.URL+"/v1/decide", []byte(body)); code != http.StatusOK {
-			t.Fatalf("decide: %d %s", code, out)
-		}
-		if fell := fallbacks(srv); fell != [len(parsePaths)]uint64{uint64(i)} {
-			t.Errorf("after decide body %d: fallbacks %v", i, fell)
 		}
 	}
 }
@@ -284,26 +256,31 @@ func TestPlaceBufferAliasing(t *testing.T) {
 // placementFuzzSeeds is the shared seed corpus of FuzzPlaceRequest and
 // FuzzMigrateRequest (checked in under testdata/fuzz by
 // TestWriteFuzzCorpus): the hostile shapes a /place or /migrate body takes.
+// valid-array-job and valid-object-job are well-formed placements whose
+// object-form rows the scanner refuses; their -compact twins reach a 200.
 func placementFuzzSeeds() map[string][]byte {
 	a := func(extra string) string {
 		return `{"name":"a","free_procs":8,"total_procs":64,"jobs":[[0,600,4,3,11]]` + extra + `}`
 	}
-	b := `{"name":"b","now":5,"free_procs":64,"total_procs":64,"queue_len":3,"jobs":[{"id":7,"submit_time":-30,"requested_time":3600,"requested_procs":4,"user_id":2}]}`
+	b := `{"name":"b","now":5,"free_procs":64,"total_procs":64,"queue_len":3,"jobs":[[-30,3600,4,2,7]]}`
+	bObject := `{"name":"b","now":5,"free_procs":64,"total_procs":64,"queue_len":3,"jobs":[{"id":7,"submit_time":-30,"requested_time":3600,"requested_procs":4,"user_id":2}]}`
 	rows := strings.TrimSuffix(strings.Repeat(`[3,10,600],`, 2000), ",")
 	return map[string][]byte{
-		"valid-array-job":     []byte(`{"job":[0,60,4,3],"from":"a","clusters":[` + a(`,"completed":[[7,9000,60],{"user_id":3,"wait":10,"run_time":600}]`) + `,` + b + `]}`),
-		"valid-object-job":    []byte(`{"job":{"id":9,"submit_time":1,"requested_time":60,"requested_procs":4,"user_id":5},"from":"b","client":"c0","batch_seq":1,"clusters":[` + a(`,"running_work":1200.5`) + `,` + b + `]}`),
-		"duplicate-cluster":   []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a("") + `,` + a("") + `]}`),
-		"unknown-cluster":     []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a("") + `,{"name":"zz","free_procs":1,"total_procs":1,"jobs":[]}]}`),
-		"from-missing":        []byte(`{"job":[0,60,4],"from":"b","clusters":[` + a("") + `]}`),
-		"negative-wait":       []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"completed":[[7,-1,60]]`) + `]}`),
-		"seq-without-client":  []byte(`{"job":[0,60,4],"from":"a","batch_seq":4,"clusters":[` + a(`,"completed":[[7,5,60]]`) + `]}`),
-		"thousands-completed": []byte(`{"job":[0,60,4],"from":"a","client":"c1","batch_seq":2,"clusters":[` + a(`,"completed":[`+rows+`]`) + `]}`),
-		"running-work-range":  []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"running_work":-3`) + `,` + b + `]}`),
-		"running-work-huge":   []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"running_work":1e999`) + `]}`),
-		"fits-nowhere":        []byte(`{"job":[0,60,4096],"from":"a","clusters":[` + a(`,"completed":[[7,5,60]]`) + `]}`),
-		"not-json":            []byte(`{"job":[0,60,4],"clusters":[`),
-		"empty":               {},
+		"valid-array-job":          []byte(`{"job":[0,60,4,3],"from":"a","clusters":[` + a(`,"completed":[[7,9000,60],{"user_id":3,"wait":10,"run_time":600}]`) + `,` + bObject + `]}`),
+		"valid-array-job-compact":  []byte(`{"job":[0,60,4,3],"from":"a","clusters":[` + a(`,"completed":[[7,9000,60],[3,10,600]]`) + `,` + b + `]}`),
+		"valid-object-job":         []byte(`{"job":{"id":9,"submit_time":1,"requested_time":60,"requested_procs":4,"user_id":5},"from":"b","client":"c0","batch_seq":1,"clusters":[` + a(`,"running_work":1200.5`) + `,` + bObject + `]}`),
+		"valid-object-job-compact": []byte(`{"job":[1,60,4,5,9],"from":"b","client":"c0","batch_seq":1,"clusters":[` + a(`,"running_work":1200.5`) + `,` + b + `]}`),
+		"duplicate-cluster":        []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a("") + `,` + a("") + `]}`),
+		"unknown-cluster":          []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a("") + `,{"name":"zz","free_procs":1,"total_procs":1,"jobs":[]}]}`),
+		"from-missing":             []byte(`{"job":[0,60,4],"from":"b","clusters":[` + a("") + `]}`),
+		"negative-wait":            []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"completed":[[7,-1,60]]`) + `]}`),
+		"seq-without-client":       []byte(`{"job":[0,60,4],"from":"a","batch_seq":4,"clusters":[` + a(`,"completed":[[7,5,60]]`) + `]}`),
+		"thousands-completed":      []byte(`{"job":[0,60,4],"from":"a","client":"c1","batch_seq":2,"clusters":[` + a(`,"completed":[`+rows+`]`) + `]}`),
+		"running-work-range":       []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"running_work":-3`) + `,` + b + `]}`),
+		"running-work-huge":        []byte(`{"job":[0,60,4],"from":"a","clusters":[` + a(`,"running_work":1e999`) + `]}`),
+		"fits-nowhere":             []byte(`{"job":[0,60,4096],"from":"a","clusters":[` + a(`,"completed":[[7,5,60]]`) + `]}`),
+		"not-json":                 []byte(`{"job":[0,60,4],"clusters":[`),
+		"empty":                    {},
 	}
 }
 
@@ -315,25 +292,8 @@ func fuzzPlacement(f *testing.F, path string) {
 	for _, seed := range placementFuzzSeeds() {
 		f.Add(seed)
 	}
-	srv, err := NewServer(Config{
-		Migrate:    true,
-		FairWeight: 1,
-		Shards: []ShardConfig{
-			{Name: "a", Procs: 64, PolicyName: "SJF"},
-			{Name: "b", Procs: 64, PolicyName: "F1"},
-			{Name: "c", Procs: 64, PolicyName: "FCFS"},
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(srv.Close)
+	srv := newPlacementFuzzServer(f)
 	h := srv.Handler()
-	drain := httptest.NewRecorder()
-	h.ServeHTTP(drain, httptest.NewRequest(http.MethodPost, "/drain", strings.NewReader(`{"cluster":"c"}`)))
-	if drain.Code != http.StatusOK {
-		f.Fatalf("drain: %d %s", drain.Code, drain.Body)
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		before := fmt.Sprintf("%+v", srv.fairness.ExportState())
 		w := httptest.NewRecorder()
@@ -345,6 +305,49 @@ func fuzzPlacement(f *testing.F, path string) {
 			t.Fatalf("%s answered %d but the fairness tracker changed:\n%s\n%s", path, w.Code, before, after)
 		}
 	})
+}
+
+// newPlacementFuzzServer is the daemon fuzzPlacement drives.
+func newPlacementFuzzServer(t testing.TB) *Server {
+	srv, err := NewServer(Config{
+		Migrate:    true,
+		FairWeight: 1,
+		Shards: []ShardConfig{
+			{Name: "a", Procs: 64, PolicyName: "SJF"},
+			{Name: "b", Procs: 64, PolicyName: "F1"},
+			{Name: "c", Procs: 64, PolicyName: "FCFS"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	drain := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(drain, httptest.NewRequest(http.MethodPost, "/drain", strings.NewReader(`{"cluster":"c"}`)))
+	if drain.Code != http.StatusOK {
+		t.Fatalf("drain: %d %s", drain.Code, drain.Body)
+	}
+	return srv
+}
+
+// TestPlacementSeedsReachTheCore: the compact twins of the object-form
+// valid-* seeds get past the scanner to a 200 on both endpoints, so the
+// fuzz targets start from bodies that reach the placement core; the
+// object-form originals get a 400.
+func TestPlacementSeedsReachTheCore(t *testing.T) {
+	h := newPlacementFuzzServer(t).Handler()
+	seeds := placementFuzzSeeds()
+	for _, name := range []string{"valid-array-job", "valid-object-job"} {
+		for _, path := range []string{"/place", "/migrate"} {
+			for suffix, want := range map[string]int{"": http.StatusBadRequest, "-compact": http.StatusOK} {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(seeds[name+suffix])))
+				if w.Code != want {
+					t.Errorf("%s %s: %d %s, want %d", path, name+suffix, w.Code, w.Body, want)
+				}
+			}
+		}
+	}
 }
 
 func FuzzPlaceRequest(f *testing.F)   { fuzzPlacement(f, "/place") }

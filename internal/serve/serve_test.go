@@ -25,7 +25,7 @@ import (
 
 // writeSnapshot trains nothing: a randomly initialized policy/value pair is
 // a perfectly good serving model for round-trip tests.
-func writeSnapshot(t *testing.T, dir, kind string, maxObs int) string {
+func writeSnapshot(t testing.TB, dir, kind string, maxObs int) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	pol, err := nn.NewPolicy(rng, kind, maxObs, sim.JobFeatures)
@@ -156,9 +156,10 @@ func TestHeuristicEngineParity(t *testing.T) {
 	}
 }
 
-// TestFlexibleAndCompactFormatsAgree sends the same state as canonical
-// compact JSON (fast parser) and as verbose object JSON (encoding/json
-// fallback) and expects identical decisions.
+// TestFlexibleAndCompactFormatsAgree sends the same state as EncodeStates'
+// compact body and as a flexible spelling of it — indented, keys sorted,
+// rows re-encoded by encoding/json — and expects identical decisions; the
+// verbose object-form spelling is outside the wire format and refused.
 func TestFlexibleAndCompactFormatsAgree(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapshot(t, dir, "kernel", 16)
@@ -168,40 +169,45 @@ func TestFlexibleAndCompactFormatsAgree(t *testing.T) {
 	st.WantScores = true
 	compact := EncodeStates([]*QueueState{st})
 
-	type jobObj struct {
-		ID       int     `json:"id"`
-		Submit   float64 `json:"submit_time"`
-		ReqTime  float64 `json:"requested_time"`
-		ReqProcs int     `json:"requested_procs"`
-		UserID   int     `json:"user_id"`
-	}
-	verbose := map[string]interface{}{
+	flexible := map[string]interface{}{
 		"now":         st.Now,
 		"free_procs":  st.View.FreeProcs,
 		"total_procs": st.View.TotalProcs,
 		"queue_len":   st.QueueLen,
 		"scores":      true,
 	}
-	var jobs []jobObj
+	var rows [][]float64
+	var objects []map[string]float64
 	for _, j := range st.Jobs {
-		jobs = append(jobs, jobObj{j.ID, j.SubmitTime, j.RequestedTime, j.RequestedProcs, j.UserID})
+		rows = append(rows, []float64{j.SubmitTime, j.RequestedTime, float64(j.RequestedProcs), float64(j.UserID), float64(j.ID)})
+		objects = append(objects, map[string]float64{"id": float64(j.ID), "submit_time": j.SubmitTime,
+			"requested_time": j.RequestedTime, "requested_procs": float64(j.RequestedProcs), "user_id": float64(j.UserID)})
 	}
-	verbose["jobs"] = jobs
-	verboseBody, err := json.Marshal(verbose)
+	flexible["jobs"] = rows
+	flexibleBody, err := json.MarshalIndent(flexible, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	code1, out1 := postJSON(t, ts.URL+"/v1/decide", compact)
-	code2, out2 := postJSON(t, ts.URL+"/v1/decide", verboseBody)
+	code2, out2 := postJSON(t, ts.URL+"/v1/decide", flexibleBody)
 	if code1 != 200 || code2 != 200 {
 		t.Fatalf("status %d / %d: %s / %s", code1, code2, out1, out2)
 	}
 	if !bytes.Equal(out1, out2) {
-		t.Fatalf("compact and verbose answers differ:\n%s\n%s", out1, out2)
+		t.Fatalf("compact and flexible answers differ:\n%s\n%s", out1, out2)
 	}
 	if !bytes.Contains(out1, []byte(`"scores":[`)) {
 		t.Fatalf("scores requested but missing: %s", out1)
+	}
+
+	flexible["jobs"] = objects
+	verboseBody, err := json.Marshal(flexible)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, out := postJSON(t, ts.URL+"/v1/decide", verboseBody); code != 400 || !bytes.Contains(out, []byte("object-form job row at byte")) {
+		t.Fatalf("object-form jobs: %d %s, want a 400 naming them", code, out)
 	}
 }
 
@@ -383,7 +389,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rlserv_requests_total 3",
 		"rlserv_model_info{policy=\"FCFS\"} 1",
 		"rlserv_decision_latency_seconds_bucket",
-		"rlserv_batch_queue_seconds_count 3",
+		"rlserv_engine_slot_wait_seconds_count 3",
 	} {
 		if !strings.Contains(text, s) {
 			t.Errorf("metrics output missing %q:\n%s", s, text)
@@ -483,5 +489,24 @@ func TestPolicyEngineDecideDoesNotAllocate(t *testing.T) {
 	eng.DecideBatch(states, out) // warm the scratch pool
 	if allocs := testing.AllocsPerRun(100, func() { eng.DecideBatch(states, out) }); allocs != 0 {
 		t.Errorf("PolicyEngine.DecideBatch allocates %v times per call", allocs)
+	}
+}
+
+// TestQueueLenBelowVisible: a queue_len below the number of posted jobs,
+// negative or short, reads as len(jobs), so the answer is the one without
+// it; the network never sees a queue-fraction feature below 1.
+func TestQueueLenBelowVisible(t *testing.T) {
+	_, ts := newTestServer(t, Config{ModelPath: writeSnapshot(t, t.TempDir(), "kernel", 16)})
+	body := func(queueLen string) []byte {
+		return []byte(`{"now":0,"free_procs":4,"total_procs":8,"scores":true` + queueLen + `,"jobs":[[-30,3600,4],[-10,60,2]]}`)
+	}
+	code, want := postJSON(t, ts.URL+"/v1/decide", body(""))
+	if code != http.StatusOK {
+		t.Fatalf("decide: %d %s", code, want)
+	}
+	for _, queueLen := range []string{`,"queue_len":-1000`, `,"queue_len":1`} {
+		if code, got := postJSON(t, ts.URL+"/v1/decide", body(queueLen)); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d %s, want the answer without it, %s", queueLen, code, got, want)
+		}
 	}
 }

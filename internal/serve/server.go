@@ -312,7 +312,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		batcher, tag = sh.batcher, idx
 	}
 	start := time.Now()
-	rb := s.readRequest(w, r, (*reqBuf).parseFast, (*reqBuf).parseSlow)
+	rb := s.readRequest(w, r, (*reqBuf).parseFast)
 	if rb == nil {
 		return
 	}
@@ -649,11 +649,12 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 }
 
 // readRequest is the front /v1/decide, /place and /migrate share: the body
-// read into a pooled reqBuf, the cap decided (413) before anything is parsed,
-// then the scanner, and encoding/json for what it bails on. On failure it
-// writes the response and returns nil; otherwise the caller puts the reqBuf
-// back in the pool when its handler returns.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, fast, slow func(*reqBuf, []byte) error) *reqBuf {
+// read into a pooled reqBuf, the cap decided (413) before anything is
+// parsed, then parse, the scanner, whose refusal is a 400 naming the
+// construct and its byte offset. On failure it writes the response and
+// returns nil; otherwise the caller puts the reqBuf back in the pool when
+// its handler returns.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, parse func(*reqBuf, []byte) error) *reqBuf {
 	rb := reqBufPool.Get().(*reqBuf)
 	rb.reset()
 	var err error
@@ -663,15 +664,8 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, fast, slow 
 		s.fail(w, http.StatusBadRequest, err)
 	case int64(len(rb.body)) > s.maxBody:
 		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
-	case fast(rb, rb.body) == nil:
-		return rb
 	default:
-		for i, path := range parsePaths {
-			if path == r.URL.Path {
-				s.metrics.ParseFallback[i].Add(1)
-			}
-		}
-		if err = slow(rb, rb.body); err == nil {
+		if err = parse(rb, rb.body); err == nil {
 			return rb
 		}
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("serve: bad %s request: %w", r.URL.Path, err))

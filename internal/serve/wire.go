@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,119 +13,38 @@ import (
 	"rlsched/internal/trace"
 )
 
-// Wire format. A decision request is either one queue state
+// Wire format (the scanner's grammar, fastparse.go). A decision request is
+// either one queue state
 //
 //	{"now": 0, "free_procs": 96, "total_procs": 128, "queue_len": 200,
-//	 "scores": true,
-//	 "jobs": [{"id": 7, "submit_time": -30, "requested_time": 3600,
-//	           "requested_procs": 4, "user_id": 2}, ...]}
+//	 "scores": true, "jobs": [[-30, 3600, 4, 2, 7], ...]}
 //
-// or a batch {"states": [state, state, ...]} answered in order. Job rows
-// may equivalently be compact arrays
+// with each job a compact row
 //
 //	[submit_time, requested_time, requested_procs, user_id?, id?]
 //
-// which is what EncodeStates emits. Every body meets the scanner
-// (fastparse.go) first and encoding/json only if that bails, so every valid
-// JSON request is accepted either way.
+// (what EncodeStates emits), or a batch {"states": [state, state, ...]}
+// answered in order.
 
-// wireJob decodes a job from either object or compact-array form.
-type wireJob struct {
-	ID       int     `json:"id"`
-	Submit   float64 `json:"submit_time"`
-	ReqTime  float64 `json:"requested_time"`
-	ReqProcs int     `json:"requested_procs"`
-	UserID   int     `json:"user_id"`
-}
-
-// unmarshalRowOr is the decoder wireJob and wireDone share. b is a compact
-// row of numbers for w.fromRow — read by the scanner's row(), and by
-// json.Unmarshal only if that bails (a null element, say) — or else an
-// object for obj, a method-free twin of w's type.
-func unmarshalRowOr(b []byte, w interface{ fromRow(*[5]float64, int) bool }, obj any, want string) error {
-	p := fastParser{b: b}
-	if p.ws(); p.i == len(b) || b[p.i] != '[' {
-		return json.Unmarshal(b, obj)
-	}
-	var vals [5]float64
-	n, ok := p.row(&vals)
-	if !ok || !p.end() {
-		var row []float64
-		if err := json.Unmarshal(b, &row); err != nil {
-			return err
-		}
-		n = len(row)
-		copy(vals[:], row)
-	}
-	if !w.fromRow(&vals, n) {
-		return fmt.Errorf("serve: compact %s values, got %d", want, n)
-	}
-	return nil
-}
-
-// UnmarshalJSON accepts {"submit_time": ...} objects and
-// [submit, req_time, procs, user?, id?] arrays.
-func (w *wireJob) UnmarshalJSON(b []byte) error {
-	type object wireJob
-	*w = wireJob{UserID: -1}
-	return unmarshalRowOr(b, w, (*object)(w), "job row wants 3-5")
-}
-
-// fromRow fills w from a compact row of n values and reports whether n is
-// a legal length.
-func (w *wireJob) fromRow(v *[5]float64, n int) bool {
-	if n < 3 || n > len(v) {
-		return false
-	}
-	*w = wireJob{Submit: v[0], ReqTime: v[1], ReqProcs: int(v[2]), UserID: -1}
-	if n > 3 {
-		w.UserID = int(v[3])
-	}
-	if n > 4 {
-		w.ID = int(v[4])
-	}
-	return true
-}
-
-// toJob converts the wire form to a pending job (scheduling state
+// rowJob converts a compact job row to a pending job (scheduling state
 // cleared) — the single point all request paths (/v1/decide and /place)
-// build jobs through.
-func (w *wireJob) toJob() job.Job {
-	return job.Job{
-		ID:             w.ID,
-		SubmitTime:     w.Submit,
-		RequestedTime:  w.ReqTime,
-		RequestedProcs: w.ReqProcs,
-		UserID:         w.UserID,
-		StartTime:      -1,
-		EndTime:        -1,
-	}
+// build jobs through. v holds the row over [5]float64{3: -1}, so a row
+// without user_id reads -1 and one without id reads 0.
+func rowJob(v *[5]float64) job.Job {
+	return job.Job{ID: int(v[4]), SubmitTime: v[0], RequestedTime: v[1], RequestedProcs: int(v[2]),
+		UserID: int(v[3]), StartTime: -1, EndTime: -1}
 }
 
 // wireDone is a completed-job record posted with /place cluster states to
 // feed the daemon's per-user fairness tracker (fleet mode with a fairness
-// weight): either {"user_id": u, "wait": w, "run_time": r} or a compact
-// [user, wait, run] array, both in seconds. The daemon folds each record
-// into the posting cluster's per-user bounded-slowdown share before
-// scoring the request's job.
+// weight): a compact [user_id, wait, run_time] row, in seconds. The daemon
+// folds each record into the posting cluster's per-user bounded-slowdown
+// share before scoring the request's job. The JSON tags are the WAL
+// record's.
 type wireDone struct {
 	UserID int     `json:"user_id"`
 	Wait   float64 `json:"wait"`
 	Run    float64 `json:"run_time"`
-}
-
-// UnmarshalJSON accepts {"user_id": ...} objects and [user, wait, run]
-// arrays.
-func (w *wireDone) UnmarshalJSON(b []byte) error {
-	type object wireDone
-	*w = wireDone{UserID: -1}
-	return unmarshalRowOr(b, w, (*object)(w), "completed row wants 3")
-}
-
-// fromRow is wireJob.fromRow for a completed row.
-func (w *wireDone) fromRow(v *[5]float64, n int) bool {
-	*w = wireDone{UserID: int(v[0]), Wait: v[1], Run: v[2]}
-	return n == 3
 }
 
 // toJob converts the record into a finished job the fairness tracker can
@@ -138,22 +56,6 @@ func (w *wireDone) toJob() job.Job {
 		StartTime: w.Wait,
 		EndTime:   w.Wait + w.Run,
 	}
-}
-
-// wireState is one queue state on the wire.
-type wireState struct {
-	Now        float64   `json:"now"`
-	FreeProcs  int       `json:"free_procs"`
-	TotalProcs int       `json:"total_procs"`
-	QueueLen   int       `json:"queue_len"`
-	Scores     bool      `json:"scores"`
-	Jobs       []wireJob `json:"jobs"`
-}
-
-// wireRequest is the full request: inline single state or a batch.
-type wireRequest struct {
-	wireState
-	States []wireState `json:"states"`
 }
 
 // reqBuf holds every allocation a request needs; pooled across requests.
@@ -170,14 +72,18 @@ type reqBuf struct {
 	stPtr  []*QueueState // &states[i]
 	batch  bool          // request used the states form
 
-	// The /place and /migrate body: the job, the dedup identity, and posted
-	// cluster i as its queue state, states[i], plus clusters[i]'s Name,
-	// RunningWork and Completed (wireState there is the fallback's scratch).
+	// The /place and /migrate body: the job; from, /migrate's alone, the
+	// cluster whose queue holds it, posted as if the job were already
+	// withdrawn; client and batchSeq, the optional dedup identity of the
+	// completed-records batch — one whose seq is not above the client's
+	// highest absorbed seq is acknowledged but not re-observed, so a client
+	// can retry a /place without double-counting (durable.go); and posted
+	// cluster i as its queue state, states[i], plus clusters[i].
 	job          job.Job
 	from, client string
 	batchSeq     *int64
 	clusters     []placeCluster
-	done         []wireDone // backs the scanner's Completed slices
+	done         []wireDone // backs the clusters' Completed slices
 
 	// Handler scratch of the placement endpoints.
 	seen   []uint64 // bitset over shard indices
@@ -194,15 +100,15 @@ var reqBufPool = sync.Pool{New: func() interface{} {
 	}
 }}
 
-// reset empties the parsed form — what a parse tier starts from; body and
-// resp are overwritten by their next user.
+// reset empties the parsed form — what a parse starts from; body and resp
+// are overwritten by their next user.
 func (rb *reqBuf) reset() {
 	rb.arena = rb.arena[:0]
 	rb.jobPtr = rb.jobPtr[:0]
 	rb.states = rb.states[:0]
 	rb.stPtr = rb.stPtr[:0]
 	rb.batch = false
-	rb.job = (&wireJob{UserID: -1}).toJob()
+	rb.job = rowJob(&[5]float64{3: -1})
 	rb.from, rb.client, rb.batchSeq = "", "", nil
 	rb.clusters = rb.clusters[:0]
 	rb.done = rb.done[:0]
@@ -224,56 +130,7 @@ func (rb *reqBuf) addState(st QueueState, base int) {
 	rb.stPtr = append(rb.stPtr, &rb.states[len(rb.states)-1])
 }
 
-// parseSlow is the encoding/json catch-all of /v1/decide, run on a body
-// parseFast bailed on. It accepts every valid JSON request; the scanner
-// accepts a subset and must agree with this path on it (pinned by the
-// FuzzParseRequest differential).
-func (rb *reqBuf) parseSlow(body []byte) error {
-	var req wireRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return err
-	}
-	rb.batch = len(req.States) > 0
-	if !rb.batch {
-		rb.addWireState(&req.wireState)
-		return nil
-	}
-	for i := range req.States {
-		rb.addWireState(&req.States[i])
-	}
-	return nil
-}
-
-// parsePlaceSlow is parseSlow for /place and /migrate: json.Unmarshal into
-// a placeRequest, copied into the form parsePlaceFast lands in.
-func (rb *reqBuf) parsePlaceSlow(body []byte) error {
-	var req placeRequest
-	req.Job.UserID = -1
-	if err := json.Unmarshal(body, &req); err != nil {
-		return err
-	}
-	rb.job, rb.from, rb.client, rb.batchSeq = req.Job.toJob(), req.From, req.Client, req.BatchSeq
-	rb.clusters = req.Clusters
-	for i := range req.Clusters {
-		rb.addWireState(&req.Clusters[i].wireState)
-	}
-	return nil
-}
-
-func (rb *reqBuf) addWireState(ws *wireState) {
-	base := len(rb.jobPtr)
-	for i := range ws.Jobs {
-		rb.addJob(ws.Jobs[i].toJob())
-	}
-	rb.addState(QueueState{
-		Now:        ws.Now,
-		View:       sim.ClusterView{FreeProcs: ws.FreeProcs, TotalProcs: ws.TotalProcs},
-		QueueLen:   ws.QueueLen,
-		WantScores: ws.Scores,
-	}, base)
-}
-
-// validate enforces the request invariants shared by both parse paths.
+// validate enforces the /v1/decide request invariants.
 func (rb *reqBuf) validate() error {
 	if len(rb.states) == 0 {
 		return fmt.Errorf("serve: request has no states")
@@ -366,8 +223,7 @@ func appendFloats(dst []byte, vs []float64) []byte {
 	return append(dst, ']')
 }
 
-// EncodeStates renders queue states in the canonical compact wire format
-// the daemon's fast parser consumes.
+// EncodeStates renders queue states as a /v1/decide body.
 func EncodeStates(states []*QueueState) []byte {
 	var b []byte
 	if len(states) == 1 {
