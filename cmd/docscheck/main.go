@@ -7,13 +7,14 @@
 //     repository (external http/https/mailto links are not fetched — CI
 //     must not depend on the network).
 //
-//  2. Godoc coverage: every exported identifier in internal/fleet,
-//     internal/metrics, internal/obs and internal/cluster, in the
-//     internal/sim incremental stepping surface (stepper.go), and in the
-//     internal/trace zoo registry (zoo.go), must carry a doc comment, so
-//     `go doc` stays a complete reference for the placement/migration/
-//     fairness subsystem, the metric surface it optimizes, and the
-//     event-heap stepping substrate underneath it. New exported API
+//  2. Godoc coverage: every exported identifier in internal/cluster,
+//     internal/fleet, internal/metrics, internal/obs, internal/policy and
+//     internal/telemetry, in the internal/sim incremental stepping surface
+//     (stepper.go), and in the internal/trace zoo registry (zoo.go), must
+//     carry a doc comment, so `go doc` stays a complete reference for the
+//     placement/migration/fairness subsystem, the metric surface it
+//     optimizes, the one policy decision path, the time-series core, and
+//     the event-heap stepping substrate underneath them. New exported API
 //     without documentation fails CI — coverage can only regress loudly.
 //
 // Usage: go run ./cmd/docscheck [repo-root]

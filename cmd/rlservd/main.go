@@ -61,12 +61,13 @@
 //	               {"name": "small", "free_procs": 64, "total_procs": 64,  "jobs": []}]}'
 //
 // With -fair-weight N, /place becomes per-user fairness aware: clusters
-// post the jobs they finished ("completed": [[user, wait, run], ...] or
-// equivalent objects) alongside their queue state, the daemon tracks every
-// user's bounded-slowdown share per cluster, and the placement pipeline
-// steers deprived users' jobs onto capacity that runs them now (and off
-// clusters that historically hurt them). Each /place answer reports the
-// job's user state; /metrics gains the rlserv_fairness_score view:
+// post the jobs they finished as compact rows ("completed": [[user, wait,
+// run], ...]; object-form rows get a 400) alongside their queue state,
+// the daemon tracks every user's bounded-slowdown share per cluster, and
+// the placement pipeline steers deprived users' jobs onto capacity that
+// runs them now (and off clusters that historically hurt them). Each
+// /place answer reports the job's user state; /metrics gains the
+// rlserv_fairness_score view:
 //
 //	rlservd -shard ... -fair-weight 1
 //	curl -s localhost:9090/place -d '{
@@ -183,15 +184,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&c.FairWindow, "fair-window", 0,
 		"fleet mode: decay the fairness tracker's shares over roughly this many completions "+
 			"(0 = full history; needs -fair-weight)")
-	fs.DurationVar(&c.SLO.P99Budget, "slo-p99", 0,
-		"p99 latency budget per endpoint; enables SLO monitoring, /readyz, and the "+
-			"degradation ladder (RL scoring -> SJF fallback -> static shedding) when set")
-	fs.DurationVar(&c.SLO.Window, "slo-window", 30*time.Second,
-		"sliding window the SLO latency quantiles are computed over")
-	fs.IntVar(&c.SLO.QueueHigh, "slo-queue-high", 0,
-		"requests waiting for an engine slot treated as overload by the SLO monitor (0 = latency signal only)")
-	fs.IntVar(&c.SLO.HealthzLevel, "healthz", 2,
-		"degradation level at which /healthz flips to 503 (needs -slo-p99)")
 	fs.BoolVar(&c.Pprof, "pprof", false,
 		"mount the net/http/pprof profiling handlers under /debug/pprof/")
 	fs.IntVar(&c.DecisionLog, "decision-log", 0,

@@ -52,11 +52,14 @@ func TestFlagsMatchREADME(t *testing.T) {
 	}
 }
 
-// TestDeletedFlagsAreRefused: the knobs of the deleted batch window and
-// batcher queue are gone, not ignored — flag.CommandLine (ExitOnError)
-// turns this parse error into exit status 2.
+// TestDeletedFlagsAreRefused: the knobs of the deleted batch window,
+// batcher queue and SLO degradation ladder are gone, not ignored —
+// flag.CommandLine (ExitOnError) turns this parse error into exit status 2.
 func TestDeletedFlagsAreRefused(t *testing.T) {
-	for _, args := range [][]string{{"-batch-window", "1us"}, {"-max-batch", "64"}} {
+	for _, args := range [][]string{
+		{"-batch-window", "1us"}, {"-max-batch", "64"},
+		{"-slo-p99", "5ms"}, {"-slo-window", "30s"}, {"-slo-queue-high", "64"}, {"-healthz", "2"},
+	} {
 		fs := flag.NewFlagSet("rlservd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		registerFlags(fs)

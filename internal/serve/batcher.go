@@ -16,7 +16,7 @@ var errShutDown = fmt.Errorf("serve: batcher is shut down")
 // forward pass costs no less per state than a solo one (DESIGN.md §14), so
 // there is nothing to coalesce. What is left is the limit — at most Workers
 // calls in flight, which bounds the per-call scratch — and the count of
-// callers waiting their turn, the SLO monitor's overload signal.
+// callers waiting their turn.
 type Batcher struct {
 	engine  atomic.Pointer[Engine]
 	slots   chan struct{} // counting semaphore: a token per engine call in flight
@@ -48,7 +48,7 @@ func NewBatcher(e Engine, cfg BatcherConfig) *Batcher {
 func (b *Batcher) Engine() Engine { return *b.engine.Load() }
 
 // QueueDepth reports how many callers are waiting for an engine slot right
-// now — the backpressure signal the SLO monitor's high-water check reads.
+// now.
 func (b *Batcher) QueueDepth() int { return int(b.waiting.Load()) }
 
 // Swap atomically replaces the engine. Calls in flight finish on the engine

@@ -163,20 +163,21 @@ func (s *Server) decideCached(ctx context.Context, batcher *Batcher, tag int, st
 	decs := make([]Decision, len(states))
 	var missIdx []int
 	var keyBuf []byte
+	var hitPolicy string
 	gen := s.cache.generation() // before Decide loads the engine
 	for i, st := range states {
 		key, e, hit := s.cache.probe(&keyBuf, gen, tag, st)
 		keys[i] = key
 		if hit {
-			decs[i] = e.dec
+			decs[i], hitPolicy = e.dec, e.policy
 		} else {
 			missIdx = append(missIdx, i)
 		}
 	}
 	if len(missIdx) == 0 {
-		// Every cached answer came from the current generation's engine,
-		// so the engine's name now is the policy that produced them.
-		return decs, batcher.Engine().Name(), nil
+		// Name the policy stored with the picks: the engine's name now
+		// would be the new engine's after a /reload since the probe.
+		return decs, hitPolicy, nil
 	}
 	missStates := make([]*QueueState, len(missIdx))
 	for k, i := range missIdx {

@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"rlsched/internal/job"
+	"rlsched/internal/sim"
 )
 
 // TestDecisionCacheDecide: identical /v1/decide requests hit the cache
@@ -112,6 +116,28 @@ func TestDecisionCachePlace(t *testing.T) {
 	// Both shard scorings were answered from the cache.
 	if h := srv.Metrics().CacheHits.Load(); h != 2 {
 		t.Errorf("repeat place hits = %d, want 2", h)
+	}
+}
+
+// TestAllHitNamesCachedPolicy: an all-hit /v1/decide answer is labelled
+// with the policy stored alongside the cached picks, not with whatever
+// engine serves now — a /reload between the probe and the reply must not
+// relabel the old engine's picks with the new engine's name.
+func TestAllHitNamesCachedPolicy(t *testing.T) {
+	srv, _ := newTestServer(t, Config{PolicyName: "SJF", DecisionCache: 8})
+	st := &QueueState{
+		Jobs: []*job.Job{{ID: 1, RequestedTime: 600, RequestedProcs: 4}},
+		View: sim.ClusterView{FreeProcs: 8, TotalProcs: 64},
+	}
+	var buf []byte
+	key, _, _ := srv.cache.probe(&buf, srv.cache.generation(), -1, st)
+	srv.cache.put(key, cacheEntry{dec: Decision{Pick: 0}, policy: "LJF"})
+	_, policy, err := srv.decideCached(context.Background(), srv.batcher, -1, []*QueueState{st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if policy != "LJF" {
+		t.Errorf("all-hit answer names policy %q, want the cached %q", policy, "LJF")
 	}
 }
 

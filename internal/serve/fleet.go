@@ -235,7 +235,7 @@ func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate
 	case len(s.shards) == 0 || (migrate && s.migrateMargin < 0):
 		s.fail(w, http.StatusNotFound, fmt.Errorf("serve: %s not enabled (needs fleet mode; /migrate also needs -migrate)", r.URL.Path))
 	default:
-		rb = s.readRequest(w, r, (*reqBuf).parsePlaceFast)
+		rb = s.readRequest(w, r, (*reqBuf).parsePlace)
 	}
 	if rb == nil {
 		return nil, -1
@@ -395,13 +395,13 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		ex = nil
 	}
 	s.metrics.CountPlacement(pick.Index)
-	s.finishPlacement(w, r, start, &s.metrics.PlaceLatency, resp, rb, ex)
+	s.finishPlacement(w, start, &s.metrics.PlaceLatency, resp, rb, ex)
 }
 
 // finishPlacement is the response half /place and /migrate share: the
 // "scores" object covering every unfiltered (non-NaN) candidate, the
 // ?explain=1 trace when ex is set, the write, and the latency accounting.
-func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start time.Time, lat *Histogram, resp []byte, rb *reqBuf, ex *obs.Explain) {
+func (s *Server) finishPlacement(w http.ResponseWriter, start time.Time, lat *Histogram, resp []byte, rb *reqBuf, ex *obs.Explain) {
 	resp = append(resp, `,"scores":{`...)
 	first, scores := true, rb.scores
 	for i, c := range rb.cands {
@@ -434,9 +434,6 @@ func (s *Server) finishPlacement(w http.ResponseWriter, r *http.Request, start t
 	w.Write(rb.resp)
 
 	lat.ObserveDuration(time.Since(start))
-	if s.slo != nil {
-		s.slo.observe(r.URL.Path, time.Since(start))
-	}
 }
 
 // handleMigrate answers whether a queued job should move off its current
@@ -479,5 +476,5 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	if move {
 		s.metrics.CountMigration(cands[dst].Index)
 	}
-	s.finishPlacement(w, r, start, &s.metrics.MigrateLatency, resp, rb, nil)
+	s.finishPlacement(w, start, &s.metrics.MigrateLatency, resp, rb, nil)
 }

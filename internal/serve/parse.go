@@ -20,7 +20,7 @@ import (
 // stateKeys are a queue state's keys, for naming a case-folded key.
 const stateKeys = "now free_procs total_procs queue_len scores jobs"
 
-type fastParser struct {
+type scanner struct {
 	b     []byte
 	i     int
 	keyAt int    // offset of the object key being read
@@ -30,7 +30,7 @@ type fastParser struct {
 
 // fail records the first refusal, found at the current byte, and returns
 // false. A null where a value belongs is named as such.
-func (p *fastParser) fail(what string) bool {
+func (p *scanner) fail(what string) bool {
 	if p.what == "" {
 		if bytes.HasPrefix(p.b[p.i:], []byte("null")) {
 			what = "null"
@@ -42,14 +42,14 @@ func (p *fastParser) fail(what string) bool {
 
 // done turns the outcome of a whole-body parse into its error: nil when
 // ok and nothing but whitespace is left, else the first refusal.
-func (p *fastParser) done(ok bool) error {
+func (p *scanner) done(ok bool) error {
 	if ok && (p.end() || p.fail("data after the request")) {
 		return nil
 	}
 	return fmt.Errorf("%s at byte %d", p.what, p.at)
 }
 
-func (p *fastParser) ws() {
+func (p *scanner) ws() {
 	for p.i < len(p.b) {
 		switch p.b[p.i] {
 		case ' ', '\t', '\n', '\r':
@@ -61,7 +61,7 @@ func (p *fastParser) ws() {
 }
 
 // lit consumes c if it is the next byte; eat skips whitespace first.
-func (p *fastParser) lit(c byte) bool {
+func (p *scanner) lit(c byte) bool {
 	if p.i < len(p.b) && p.b[p.i] == c {
 		p.i++
 		return true
@@ -69,20 +69,20 @@ func (p *fastParser) lit(c byte) bool {
 	return false
 }
 
-func (p *fastParser) eat(c byte) bool {
+func (p *scanner) eat(c byte) bool {
 	p.ws()
 	return p.lit(c)
 }
 
 // end reports that nothing but whitespace is left.
-func (p *fastParser) end() bool {
+func (p *scanner) end() bool {
 	p.ws()
 	return p.i == len(p.b)
 }
 
 // str parses a string of printable ASCII without escapes — its bytes are
 // its value — and returns them; they alias the body.
-func (p *fastParser) str() ([]byte, bool) {
+func (p *scanner) str() ([]byte, bool) {
 	if !p.eat('"') {
 		return nil, p.fail("expected a string")
 	}
@@ -103,7 +103,7 @@ func (p *fastParser) str() ([]byte, bool) {
 }
 
 // digits skips a run of decimal digits and reports its length.
-func (p *fastParser) digits() int {
+func (p *scanner) digits() int {
 	start := p.i
 	for p.i < len(p.b) && p.b[p.i]-'0' <= 9 {
 		p.i++
@@ -114,7 +114,7 @@ func (p *fastParser) digits() int {
 // number parses exactly the JSON number grammar. isInt reports an integer
 // token of at most 15 digits: exact in a float64 and in an int, and
 // converted without strconv (the common case — SWF times are whole seconds).
-func (p *fastParser) number() (v float64, isInt, ok bool) {
+func (p *scanner) number() (v float64, isInt, ok bool) {
 	p.ws()
 	start := p.i
 	neg := p.lit('-')
@@ -153,7 +153,7 @@ func (p *fastParser) number() (v float64, isInt, ok bool) {
 
 // integer parses an int field's value: like encoding/json, integer tokens
 // only (no 1.5, no 1e3), and none a float64 would round.
-func (p *fastParser) integer() (int, bool) {
+func (p *scanner) integer() (int, bool) {
 	p.ws()
 	start := p.i
 	v, isInt, ok := p.number()
@@ -164,7 +164,7 @@ func (p *fastParser) integer() (int, bool) {
 	return int(v), ok
 }
 
-func (p *fastParser) boolean() (bool, bool) {
+func (p *scanner) boolean() (bool, bool) {
 	p.ws()
 	for _, lit := range [...]string{"true", "false"} {
 		if bytes.HasPrefix(p.b[p.i:], []byte(lit)) {
@@ -176,7 +176,7 @@ func (p *fastParser) boolean() (bool, bool) {
 }
 
 // list parses open item,item,... close; item consumes each item.
-func (p *fastParser) list(open, close byte, item func() bool) bool {
+func (p *scanner) list(open, close byte, item func() bool) bool {
 	if !p.eat(open) {
 		return p.fail("expected " + string(open))
 	}
@@ -192,10 +192,10 @@ func (p *fastParser) list(open, close byte, item func() bool) bool {
 }
 
 // array parses [element,...]; elem consumes each element.
-func (p *fastParser) array(elem func() bool) bool { return p.list('[', ']', elem) }
+func (p *scanner) array(elem func() bool) bool { return p.list('[', ']', elem) }
 
 // object parses {"key":value,...}; field consumes the value of each key.
-func (p *fastParser) object(field func(key []byte) bool) bool {
+func (p *scanner) object(field func(key []byte) bool) bool {
 	return p.list('{', '}', func() bool {
 		p.ws()
 		p.keyAt = p.i
@@ -205,7 +205,7 @@ func (p *fastParser) object(field func(key []byte) bool) bool {
 }
 
 // badKey refuses the key being read.
-func (p *fastParser) badKey(what string, key []byte) bool {
+func (p *scanner) badKey(what string, key []byte) bool {
 	p.i = p.keyAt
 	return p.fail(fmt.Sprintf("%s %q", what, key))
 }
@@ -213,7 +213,7 @@ func (p *fastParser) badKey(what string, key []byte) bool {
 // unknown refuses a key that is none of known's; one that differs from a
 // known key only in case is named case-folded (encoding/json would have
 // matched it).
-func (p *fastParser) unknown(key []byte, known string) bool {
+func (p *scanner) unknown(key []byte, known string) bool {
 	for _, k := range strings.Fields(known) {
 		if strings.EqualFold(k, string(key)) {
 			return p.badKey("case-folded key", key)
@@ -223,7 +223,7 @@ func (p *fastParser) unknown(key []byte, known string) bool {
 }
 
 // once refuses the second occurrence of an array-valued key.
-func (p *fastParser) once(seen *bool, key []byte) bool {
+func (p *scanner) once(seen *bool, key []byte) bool {
 	if *seen {
 		return p.badKey("repeated key", key)
 	}
@@ -233,7 +233,7 @@ func (p *fastParser) once(seen *bool, key []byte) bool {
 
 // row parses one compact row of least to len(vals) numbers — a job or a
 // completed record — into vals.
-func (p *fastParser) row(vals []float64, least int, what string) bool {
+func (p *scanner) row(vals []float64, least int, what string) bool {
 	p.ws()
 	start, n := p.i, 0
 	if p.i < len(p.b) && p.b[p.i] == '{' {
@@ -258,7 +258,7 @@ func (p *fastParser) row(vals []float64, least int, what string) bool {
 // state parses one {...} queue state into the arena/state lists. With
 // cluster set it is a /place cluster, which also takes name, running_work
 // and completed.
-func (p *fastParser) state(rb *reqBuf, cluster bool) bool {
+func (p *scanner) state(rb *reqBuf, cluster bool) bool {
 	var st QueueState
 	var vals [5]float64
 	var cl placeCluster
@@ -317,10 +317,10 @@ func (p *fastParser) state(rb *reqBuf, cluster bool) bool {
 	return true
 }
 
-// parseFast parses a /v1/decide body: one queue state, or the batch form
+// parseDecide parses a /v1/decide body: one queue state, or the batch form
 // {"states":[{...},...]}, which is told apart by its first key.
-func (rb *reqBuf) parseFast(body []byte) error {
-	p := fastParser{b: body}
+func (rb *reqBuf) parseDecide(body []byte) error {
+	p := scanner{b: body}
 	rb.batch = p.eat('{') && p.eat('"') && bytes.HasPrefix(body[p.i:], []byte(`states"`))
 	p.i = 0
 	if !rb.batch {
@@ -336,9 +336,9 @@ func (rb *reqBuf) parseFast(body []byte) error {
 	}))
 }
 
-// parsePlaceFast parses a /place or /migrate body.
-func (rb *reqBuf) parsePlaceFast(body []byte) error {
-	p := fastParser{b: body}
+// parsePlace parses a /place or /migrate body.
+func (rb *reqBuf) parsePlace(body []byte) error {
+	p := scanner{b: body}
 	var clusters bool
 	return p.done(p.object(func(key []byte) (ok bool) {
 		var s []byte

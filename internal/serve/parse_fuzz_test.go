@@ -122,7 +122,7 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("/v1/decide answered %d: %s", w.Code, w.Body)
 		}
 		var ref jsonDecide
-		got, ok := scanOrReference(t, data, (*reqBuf).parseFast, &ref)
+		got, ok := scanOrReference(t, data, (*reqBuf).parseDecide, &ref)
 		if !ok {
 			return
 		}
@@ -197,7 +197,7 @@ func FuzzPlaceParse(f *testing.F) {
 	f.Add(benchShapedPlaceBody(f, 8, 128, 17))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ref jsonPlace
-		got, ok := scanOrReference(t, data, (*reqBuf).parsePlaceFast, &ref)
+		got, ok := scanOrReference(t, data, (*reqBuf).parsePlace, &ref)
 		if !ok {
 			return
 		}

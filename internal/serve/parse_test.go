@@ -42,8 +42,8 @@ func TestParseFastBailsClean(t *testing.T) {
 	}
 	for _, tc := range bail {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := (&reqBuf{}).parseFast([]byte(tc.body)); err == nil || err.Error() != tc.want {
-				t.Fatalf("parseFast(%q) = %v, want %q", tc.body, err, tc.want)
+			if err := (&reqBuf{}).parseDecide([]byte(tc.body)); err == nil || err.Error() != tc.want {
+				t.Fatalf("parseDecide(%q) = %v, want %q", tc.body, err, tc.want)
 			}
 		})
 	}
@@ -124,8 +124,8 @@ func TestParseFastAcceptsEdgeShapes(t *testing.T) {
 	for _, tc := range accept {
 		t.Run(tc.name, func(t *testing.T) {
 			rb := &reqBuf{}
-			if err := rb.parseFast([]byte(tc.body)); err != nil {
-				t.Fatalf("parseFast(%q) = %v, want success", tc.body, err)
+			if err := rb.parseDecide([]byte(tc.body)); err != nil {
+				t.Fatalf("parseDecide(%q) = %v, want success", tc.body, err)
 			}
 			if len(rb.states) != tc.states || len(rb.arena) != tc.jobs {
 				t.Fatalf("parsed %d states / %d jobs, want %d / %d",
@@ -191,7 +191,7 @@ func TestMalformedNumbersRejected(t *testing.T) {
 		`"now":0,"free_procs":1,"total_procs":8,"jobs":[[.5,60,2]]`,
 		`"now":0,"free_procs":1,"total_procs":8,"jobs":[[0,1.,2]]`,
 	} {
-		if rb := (&reqBuf{}); rb.parseFast([]byte(`{`+state+`}`)) == nil {
+		if rb := (&reqBuf{}); rb.parseDecide([]byte(`{`+state+`}`)) == nil {
 			t.Errorf("scanner accepted {%s}", state)
 		}
 		for path, body := range map[string]string{

@@ -93,13 +93,6 @@ type Config struct {
 	// decisions (fleet mode). 0 takes the default of 256; negative
 	// disables the ring and the endpoint.
 	DecisionLog int
-	// SLO configures latency-budget monitoring and the degradation ladder
-	// (slo.go). The zero value disables both; with SLO.P99Budget set, the
-	// daemon watches windowed per-endpoint p99 latency and the number of
-	// requests waiting for an engine slot, degrades /v1/decide through
-	// heuristic and static fallbacks under sustained overload, and exports
-	// the ladder state on /metrics.
-	SLO SLOConfig
 }
 
 // Server is the decision service: an http.Handler that runs a swappable
@@ -137,10 +130,6 @@ type Server struct {
 	// placement decisions (nil when disabled or outside fleet mode).
 	start time.Time
 	ring  *obs.Ring
-
-	// slo is the SLO monitor and degradation ladder (nil when disabled —
-	// the nil checks on the request path are the only cost then).
-	slo *sloMonitor
 }
 
 // NewServer builds the service.
@@ -217,15 +206,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.ring = obs.NewRing(n)
 	}
-	if cfg.SLO.P99Budget > 0 {
-		fallback, err := LoadEngine("", "SJF")
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.slo = newSLOMonitor(cfg.SLO, s.maxQueueDepth, fallback)
-		s.slo.run()
-	}
 	s.mux.HandleFunc("/v1/decide", s.handleDecide)
 	s.mux.HandleFunc("/place", s.handlePlace)
 	s.mux.HandleFunc("/migrate", s.handleMigrate)
@@ -256,16 +236,13 @@ func (s *Server) Engine() Engine { return s.batcher.Engine() }
 // Metrics exposes the instrumentation registry (read-only use intended).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close shuts the durability layer and the SLO monitor down and closes
-// every batcher (Batcher.Close is idempotent, so the fleet-only aliasing of
-// the base batcher onto shard 0 is harmless).
+// Close shuts the durability layer down and closes every batcher
+// (Batcher.Close is idempotent, so the fleet-only aliasing of the base
+// batcher onto shard 0 is harmless).
 func (s *Server) Close() {
 	if s.durable != nil {
 		// Final snapshot: a graceful shutdown restores without replay.
 		s.durable.close()
-	}
-	if s.slo != nil {
-		s.slo.close()
 	}
 	if s.batcher != nil {
 		s.batcher.Close()
@@ -273,18 +250,6 @@ func (s *Server) Close() {
 	for _, sh := range s.shards {
 		sh.batcher.Close()
 	}
-}
-
-// maxQueueDepth reports the most callers waiting for an engine slot on any
-// one batcher, base or fleet shard — the SLO monitor's backpressure signal.
-func (s *Server) maxQueueDepth() int {
-	depth := s.batcher.QueueDepth()
-	for _, sh := range s.shards {
-		if d := sh.batcher.QueueDepth(); d > depth {
-			depth = d
-		}
-	}
-	return depth
 }
 
 // Shards lists the fleet shard names in registration order (empty outside
@@ -312,7 +277,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		batcher, tag = sh.batcher, idx
 	}
 	start := time.Now()
-	rb := s.readRequest(w, r, (*reqBuf).parseFast)
+	rb := s.readRequest(w, r, (*reqBuf).parseDecide)
 	if rb == nil {
 		return
 	}
@@ -327,27 +292,10 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	states := rb.stPtr
-	// The degradation ladder (slo.go): full service runs the served engine
-	// under the batcher's limit; level 1 swaps in the heuristic fallback,
-	// which needs no limit; level 2 sheds to a static FCFS answer with no
-	// engine call, so the shed path's latency is just parsing and encoding.
-	var decs []Decision
-	var policy string
-	switch level := s.sloLevel(); {
-	case level >= 2:
-		decs = make([]Decision, len(states))
-		staticDecide(states, decs)
-		policy = staticPolicyName
-	case level == 1:
-		decs = make([]Decision, len(states))
-		s.slo.fallback.DecideBatch(states, decs)
-		policy = s.slo.fallback.Name()
-	default:
-		var err error
-		if decs, policy, err = s.decideCached(r.Context(), batcher, tag, states); err != nil {
-			s.fail(w, http.StatusServiceUnavailable, err)
-			return
-		}
+	decs, policy, err := s.decideCached(r.Context(), batcher, tag, states)
+	if err != nil {
+		s.fail(w, http.StatusServiceUnavailable, err)
+		return
 	}
 	rb.resp = rb.appendResponse(rb.resp[:0], decs, policy)
 	w.Header().Set("Content-Type", "application/json")
@@ -356,17 +304,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RequestsTotal.Add(1)
 	s.metrics.DecisionsTotal.Add(uint64(len(states)))
 	s.metrics.Latency.ObserveDuration(time.Since(start))
-	if s.slo != nil {
-		s.slo.observe("/v1/decide", time.Since(start))
-	}
-}
-
-// sloLevel is the current degradation level (0 when monitoring is off).
-func (s *Server) sloLevel() int {
-	if s.slo == nil {
-		return 0
-	}
-	return s.slo.Level()
 }
 
 // reloadSpec is the /reload request body. An empty body re-reads the
@@ -470,9 +407,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "rlserv_build_info{go_version=%q,revision=%q} 1\n", goVersion, revision)
 	promFamily(w, "rlserv_uptime_seconds", "Seconds since the daemon started.", "gauge")
 	fmt.Fprintf(w, "rlserv_uptime_seconds %g\n", time.Since(s.start).Seconds())
-	if s.slo != nil {
-		s.slo.writeProm(w)
-	}
 	if s.fairness != nil {
 		// The fairness tracker's live view of per-user service: Jain's
 		// index and worst-user stats over the tracked bounded-slowdown
@@ -592,29 +526,15 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"cluster\":%q,\"drained\":true,\"already\":%t}\n", sh.name, already)
 }
 
-// handleHealthz is the liveness probe: ok until the degradation ladder
-// reaches SLOConfig.HealthzLevel (default: shedding), at which point the
-// daemon asks to be pulled out of rotation.
+// handleHealthz is the liveness probe: the process is up and names the
+// policy it serves.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.slo != nil {
-		if level := s.slo.Level(); level >= s.slo.cfg.HealthzLevel {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintf(w, "shedding level=%d\n", level)
-			return
-		}
-	}
 	fmt.Fprintf(w, "ok policy=%s\n", s.batcher.Engine().Name())
 }
 
-// handleReadyz is the readiness probe: ready only at full service (level
-// 0), so load balancers steer new traffic away the moment the daemon
-// starts degrading, well before /healthz gives up on it.
+// handleReadyz is the readiness probe: not ready while a poisoned WAL
+// refuses completion batches or a shard is drained.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if level := s.sloLevel(); level > 0 {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "degraded level=%d\n", level)
-		return
-	}
 	if s.durable != nil {
 		if err := s.durable.walHealth(); err != nil {
 			// Completion batches are being refused; take the daemon out of

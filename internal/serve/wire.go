@@ -13,7 +13,7 @@ import (
 	"rlsched/internal/trace"
 )
 
-// Wire format (the scanner's grammar, fastparse.go). A decision request is
+// Wire format (the scanner's grammar, parse.go). A decision request is
 // either one queue state
 //
 //	{"now": 0, "free_procs": 96, "total_procs": 128, "queue_len": 200,

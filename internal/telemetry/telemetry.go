@@ -1,12 +1,12 @@
 // Package telemetry is the repository's deterministic time-series core:
-// named append-only series collected into an exportable Set, sliding-window
-// counters, and log-bucketed windowed histograms with quantile queries.
-// Nothing in the package reads a clock — every operation takes an explicit
-// `now`, so the same structures run off the simulation clock inside
-// deterministic fleet runs (internal/fleet health sampling) and off the
-// wall clock inside the serving daemon's SLO monitor (internal/serve).
-// The package is single-writer by design: the fleet sampler is serial, and
-// concurrent users (the daemon) wrap calls in their own lock.
+// named append-only series collected into an exportable Set, and
+// log-bucketed windowed histograms with quantile queries. Nothing in the
+// package reads a clock — every operation takes an explicit `now`, so the
+// series run off the simulation clock inside deterministic fleet runs
+// (internal/fleet health sampling). The windowed histogram's remaining
+// caller is the system benchmark (bench/), which times its Observe. The
+// package is single-writer by design: the fleet sampler is serial, and a
+// concurrent user wraps calls in its own lock.
 package telemetry
 
 import (

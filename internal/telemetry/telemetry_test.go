@@ -118,80 +118,3 @@ func TestHistogramDefaultWindow(t *testing.T) {
 		t.Fatalf("overflow quantile = %g, want top bound", got)
 	}
 }
-
-// TestLadderTransitions pins the full escalation path 0→1→2 under
-// sustained overload and the debounce on both directions.
-func TestLadderTransitions(t *testing.T) {
-	l := &Ladder{MaxLevel: 2, EscalateAfter: 3, RecoverAfter: 2}
-	for i := 0; i < 2; i++ {
-		if got := l.Eval(true); got != 0 {
-			t.Fatalf("tick %d: level %d, want 0 (needs 3 consecutive)", i, got)
-		}
-	}
-	if got := l.Eval(true); got != 1 {
-		t.Fatalf("level %d after 3 bad ticks, want 1", got)
-	}
-	// A single good tick resets the bad streak without recovering.
-	if got := l.Eval(false); got != 1 {
-		t.Fatalf("level %d after 1 good tick, want 1 (needs 2)", got)
-	}
-	for i := 0; i < 3; i++ {
-		l.Eval(true)
-	}
-	if got := l.Level(); got != 2 {
-		t.Fatalf("level %d after renewed overload, want 2", got)
-	}
-	// Saturates at MaxLevel.
-	for i := 0; i < 10; i++ {
-		l.Eval(true)
-	}
-	if got := l.Level(); got != 2 {
-		t.Fatalf("level %d, must saturate at 2", got)
-	}
-}
-
-// TestLadderHysteresisRecovery pins the descent: each rung needs its own
-// RecoverAfter streak, so full recovery from level 2 takes 2×RecoverAfter
-// healthy ticks.
-func TestLadderHysteresisRecovery(t *testing.T) {
-	l := &Ladder{MaxLevel: 2, EscalateAfter: 1, RecoverAfter: 3}
-	l.Eval(true)
-	l.Eval(true)
-	if l.Level() != 2 {
-		t.Fatalf("setup level %d, want 2", l.Level())
-	}
-	want := []int{2, 2, 1, 1, 1, 0, 0}
-	for i, w := range want {
-		if got := l.Eval(false); got != w {
-			t.Fatalf("good tick %d: level %d, want %d", i, got, w)
-		}
-	}
-	// An overload mid-recovery resets the good streak (without itself
-	// escalating — it is a lone bad tick under EscalateAfter 2).
-	l2 := &Ladder{MaxLevel: 2, EscalateAfter: 2, RecoverAfter: 3}
-	l2.Eval(true)
-	l2.Eval(true) // level 1
-	l2.Eval(false)
-	l2.Eval(false)
-	if got := l2.Eval(true); got != 1 {
-		t.Fatalf("lone bad tick mid-recovery: level %d, want 1", got)
-	}
-	for i := 0; i < 2; i++ {
-		if got := l2.Eval(false); got != 1 {
-			t.Fatalf("good tick %d after interruption: level %d, want 1", i, got)
-		}
-	}
-	if got := l2.Eval(false); got != 0 {
-		t.Fatalf("level %d, want 0 after full streak", got)
-	}
-}
-
-func TestLadderZeroValueDefaults(t *testing.T) {
-	var l Ladder
-	if got := l.Eval(true); got != 1 {
-		t.Fatalf("zero-value ladder Eval(true) = %d, want 1", got)
-	}
-	if got := l.Eval(false); got != 0 {
-		t.Fatalf("zero-value ladder Eval(false) = %d, want 0", got)
-	}
-}
