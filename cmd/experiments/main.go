@@ -64,8 +64,6 @@ func main() {
 		"cross-cluster migration policy for fleet experiments: off|hysteresis|always")
 	churn := flag.String("churn", "",
 		"churn scenario for the fleet-churn experiment: full|drain|join|fail (default full)")
-	constraints := flag.String("constraints", "",
-		"constraint set for the fleet-constraints experiment: full|taints|affinity (default full)")
 	zoo := flag.Bool("zoo", false, "print the trace-zoo summary (archive presets + chaos generators) and exit")
 	tracePath := flag.String("trace", "",
 		"write a Chrome trace-event / Perfetto timeline of a representative fleet run here (fleet experiments; open at ui.perfetto.dev)")
@@ -135,7 +133,6 @@ func main() {
 	}
 	o.Migrate = *migrate
 	o.Churn = *churn
-	o.Constraints = *constraints
 
 	ids := []string{*run}
 	if *run == "all" {

@@ -57,11 +57,6 @@ type Options struct {
 	// "full" (announced drain + mid-run join + unannounced failure),
 	// "drain", "join", or "fail" for each membership change in isolation.
 	Churn string
-	// Constraints selects the fleet-constraints experiment's constraint
-	// set: "" or "full" (taints + class affinity as hard filters, domain
-	// spread + steadiness as soft scorers), "taints", or "affinity" for
-	// each hard gate alone.
-	Constraints string
 	// TracePath, when set, makes trace-capable experiments (the fleet
 	// experiments) record one representative run through an obs.Collector
 	// and write it as a Chrome trace-event / Perfetto timeline. Recording

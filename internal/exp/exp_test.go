@@ -42,7 +42,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table2", "table5", "table6", "table7", "table8", "table9", "table10", "table11",
 		"ablation-backfill", "ablation-kernel", "ablation-obswindow", "ablation-dqn",
 		"fleet-placement", "fleet-migration", "fleet-fairness",
-		"fleet-churn", "fleet-constraints",
+		"fleet-churn",
 	}
 	ids := IDs()
 	have := map[string]bool{}

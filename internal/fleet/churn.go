@@ -97,14 +97,8 @@ func (p ChurnPlan) validate() error {
 		}
 		switch ev.Kind {
 		case ChurnJoin:
-			if ev.Member.Name == "" {
-				return fmt.Errorf("fleet: churn event %d: join needs a member name", i)
-			}
-			if ev.Member.Scheduler == nil {
-				return fmt.Errorf("fleet: churn event %d: join member %q needs a scheduler", i, ev.Member.Name)
-			}
-			if ev.Member.Sim.Processors <= 0 {
-				return fmt.Errorf("fleet: churn event %d: join member %q needs processors", i, ev.Member.Name)
+			if err := ev.Member.validate(); err != nil {
+				return fmt.Errorf("fleet: churn event %d: join %w", i, err)
 			}
 		case ChurnDrain:
 			if ev.Name == "" {
@@ -147,9 +141,6 @@ func (f *Fleet) EnableChurn(plan ChurnPlan) error {
 // the next Run (the fleet has no holding state between runs, so there is
 // nothing to do mid-flight). Mid-run joins ride a ChurnPlan instead.
 func (f *Fleet) AddMember(mc MemberConfig) error {
-	if mc.Name == "" {
-		return fmt.Errorf("fleet: AddMember needs a member name")
-	}
 	if err := f.appendMember(mc, 0); err != nil {
 		return err
 	}
@@ -273,21 +264,17 @@ func (f *Fleet) findMember(name string) int {
 // candidate store append may reallocate, so the cached candidate pointers
 // are rebuilt — they must stay aimed at the live backing array.
 func (f *Fleet) appendMember(mc MemberConfig, now float64) error {
+	if err := mc.validate(); err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
 	if f.findMember(mc.Name) >= 0 {
 		return fmt.Errorf("fleet: duplicate member name %q", mc.Name)
-	}
-	if mc.Scheduler == nil {
-		return fmt.Errorf("fleet: member %q needs a scheduler", mc.Name)
-	}
-	if mc.Sim.Processors <= 0 {
-		return fmt.Errorf("fleet: member %q needs processors", mc.Name)
 	}
 	m := &member{
 		name:      mc.Name,
 		cfg:       mc.Sim,
 		sim:       sim.New(mc.Sim),
 		sched:     mc.Scheduler,
-		attrs:     mc.Attrs,
 		transient: true,
 	}
 	if f.rec != nil {
@@ -296,7 +283,7 @@ func (f *Fleet) appendMember(mc MemberConfig, now float64) error {
 	m.sim.AdvanceClock(now)
 	i := len(f.members)
 	f.members = append(f.members, m)
-	f.candStore = append(f.candStore, Candidate{Index: i, Name: m.name, Attrs: m.attrs})
+	f.candStore = append(f.candStore, Candidate{Index: i, Name: m.name})
 	f.cands = f.cands[:0]
 	for k := range f.candStore {
 		f.cands = append(f.cands, &f.candStore[k])

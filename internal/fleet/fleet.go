@@ -66,9 +66,9 @@ type Candidate struct {
 	// on evicting members — placing on a graceful drainer costs at most a
 	// cheap re-place.
 	Evicting bool
-	// Attrs are the member's static placement attributes (class, failure
-	// domain, taints) consumed by the constraint plugins (constraints.go).
-	Attrs MemberAttrs
+	// Cordoned closes the member as a destination (rlservd's /drain): the
+	// taint filter rejects it for every job.
+	Cordoned bool
 }
 
 // Router picks the cluster an arriving job is routed to, returning an
@@ -98,9 +98,21 @@ type MemberConfig struct {
 	Name      string
 	Sim       sim.Config
 	Scheduler sim.Scheduler
-	// Attrs are the member's static placement attributes for constraint
-	// plugins (constraints.go). The zero value is unconstrained.
-	Attrs MemberAttrs
+}
+
+// validate is the one check of a member declaration, shared by New,
+// AddMember and ChurnJoin plans: a name, a scheduler and a positive
+// processor count (sim.New panics without one).
+func (mc MemberConfig) validate() error {
+	switch {
+	case mc.Name == "":
+		return fmt.Errorf("member needs a name")
+	case mc.Scheduler == nil:
+		return fmt.Errorf("member %q needs a scheduler", mc.Name)
+	case mc.Sim.Processors <= 0:
+		return fmt.Errorf("member %q needs processors", mc.Name)
+	}
+	return nil
 }
 
 // member wraps a simulator driven through the incremental stepping
@@ -124,8 +136,6 @@ type member struct {
 	// the idle-members regression test asserts on. Written by at most one
 	// goroutine at a time (stepWake blocks are disjoint).
 	syncs int
-	// attrs are the member's static placement attributes (constraints.go).
-	attrs MemberAttrs
 	// state is the run-scoped churn lifecycle state (churn.go); gone marks
 	// a permanently drained member (Fleet.Drain), which starts every run
 	// retired; transient marks a member a ChurnPlan joined mid-run, removed
@@ -171,9 +181,6 @@ type Fleet struct {
 	// routers): reset per run and fed member completions before every
 	// placement and re-placement decision.
 	stateful []StateScorer
-	// assignObs lists the router's AssignObservers (constraints.go), fed
-	// every successful routing decision; empty for almost all routers.
-	assignObs []AssignObserver
 	// churnPlan schedules mid-run membership changes (churn.go; nil = off,
 	// the zero-cost default); baseN is the permanent member count runs
 	// reset to (mid-run joins are transient); lastChurn retains the most
@@ -230,15 +237,14 @@ func New(members []MemberConfig, router Router) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: duplicate member name %q", mc.Name)
 		}
 		seen[mc.Name] = true
-		if mc.Scheduler == nil {
-			return nil, fmt.Errorf("fleet: member %q needs a scheduler", mc.Name)
+		if err := mc.validate(); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		f.members = append(f.members, &member{
 			name:  mc.Name,
 			cfg:   mc.Sim,
 			sim:   sim.New(mc.Sim),
 			sched: mc.Scheduler,
-			attrs: mc.Attrs,
 		})
 	}
 	n := len(f.members)
@@ -249,15 +255,12 @@ func New(members []MemberConfig, router Router) (*Fleet, error) {
 	f.dirtyFlag = make([]bool, n)
 	f.obsFlag = make([]bool, n)
 	for i, m := range f.members {
-		f.candStore[i] = Candidate{Index: i, Name: m.name, Attrs: m.attrs}
+		f.candStore[i] = Candidate{Index: i, Name: m.name}
 		f.cands = append(f.cands, &f.candStore[i])
 		f.sims[i] = m.sim
 	}
 	if sp, ok := router.(interface{ StateScorers() []StateScorer }); ok {
 		f.stateful = sp.StateScorers()
-	}
-	if ap, ok := router.(interface{ AssignObservers() []AssignObserver }); ok {
-		f.assignObs = ap.AssignObservers()
 	}
 	if cf, ok := router.(ClockFree); ok && cf.ClockFree() {
 		f.clockFree = true
@@ -591,7 +594,6 @@ func (f *Fleet) route(j *job.Job, t float64, verb string) (int, error) {
 	if err := m.sim.Submit(j); err != nil {
 		return -1, fmt.Errorf("fleet: %s to %s: %w", verb, m.name, err)
 	}
-	f.observeAssign(k, j)
 	m.sim.Pump(m.sched)
 	f.markDirty(k)
 	f.touch(k)

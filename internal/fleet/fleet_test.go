@@ -273,6 +273,23 @@ func TestBacklogFilter(t *testing.T) {
 	}
 }
 
+// TestTaintFilterFeasible: the cordon gate rejects a cordoned member for
+// every job, passes an open one, and names itself "taint" in explain traces.
+func TestTaintFilterFeasible(t *testing.T) {
+	var f TaintFilter
+	for _, j := range []*job.Job{{}, job.New(1, 0, 100, 1, 100), job.New(2, 0, 3600, 512, 3600)} {
+		if f.Feasible(j, &Candidate{Cordoned: true}) {
+			t.Fatalf("job %d: a cordoned member must be infeasible", j.ID)
+		}
+		if !f.Feasible(j, &Candidate{}) {
+			t.Fatalf("job %d: an open member must be feasible", j.ID)
+		}
+	}
+	if got := f.Name(); got != "taint" {
+		t.Fatalf("filter name = %q, want taint", got)
+	}
+}
+
 // TestRLScorerShape: the scorer must emit finite log-probabilities, favour
 // no cluster when states are identical, and stay batch-order invariant.
 func TestRLScorerShape(t *testing.T) {
@@ -360,6 +377,12 @@ func TestNewValidation(t *testing.T) {
 	noSched := []MemberConfig{{Name: "x", Sim: sim.Config{Processors: 8}}}
 	if _, err := New(noSched, NewRoundRobin()); err == nil {
 		t.Fatal("missing scheduler must error")
+	}
+	for _, procs := range []int{0, -8} {
+		noProcs := []MemberConfig{{Name: "x", Sim: sim.Config{Processors: procs}, Scheduler: sched.FCFS()}}
+		if _, err := New(noProcs, NewRoundRobin()); err == nil {
+			t.Fatalf("Processors: %d must error", procs)
+		}
 	}
 }
 

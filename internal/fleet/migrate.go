@@ -308,7 +308,6 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 	mig.moves++
 	srcM.movedOut++
 	m.movedIn++
-	f.observeAssign(dst, j)
 	m.sim.Pump(m.sched)
 	f.touch(dst)
 	if wasCommitted {

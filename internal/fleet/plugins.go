@@ -482,6 +482,17 @@ func (f BacklogFilter) Feasible(_ *job.Job, c *Candidate) bool {
 // ClockFree implements ClockFree: backlog depth never consults the clock.
 func (BacklogFilter) ClockFree() bool { return true }
 
+// TaintFilter is the cordon gate: a cordoned candidate is infeasible for
+// every job. Its name is Kubernetes' word for a mark no job tolerates, and
+// explain traces report it as the filter that rejected the member.
+type TaintFilter struct{}
+
+// Name implements Filter.
+func (TaintFilter) Name() string { return "taint" }
+
+// Feasible implements Filter.
+func (TaintFilter) Feasible(_ *job.Job, c *Candidate) bool { return !c.Cordoned }
+
 // load is the committed seconds of work per processor — the shared signal
 // of the load-based scorers.
 func load(c *Candidate) float64 {

@@ -124,7 +124,7 @@ func (s *Server) initFleet(cfg Config) error {
 	default:
 		return fmt.Errorf("serve: unknown place router %q (engine|least-loaded|binpack)", router)
 	}
-	// The cordon gate (cordonTaints): a nil Source tolerates nothing.
+	// The cordon gate: decodePlacement marks cordoned shards.
 	s.placer.Filters = append(s.placer.Filters, fleet.TaintFilter{})
 	if !(cfg.FairWeight >= 0) {
 		return fmt.Errorf("serve: fairness weight must be non-negative, got %g", cfg.FairWeight)
@@ -212,11 +212,6 @@ type placeCluster struct {
 	Completed   []wireDone
 }
 
-// cordonTaints marks a shard cordoned by /drain. No job tolerates it, so
-// fleet.TaintFilter — the last of s.placer's filters — is the one hard gate
-// keeping cordoned shards off the menu, and explain traces name it.
-var cordonTaints = []fleet.Taint{{Key: "cordoned"}}
-
 // decodePlacement is the request half /place and /migrate share: readRequest,
 // then the posted cluster states validated against the registered shards and turned into the placement core's terms — rb.job
 // and one candidate per posted cluster in rb.cands (it writes the 4xx itself
@@ -224,10 +219,12 @@ var cordonTaints = []fleet.Taint{{Key: "cordoned"}}
 // Everything after it is internal/fleet's: the daemon is a stateless
 // transport over the simulator's placement core. A cordoned shard stays a
 // candidate — its posted state and completions are real, only the
-// destination is closed — but carries cordonTaints. Only with migrate set
-// does rb.from count: from is its candidate's index (required), and that one
-// candidate is spared the taint — migrating OFF a cordoned member is what
-// /migrate is for during a drain.
+// destination is closed — but is marked Candidate.Cordoned, which
+// fleet.TaintFilter, the last of s.placer's filters, rejects for every job
+// (explain traces name it). Only with migrate set does rb.from count: from
+// is its candidate's index (required), and that one candidate is never
+// marked — migrating OFF a cordoned member is what /migrate is for during a
+// drain.
 func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate bool) (rb *reqBuf, from int) {
 	switch {
 	case r.Method != http.MethodPost:
@@ -288,8 +285,8 @@ func (s *Server) decodePlacement(w http.ResponseWriter, r *http.Request, migrate
 		}
 		if migrate && cl.Name == rb.from {
 			from = i
-		} else if sh.cordoned.Load() {
-			c.Attrs.Taints = cordonTaints
+		} else {
+			c.Cordoned = sh.cordoned.Load()
 		}
 		rb.cands = append(rb.cands, c)
 	}
