@@ -12,17 +12,17 @@ const (
 	DenseActTanh
 )
 
-// The Dense kernels are register-blocked. The forward pass gathers a row's
-// non-zero inputs and adds their weight rows to the output row four per
-// sweep, the running sum in a register; the dA pass computes four input
-// columns' dot products per sweep over a gradient row, each in its own
-// register; the dW/dBias pass queues rows with a non-zero gradient and adds
-// them to each weight row (the rows whose input is non-zero) and to the
-// bias four per sweep. Blocking changes how many terms one sweep adds,
-// never which terms an output receives or in what order: every output is
-// still its initial value plus its non-zero terms in input order (forward,
-// dA) or row order (dW, dBias), so the results are bit-identical to the
-// plain one-term-per-sweep loops grad_test.go keeps as the reference.
+// The Dense kernels are one primitive, addScaled, which adds scaled rows of
+// a matrix into an output row. The forward pass adds the weight rows of a
+// row's non-zero inputs into the output row; the dA pass adds the rows of
+// Wᵀ of a gradient row's non-zero entries into a zeroed accumulator that
+// then joins the input gradient; the dW/dBias pass queues rows with a
+// non-zero gradient and adds them to each weight row (the rows whose input
+// is non-zero) and to the bias. Every output is still its initial value
+// plus its non-zero terms in input order (forward, dA) or row order (dW,
+// dBias), each product rounded before it is added, so the results are
+// bit-identical to the plain one-term-per-sweep loops grad_test.go keeps
+// as the reference, whichever body addScaled runs.
 
 // Dense returns act(a[m,k] × w[k,n] + bias[1,n]) as a single fused graph
 // node. Fusing the three steps that MatMul/AddBias/ReLU would otherwise
@@ -54,6 +54,14 @@ func Dense(a, w, bias *Tensor, act int) *Tensor {
 		if a.needsGrad() {
 			a.ensureGrad()
 			g.da = a.Grad
+			wt := getZeroed(k * n)
+			defer scratchPool.Put(wt)
+			g.wT = *wt
+			for kk := 0; kk < k; kk++ {
+				for j, v := range w.Data[kk*n : (kk+1)*n] {
+					g.wT[j*k+kk] = v
+				}
+			}
 		}
 		doW, doBias := w.needsGrad(), bias.needsGrad()
 		if doW {
@@ -70,7 +78,8 @@ func Dense(a, w, bias *Tensor, act int) *Tensor {
 			if doBias {
 				db = bias.Grad
 			}
-			g.rows(0, m, make([]float64, min(m, denseGather)*n), dw, db)
+			buf := make([]float64, k+min(m, denseGather)*n)
+			g.rows(0, m, buf[k:], buf[:k], dw, db)
 			return
 		}
 		// Blocked path: per-block partial gradients for the shared W and
@@ -89,9 +98,9 @@ func Dense(a, w, bias *Tensor, act int) *Tensor {
 				bparts[b] = getZeroed(n)
 				db = *bparts[b]
 			}
-			dpre := getZeroed(denseGather * n)
-			g.rows(lo, hi, *dpre, dw, db)
-			scratchPool.Put(dpre)
+			buf := getZeroed(k + denseGather*n)
+			g.rows(lo, hi, (*buf)[k:], (*buf)[:k], dw, db)
+			scratchPool.Put(buf)
 		})
 		for b := 0; b < denseBlocks; b++ {
 			if doW {
@@ -118,27 +127,11 @@ func Dense(a, w, bias *Tensor, act int) *Tensor {
 // bias plus a[i,kk]·w[kk,j] for each non-zero input in input order —
 // Dense's training forward pass gives the same bits.
 func DenseRows(a, w, bias, out []float64, k, n, act int) {
-	var c [denseGather]float64
-	var off [denseGather]int
+	var g gather
 	for i := 0; i < len(a)/k; i++ {
-		arow := a[i*k : (i+1)*k]
 		orow := out[i*n : (i+1)*n]
 		copy(orow, bias)
-		// Gather the non-zero inputs, then add their weight rows four per
-		// sweep. The stores are unconditional so that only the count
-		// depends on the data.
-		t := 0
-		for kk, av := range arow {
-			c[t], off[t] = av, kk*n
-			if av != 0 {
-				t++
-			}
-			if t == denseGather {
-				addScaled(orow, w, c[:], off[:])
-				t = 0
-			}
-		}
-		addScaled(orow, w, c[:t], off[:t])
+		g.addRows(orow, a[i*k:(i+1)*k], w, n)
 		switch act {
 		case DenseActReLU:
 			for j, o := range orow {
@@ -152,16 +145,47 @@ func DenseRows(a, w, bias, out []float64, k, n, act int) {
 	}
 }
 
-// denseGather is how many non-zero inputs DenseRows gathers before it adds
-// their weight rows, and how many rows the backward pass queues for one
-// dW/dBias pass. Gathering many keeps the data-dependent 1–3-term remainder
-// to one per output row or weight row.
+// gather holds the terms of one addScaled call: the coefficients and the
+// offsets of the rows they scale. A kernel call keeps one for all of its
+// rows, so that its 1 KB is not zeroed per row.
+type gather struct {
+	c   [denseGather]float64
+	off [denseGather]int
+}
+
+// addRows adds x × m into dst: m holds len(x) rows of stride values, and
+// each dst[j] gets x[r]·m[r·stride+j] for every non-zero x[r] in r order.
+// It gathers the non-zero x[r] (the stores are unconditional so that only
+// the count depends on the data) and hands them to addScaled denseGather
+// at a time.
+func (g *gather) addRows(dst, x, m []float64, stride int) {
+	t := 0
+	for r, xv := range x {
+		g.c[t], g.off[t] = xv, r*stride
+		if xv != 0 {
+			t++
+		}
+		if t == denseGather {
+			addScaled(dst, m, g.c[:], g.off[:])
+			t = 0
+		}
+	}
+	addScaled(dst, m, g.c[:t], g.off[:t])
+}
+
+// denseGather is how many non-zero inputs addRows gathers before it adds
+// their rows, and how many rows the backward pass queues for one dW/dBias
+// pass. Gathering many lets addScaled keep each running sum in a register
+// across more terms.
 const denseGather = 64
 
-// addScaled adds c[0]·src[off[0]+j] + c[1]·src[off[1]+j] + … into each
-// dst[j], one term at a time in that order: four terms per sweep over dst,
-// the running sum in a register.
-func addScaled(dst, src, c []float64, off []int) {
+// addScaledPortable adds c[0]·src[off[0]+j] + c[1]·src[off[1]+j] + … into
+// each dst[j], one term at a time in that order, each product rounded
+// before it is added: four terms per sweep over dst, the running sum in a
+// register. The float64 conversions forbid the compiler to fuse a product
+// with its add. It is addScaled's body on every GOARCH but amd64, and
+// there for CPUs without AVX and for the len(dst)%4 tail.
+func addScaledPortable(dst, src, c []float64, off []int) {
 	for ; len(c) >= 4; c, off = c[4:], off[4:] {
 		c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 		v0 := src[off[0]:][:len(dst)]
@@ -169,10 +193,10 @@ func addScaled(dst, src, c []float64, off []int) {
 		v2 := src[off[2]:][:len(dst)]
 		v3 := src[off[3]:][:len(dst)]
 		for j, o := range dst {
-			o += c0 * v0[j]
-			o += c1 * v1[j]
-			o += c2 * v2[j]
-			o += c3 * v3[j]
+			o += float64(c0 * v0[j])
+			o += float64(c1 * v1[j])
+			o += float64(c2 * v2[j])
+			o += float64(c3 * v3[j])
 			dst[j] = o
 		}
 	}
@@ -183,9 +207,9 @@ func addScaled(dst, src, c []float64, off []int) {
 		v1 := src[off[1]:][:len(dst)]
 		v2 := src[off[2]:][:len(dst)]
 		for j, o := range dst {
-			o += c0 * v0[j]
-			o += c1 * v1[j]
-			o += c2 * v2[j]
+			o += float64(c0 * v0[j])
+			o += float64(c1 * v1[j])
+			o += float64(c2 * v2[j])
 			dst[j] = o
 		}
 	case 2:
@@ -193,14 +217,14 @@ func addScaled(dst, src, c []float64, off []int) {
 		v0 := src[off[0]:][:len(dst)]
 		v1 := src[off[1]:][:len(dst)]
 		for j, o := range dst {
-			o += c0 * v0[j]
-			o += c1 * v1[j]
+			o += float64(c0 * v0[j])
+			o += float64(c1 * v1[j])
 			dst[j] = o
 		}
 	case 1:
 		c0, v0 := c[0], src[off[0]:][:len(dst)]
 		for j, o := range dst {
-			dst[j] = o + c0*v0[j]
+			dst[j] = o + float64(c0*v0[j])
 		}
 	}
 }
@@ -234,10 +258,10 @@ func reluGrad(g, out float64) uint64 {
 }
 
 // denseBackward holds one Dense node's backward operands. da is nil when
-// the input gradient has no consumer.
+// the input gradient has no consumer; wT is then w transposed, [n,k].
 type denseBackward struct {
 	a, w, out, grad []float64
-	da              []float64
+	da, wT          []float64
 	k, n, act       int
 }
 
@@ -245,9 +269,10 @@ type denseBackward struct {
 // are block-private), dW/dBias into the given accumulators, either of which
 // may be nil when not wanted. dpre is scratch for the pre-activation
 // gradients of up to denseGather rows, which queue there in row order for
-// a shared dW/dBias pass.
-func (g *denseBackward) rows(lo, hi int, dpre, dw, db []float64) {
+// a shared dW/dBias pass; acc is scratch for one row's dA terms.
+func (g *denseBackward) rows(lo, hi int, dpre, acc, dw, db []float64) {
 	n := g.n
+	var gt gather
 	var queued [denseGather]int
 	t := 0
 	for i := lo; i < hi; i++ {
@@ -256,18 +281,26 @@ func (g *denseBackward) rows(lo, hi int, dpre, dw, db []float64) {
 			continue
 		}
 		if g.da != nil {
-			g.inputGrad(i, d)
+			// The reference adds every term of each dot product, from +0.
+			// acc starts at +0 too, and a sum that starts at +0 can never
+			// become -0, so the ±0 terms addRows skips would not have
+			// changed it (for finite weights).
+			clear(acc)
+			gt.addRows(acc, d, g.wT, g.k)
+			for kk, s := range acc {
+				g.da[i*g.k+kk] += s
+			}
 		}
 		if dw == nil && db == nil {
 			continue
 		}
 		queued[t] = i
 		if t++; t == denseGather {
-			g.paramGrad(queued[:], dpre, dw, db)
+			g.paramGrad(&gt, queued[:], dpre, dw, db)
 			t = 0
 		}
 	}
-	g.paramGrad(queued[:t], dpre, dw, db)
+	g.paramGrad(&gt, queued[:t], dpre, dw, db)
 }
 
 // preActGrad writes row i's gradient with respect to the pre-activation
@@ -308,49 +341,15 @@ func (g *denseBackward) preActGrad(i int, d []float64) bool {
 	return nonZero
 }
 
-// inputGrad adds d × wᵀ into row i of da, four input columns per sweep
-// over d, each column's dot product in its own register.
-func (g *denseBackward) inputGrad(i int, d []float64) {
-	k, n := g.k, g.n
-	agrow := g.da[i*k : (i+1)*k]
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		w0 := g.w[kk*n : (kk+1)*n][:len(d)]
-		w1 := g.w[(kk+1)*n : (kk+2)*n][:len(d)]
-		w2 := g.w[(kk+2)*n : (kk+3)*n][:len(d)]
-		w3 := g.w[(kk+3)*n : (kk+4)*n][:len(d)]
-		var s0, s1, s2, s3 float64
-		for j, dv := range d {
-			s0 += dv * w0[j]
-			s1 += dv * w1[j]
-			s2 += dv * w2[j]
-			s3 += dv * w3[j]
-		}
-		agrow[kk] += s0
-		agrow[kk+1] += s1
-		agrow[kk+2] += s2
-		agrow[kk+3] += s3
-	}
-	for ; kk < k; kk++ {
-		wrow := g.w[kk*n : (kk+1)*n][:len(d)]
-		var s float64
-		for j, dv := range d {
-			s += dv * wrow[j]
-		}
-		agrow[kk] += s
-	}
-}
-
 // paramGrad adds the dW and dBias terms of the queued rows (in row order,
 // their pre-activation gradients in dpre's leading slots): each weight row
 // gets the rows whose input is non-zero, the bias every row.
-func (g *denseBackward) paramGrad(queued []int, dpre, dw, db []float64) {
+func (g *denseBackward) paramGrad(gt *gather, queued []int, dpre, dw, db []float64) {
 	if len(queued) == 0 {
 		return
 	}
 	k, n := g.k, g.n
-	var c [denseGather]float64
-	var off [denseGather]int
+	c, off := gt.c[:], gt.off[:]
 	if db != nil {
 		for r := range queued {
 			c[r], off[r] = 1, r*n // 1·x is x, bit for bit

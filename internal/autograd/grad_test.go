@@ -542,44 +542,50 @@ func checkDenseBits(t *testing.T, rng *rand.Rand, c denseCase) {
 	}
 }
 
-// TestDenseKernelsBitExact requires the blocked Dense kernels to give the
+// TestDenseKernelsBitExact requires the Dense kernels to give the
 // reference loops' bits: every k×n pair of the widths below and all three
 // activations at small m (around the dW row queue's length), and the
 // blocked path on either side of denseBlockRows, each case at input
 // sparsity 0/50/95/100 % and under every doA/doW/doBias combination in
-// turn, at GOMAXPROCS 1 and 4.
+// turn, at GOMAXPROCS 1 and 4, with each addScaled body the host can run.
 func TestDenseKernelsBitExact(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			forEachKernel(t, checkDenseCases)
+		})
+	}
+}
+
+// checkDenseCases draws TestDenseKernelsBitExact's cases from a fixed seed
+// and checks each.
+func checkDenseCases(t *testing.T) {
 	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 31, 32, 64, 65}
 	sparsities := []float64{0, 0.5, 0.95, 1}
 	acts := []int{DenseActNone, DenseActReLU, DenseActTanh}
 	smallM := []int{1, 2, 3, 5, denseGather - 1, denseGather, denseGather + 1, 2*denseGather + 3}
 	blockedM := []int{denseBlockRows - 1, denseBlockRows, denseBlockRows + 37}
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			rng := rand.New(rand.NewSource(13))
-			var cases []denseCase
-			for _, k := range widths {
-				for _, n := range widths {
-					for _, act := range acts {
-						cases = append(cases, denseCase{m: smallM[rng.Intn(len(smallM))], k: k, n: n, act: act})
-					}
-				}
+	rng := rand.New(rand.NewSource(13))
+	var cases []denseCase
+	for _, k := range widths {
+		for _, n := range widths {
+			for _, act := range acts {
+				cases = append(cases, denseCase{m: smallM[rng.Intn(len(smallM))], k: k, n: n, act: act})
 			}
-			for _, m := range blockedM {
-				for _, act := range acts {
-					for range sparsities {
-						k, n := widths[rng.Intn(len(widths))], widths[rng.Intn(len(widths))]
-						cases = append(cases, denseCase{m: m, k: k, n: n, act: act})
-					}
-				}
+		}
+	}
+	for _, m := range blockedM {
+		for _, act := range acts {
+			for range sparsities {
+				k, n := widths[rng.Intn(len(widths))], widths[rng.Intn(len(widths))]
+				cases = append(cases, denseCase{m: m, k: k, n: n, act: act})
 			}
-			for i, c := range cases {
-				c.sparsity = sparsities[i%len(sparsities)]
-				do := i / len(sparsities)
-				c.doA, c.doW, c.doBias = do&1 != 0, do&2 != 0, do&4 != 0
-				checkDenseBits(t, rng, c)
-			}
-		})
+		}
+	}
+	for i, c := range cases {
+		c.sparsity = sparsities[i%len(sparsities)]
+		do := i / len(sparsities)
+		c.doA, c.doW, c.doBias = do&1 != 0, do&2 != 0, do&4 != 0
+		checkDenseBits(t, rng, c)
 	}
 }

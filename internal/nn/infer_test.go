@@ -31,46 +31,52 @@ func inferParity(t *testing.T, net PolicyNet, batch int) {
 }
 
 func TestInferLogitsMatchesAutograd(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, batch := range []int{1, 3, 16} {
-		inferParity(t, NewKernelNet(rng, 24, 7, nil), batch)
-		inferParity(t, NewMLPPolicy(rng, 24, 7, "mlp-v2"), batch)
-		inferParity(t, NewMLPPolicy(rng, 24, 7, "mlp-v1"), batch)
-		inferParity(t, NewLeNet(rng, 16, 7), batch)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, batch := range []int{1, 3, 16} {
+			inferParity(t, NewKernelNet(rng, 24, 7, nil), batch)
+			inferParity(t, NewMLPPolicy(rng, 24, 7, "mlp-v2"), batch)
+			inferParity(t, NewMLPPolicy(rng, 24, 7, "mlp-v1"), batch)
+			inferParity(t, NewLeNet(rng, 16, 7), batch)
+		}
+	})
 }
 
 func TestEveryPolicyKindInfers(t *testing.T) {
 	// Every registered architecture's fast path matches its autograd
 	// forward pass — the rollout collector and the serving daemon both
 	// rely on it.
-	rng := rand.New(rand.NewSource(4))
-	for _, kind := range PolicyKinds {
-		net, err := NewPolicy(rng, kind, 16, 7)
-		if err != nil {
-			t.Fatal(err)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for _, kind := range PolicyKinds {
+			net, err := NewPolicy(rng, kind, 16, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inferParity(t, net, 2)
 		}
-		inferParity(t, net, 2)
-	}
+	})
 }
 
 func TestInferValuesMatchesAutograd(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	v := NewValueNet(rng, 24, 7, nil)
-	for _, batch := range []int{1, 5} {
-		obs := make([]float64, batch*24*7)
-		for i := range obs {
-			obs[i] = rng.Float64()
-		}
-		want := v.Value(ag.FromSlice(obs, batch, 24*7)).Data
-		got := make([]float64, batch)
-		v.InferValues(obs, batch, got)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("value %d: fast=%g autograd=%g", i, got[i], want[i])
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		v := NewValueNet(rng, 24, 7, nil)
+		for _, batch := range []int{1, 5} {
+			obs := make([]float64, batch*24*7)
+			for i := range obs {
+				obs[i] = rng.Float64()
+			}
+			want := v.Value(ag.FromSlice(obs, batch, 24*7)).Data
+			got := make([]float64, batch)
+			v.InferValues(obs, batch, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("value %d: fast=%g autograd=%g", i, got[i], want[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestInferLogitsDoesNotAllocate(t *testing.T) {
@@ -88,9 +94,11 @@ func TestInferLogitsDoesNotAllocate(t *testing.T) {
 		}
 	}
 	out := make([]float64, 128)
-	if allocs := testing.AllocsPerRun(100, func() { net.InferLogits(obs, 1, out) }); allocs != 0 {
-		t.Errorf("KernelNet.InferLogits allocates %v times per call", allocs)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		if allocs := testing.AllocsPerRun(100, func() { net.InferLogits(obs, 1, out) }); allocs != 0 {
+			t.Errorf("KernelNet.InferLogits allocates %v times per call", allocs)
+		}
+	})
 }
 
 func TestInferRejectsMismatchedBuffers(t *testing.T) {

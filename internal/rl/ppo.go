@@ -1,8 +1,6 @@
 package rl
 
 import (
-	"math/rand"
-
 	ag "rlsched/internal/autograd"
 	"rlsched/internal/nn"
 	"rlsched/internal/optim"
@@ -63,7 +61,7 @@ func (c PPOConfig) Defaults() PPOConfig {
 
 // PPO couples a policy network and a value network with their optimizers
 // (the actor–critic model of §IV-B). The autograd graph is built only
-// inside Update; action selection (SelectAction) runs on the policy's
+// inside Update; rollouts (Collector) select actions on the policy's
 // graph-free inference fast path shared with the serving daemon.
 type PPO struct {
 	Policy nn.PolicyNet
@@ -102,19 +100,6 @@ func (p *PPO) Inferer() nn.Inferer { return p.Policy }
 // [B, obsDim]; masks is B×maxObs flat validity.
 func (p *PPO) maskedLogProbs(obs *ag.Tensor, masks []bool) *ag.Tensor {
 	return ag.MaskedLogSoftmax(p.Policy.Logits(obs), masks, maskPenalty)
-}
-
-// SelectAction samples an action from the masked policy for a single
-// observation, returning the action, its log-probability and the critic's
-// value estimate. Used during training rollouts (§IV-B1: "during training,
-// it is sampled ... to keep exploring"). The forward passes are graph-free.
-func (p *PPO) SelectAction(rng *rand.Rand, obs []float64, mask []bool) (act int, logp, val float64) {
-	logits := make([]float64, p.maxObs)
-	p.Policy.InferLogits(obs, 1, logits)
-	act, logp = sampleMasked(rng, logits, mask)
-	var v [1]float64
-	p.Value.InferValues(obs, 1, v[:])
-	return act, logp, v[0]
 }
 
 // argmaxValid returns the highest-scoring valid slot (the greedy action

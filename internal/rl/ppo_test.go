@@ -52,13 +52,27 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// selectAction samples an action from the masked policy for a single
+// observation on the graph-free fast paths, returning the action, its
+// log-probability and the critic's value estimate: one rollout step as the
+// Collector takes it (§IV-B1: "during training, it is sampled ... to keep
+// exploring").
+func selectAction(p *PPO, rng *rand.Rand, obs []float64, mask []bool) (act int, logp, val float64) {
+	logits := make([]float64, p.maxObs)
+	p.Policy.InferLogits(obs, 1, logits)
+	act, logp = sampleMasked(rng, logits, mask)
+	var v [1]float64
+	p.Value.InferValues(obs, 1, v[:])
+	return act, logp, v[0]
+}
+
 func TestSelectActionRespectsMask(t *testing.T) {
 	ppo := newTestPPO(t, PPOConfig{})
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		valid := 1 + rng.Intn(tMaxObs-1)
 		obs, mask := randObsMask(rng, valid)
-		act, logp, _ := ppo.SelectAction(rng, obs, mask)
+		act, logp, _ := selectAction(ppo, rng, obs, mask)
 		if act >= valid {
 			t.Fatalf("sampled masked action %d (valid < %d)", act, valid)
 		}
@@ -74,7 +88,7 @@ func TestSelectActionExplores(t *testing.T) {
 	obs, mask := randObsMask(rng, tMaxObs)
 	seen := map[int]bool{}
 	for i := 0; i < 400; i++ {
-		a, _, _ := ppo.SelectAction(rng, obs, mask)
+		a, _, _ := selectAction(ppo, rng, obs, mask)
 		seen[a] = true
 	}
 	if len(seen) < 2 {
@@ -91,7 +105,7 @@ func TestUpdateImprovesPreferredAction(t *testing.T) {
 	b := NewBuffer(1, 1)
 	obs, mask := randObsMask(rng, 4)
 	for i := 0; i < 64; i++ {
-		act, logp, val := ppo.SelectAction(rng, obs, mask)
+		act, logp, val := selectAction(ppo, rng, obs, mask)
 		r := -1.0
 		if act == 0 {
 			r = 1.0
@@ -125,7 +139,7 @@ func prob0(ppo *PPO, obs []float64, mask []bool) float64 {
 	hits := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
-		a, _, _ := ppo.SelectAction(rng, t, mask)
+		a, _, _ := selectAction(ppo, rng, t, mask)
 		if a == 0 {
 			hits++
 		}
@@ -140,7 +154,7 @@ func TestUpdateKLEarlyStop(t *testing.T) {
 	b := NewBuffer(1, 1)
 	for i := 0; i < 32; i++ {
 		obs, mask := randObsMask(rng, 4)
-		act, logp, val := ppo.SelectAction(rng, obs, mask)
+		act, logp, val := selectAction(ppo, rng, obs, mask)
 		b.Store(obs, mask, act, rng.NormFloat64(), val, logp)
 		b.FinishPath(0)
 	}
@@ -160,7 +174,7 @@ func TestValueLossDecreases(t *testing.T) {
 	b := NewBuffer(1, 1)
 	for i := 0; i < 32; i++ {
 		obs, mask := randObsMask(rng, 4)
-		act, logp, val := ppo.SelectAction(rng, obs, mask)
+		act, logp, val := selectAction(ppo, rng, obs, mask)
 		b.Store(obs, mask, act, -3, val, logp) // constant return -3
 		b.FinishPath(0)
 	}

@@ -199,9 +199,8 @@ func maskAndLogSoftmax(logits []float64, mask []bool) {
 
 // sampleMasked draws an action from the masked categorical distribution
 // defined by logits, mutating logits into log-probabilities, and returns
-// the action with its log-probability. The sampling arithmetic matches the
-// historical graph-based SelectAction exactly: accumulate probabilities in
-// slot order, with an argmax-over-valid fallback for the numeric tail.
+// the action with its log-probability: accumulate probabilities in slot
+// order, with an argmax-over-valid fallback for the numeric tail.
 func sampleMasked(rng *rand.Rand, logits []float64, mask []bool) (act int, logp float64) {
 	maskAndLogSoftmax(logits, mask)
 	u := rng.Float64()

@@ -83,9 +83,9 @@ func TestCollectDeterministic(t *testing.T) {
 }
 
 // TestCollectMatchesSelectAction: the collector's fast-path sampling must
-// reproduce PPO.SelectAction exactly — same RNG stream, same actions, same
-// log-probs and values — since both run the shared masked-sampling
-// primitive over the shared Inferer.
+// reproduce the selectAction helper exactly — same RNG stream, same
+// actions, same log-probs and values — since both run the shared
+// masked-sampling primitive over the shared Inferer.
 func TestCollectMatchesSelectAction(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	pol := nn.NewKernelNet(rng, cMaxObs, sim.JobFeatures, nil)
@@ -114,9 +114,9 @@ func TestCollectMatchesSelectAction(t *testing.T) {
 		}
 		for s := 0; s < r.Steps(); s++ {
 			mask := env.Mask()
-			act, logp, v := ppo.SelectAction(stepRng, obs, mask)
+			act, logp, v := selectAction(ppo, stepRng, obs, mask)
 			if act != r.Acts[s] || logp != r.Logps[s] || v != r.Vals[s] {
-				t.Fatalf("traj %d step %d: collector (%d,%g,%g) != SelectAction (%d,%g,%g)",
+				t.Fatalf("traj %d step %d: collector (%d,%g,%g) != selectAction (%d,%g,%g)",
 					i, s, r.Acts[s], r.Logps[s], r.Vals[s], act, logp, v)
 			}
 			obs, _, _ = env.Step(act)
