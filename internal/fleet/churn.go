@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rlsched/internal/job"
-	"rlsched/internal/obs"
 	"rlsched/internal/sim"
 )
 
@@ -318,7 +317,6 @@ func (f *Fleet) churnStep(ch *churner, mig *migrator, sam *sampler) error {
 		m.drainAt = a.ev.Time
 		m.evicting = a.ev.Kind == ChurnFail
 		f.markDirty(i)
-		f.recordChurn(obs.ChurnAnnounce, now, m.name, 0)
 		return nil
 	case actJoin:
 		if err := f.appendMember(a.ev.Member, now); err != nil {
@@ -328,7 +326,6 @@ func (f *Fleet) churnStep(ch *churner, mig *migrator, sam *sampler) error {
 			sam.addMember(f.members[len(f.members)-1].name)
 		}
 		ch.joins++
-		f.recordChurn(obs.ChurnJoined, now, a.ev.Member.Name, 0)
 		return nil
 	case actDrain, actFail:
 		i := f.findMember(a.ev.Name)
@@ -343,26 +340,14 @@ func (f *Fleet) churnStep(ch *churner, mig *migrator, sam *sampler) error {
 			return err
 		}
 		ch.forced += forced
-		kind := obs.ChurnDrained
 		if a.kind == actFail {
 			ch.fails++
-			kind = obs.ChurnFailed
 		} else {
 			ch.drains++
 		}
-		f.recordChurn(kind, now, a.ev.Name, forced)
 		return nil
 	}
 	return fmt.Errorf("fleet: churn: unknown action kind %d", a.kind)
-}
-
-// recordChurn emits one churn transition (no-op without a recorder).
-func (f *Fleet) recordChurn(kind string, t float64, cluster string, forced int) {
-	if f.rec == nil {
-		return
-	}
-	rec := obs.ChurnRecord{Time: t, Kind: kind, Cluster: cluster, Forced: forced}
-	f.rec.Churn(&rec)
 }
 
 // retireMember takes member i out of service at the current instant: the

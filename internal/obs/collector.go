@@ -12,7 +12,6 @@ type Collector struct {
 	migrations []MigrationProbe
 	fairness   []FairnessSnapshot
 	jobs       []JobEvent
-	churns     []ChurnRecord
 }
 
 // NewCollector returns an empty collector.
@@ -65,13 +64,6 @@ func (c *Collector) Job(e *JobEvent) {
 	c.mu.Unlock()
 }
 
-// Churn implements Recorder.
-func (c *Collector) Churn(e *ChurnRecord) {
-	c.mu.Lock()
-	c.churns = append(c.churns, *e)
-	c.mu.Unlock()
-}
-
 // Placements returns the collected placement decisions in arrival order.
 // The returned slice is a snapshot copy; its traces are owned by the
 // collector — read, don't mutate.
@@ -101,11 +93,4 @@ func (c *Collector) Jobs() []JobEvent {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]JobEvent(nil), c.jobs...)
-}
-
-// Churns returns the collected churn transitions in arrival order.
-func (c *Collector) Churns() []ChurnRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]ChurnRecord(nil), c.churns...)
 }

@@ -168,34 +168,6 @@ type MigrationProbe struct {
 	Margin float64 `json:"margin"`
 }
 
-// Churn transition kinds (ChurnRecord.Kind).
-const (
-	// ChurnAnnounce: a member entered the draining state (drain notice).
-	ChurnAnnounce = "announce"
-	// ChurnJoined: a new member joined the fleet mid-run.
-	ChurnJoined = "join"
-	// ChurnDrained: a draining member's backlog was withdrawn and
-	// re-placed; the member retired (running jobs finish).
-	ChurnDrained = "drain"
-	// ChurnFailed: a member failed; pending AND running jobs were
-	// withdrawn (running ones evicted) and re-placed.
-	ChurnFailed = "fail"
-)
-
-// ChurnRecord is one cluster-churn transition during a fleet run: a member
-// joining, being announced for drain, draining out, or failing.
-type ChurnRecord struct {
-	// Time is the transition instant (simulation seconds).
-	Time float64 `json:"time"`
-	// Kind is the transition (the Churn* constants).
-	Kind string `json:"kind"`
-	// Cluster names the member churning.
-	Cluster string `json:"cluster"`
-	// Forced counts the jobs this transition withdrew and re-placed
-	// across the fleet (0 for announce/join).
-	Forced int `json:"forced"`
-}
-
 // FairnessSnapshot is the stateful fairness tracker's aggregate view at a
 // decision instant.
 type FairnessSnapshot struct {
@@ -263,8 +235,6 @@ type Recorder interface {
 	Fairness(*FairnessSnapshot)
 	// Job receives one job lifecycle transition.
 	Job(*JobEvent)
-	// Churn receives one cluster-churn transition.
-	Churn(*ChurnRecord)
 }
 
 // Nop is a Recorder that discards everything — the benchmark stand-in for
@@ -282,6 +252,3 @@ func (Nop) Fairness(*FairnessSnapshot) {}
 
 // Job implements Recorder.
 func (Nop) Job(*JobEvent) {}
-
-// Churn implements Recorder.
-func (Nop) Churn(*ChurnRecord) {}

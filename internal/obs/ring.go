@@ -42,9 +42,6 @@ func (r *Ring) Fairness(*FairnessSnapshot) {}
 // Job implements Recorder (discarded).
 func (r *Ring) Job(*JobEvent) {}
 
-// Churn implements Recorder (discarded).
-func (r *Ring) Churn(*ChurnRecord) {}
-
 // Total returns how many decisions have ever been recorded (including
 // those the ring has since overwritten).
 func (r *Ring) Total() uint64 {

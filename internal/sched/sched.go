@@ -1,13 +1,12 @@
 // Package sched implements the heuristic priority-function schedulers the
 // paper compares against (Table III): FCFS, SJF, WFP3, UNICEP and F1, plus
-// a Random baseline. Each scheduler scores every visible job and picks the
-// minimum-score job, exactly how priority-function batch schedulers order
-// their queues.
+// the SAF and LJF ablation baselines. Each scheduler scores every visible
+// job and picks the minimum-score job, exactly how priority-function batch
+// schedulers order their queues.
 package sched
 
 import (
 	"math"
-	"math/rand"
 
 	"rlsched/internal/job"
 	"rlsched/internal/sim"
@@ -102,13 +101,6 @@ func SAF() *Priority {
 func LJF() *Priority {
 	return &Priority{Name: "LJF", Score: func(j *job.Job, _ float64, _ sim.ClusterView) float64 {
 		return -float64(j.RequestedProcs)
-	}}
-}
-
-// Random picks a uniformly random visible job; a sanity baseline.
-func Random(rng *rand.Rand) *Priority {
-	return &Priority{Name: "Random", Score: func(_ *job.Job, _ float64, _ sim.ClusterView) float64 {
-		return rng.Float64()
 	}}
 }
 

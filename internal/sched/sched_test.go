@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math/rand"
 	"testing"
 
 	"rlsched/internal/job"
@@ -113,27 +112,6 @@ func TestLJFPicksWidest(t *testing.T) {
 	b := job.New(2, 0, 100, 32, 100)
 	if got := LJF().Pick([]*job.Job{a, b}, 0, view()); got != 1 {
 		t.Errorf("LJF picked %d, want 1 (widest)", got)
-	}
-}
-
-func TestRandomIsValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	r := Random(rng)
-	jobs := []*job.Job{
-		job.New(1, 0, 10, 1, 10),
-		job.New(2, 0, 10, 1, 10),
-		job.New(3, 0, 10, 1, 10),
-	}
-	counts := map[int]int{}
-	for i := 0; i < 300; i++ {
-		p := r.Pick(jobs, 0, view())
-		if p < 0 || p > 2 {
-			t.Fatalf("Random pick %d out of range", p)
-		}
-		counts[p]++
-	}
-	if len(counts) < 2 {
-		t.Error("Random should spread picks across slots")
 	}
 }
 

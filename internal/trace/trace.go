@@ -48,15 +48,6 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// FirstN returns a trace truncated to its first n jobs (the paper evaluates
-// on the first 10K jobs of each trace). The job slice is shared, not copied.
-func (t *Trace) FirstN(n int) *Trace {
-	if n > len(t.Jobs) {
-		n = len(t.Jobs)
-	}
-	return &Trace{Name: t.Name, Processors: t.Processors, Jobs: t.Jobs[:n]}
-}
-
 // Window returns clones of n continuous jobs starting at index start, with
 // submit times rebased so the first job arrives at time 0 and scheduling
 // state cleared. This is the unit both training trajectories (n=256) and

@@ -40,16 +40,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestFirstN(t *testing.T) {
-	tr := mkTrace(10)
-	if got := tr.FirstN(4).Len(); got != 4 {
-		t.Errorf("FirstN(4).Len = %d, want 4", got)
-	}
-	if got := tr.FirstN(99).Len(); got != 10 {
-		t.Errorf("FirstN(99).Len = %d, want 10", got)
-	}
-}
-
 func TestWindowRebasing(t *testing.T) {
 	tr := mkTrace(10)
 	w := tr.Window(3, 4)
