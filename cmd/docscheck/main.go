@@ -3,19 +3,18 @@
 // violation:
 //
 //  1. Markdown link integrity: every relative link target in README.md,
-//     DESIGN.md, ROADMAP.md, CHANGES.md and PAPERS.md must exist in the
-//     repository (external http/https/mailto links are not fetched — CI
-//     must not depend on the network).
+//     DESIGN.md, ROADMAP.md, CHANGES.md and PAPERS.md must exist (external
+//     links are not fetched — CI must not depend on the network).
 //
 //  2. Godoc coverage: every exported identifier in internal/cluster,
 //     internal/fleet, internal/metrics, internal/obs, internal/policy and
-//     internal/telemetry, in the internal/sim incremental stepping surface
-//     (stepper.go), and in the internal/trace zoo registry (zoo.go), must
-//     carry a doc comment, so `go doc` stays a complete reference for the
-//     placement/migration/fairness subsystem, the metric surface it
-//     optimizes, the one policy decision path, the time-series core, and
-//     the event-heap stepping substrate underneath them. New exported API
-//     without documentation fails CI — coverage can only regress loudly.
+//     internal/telemetry, in the internal/sim stepping surface (stepper.go)
+//     and in the internal/trace zoo registry (zoo.go) must carry a doc
+//     comment, so `go doc` stays a complete reference for them.
+//
+// Its tests keep a third, the exports invariant: every exported function
+// and method under internal/ has a caller outside the tests
+// (TestNoTestOnlyExports in exports_test.go, a go/types scan).
 //
 // Usage: go run ./cmd/docscheck [repo-root]
 package main

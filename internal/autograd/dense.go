@@ -25,10 +25,10 @@ const (
 // as the reference, whichever body addScaled runs.
 
 // Dense returns act(a[m,k] × w[k,n] + bias[1,n]) as a single fused graph
-// node. Fusing the three steps that MatMul/AddBias/ReLU would otherwise
-// perform separately removes two full [m,n] tensor allocations and two
-// backward passes per layer — the training update spends most of its time
-// here, so the layer fusion is a measurable share of epoch wall-time.
+// node. Fusing the matrix product, bias add and activation saves two full
+// [m,n] tensor allocations and two backward passes per layer over three
+// separate nodes — the training update spends most of its time here, so
+// the layer fusion is a measurable share of epoch wall-time.
 func Dense(a, w, bias *Tensor, act int) *Tensor {
 	a.want2D()
 	w.want2D()

@@ -5,30 +5,6 @@ import (
 	"math"
 )
 
-// Add returns a + b (identical shapes).
-func Add(a, b *Tensor) *Tensor {
-	assertSameShape("Add", a, b)
-	out := newFrom("add", a.Shape, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
-	out.backFn = func() {
-		if a.needsGrad() {
-			a.ensureGrad()
-			for i, g := range out.Grad {
-				a.Grad[i] += g
-			}
-		}
-		if b.needsGrad() {
-			b.ensureGrad()
-			for i, g := range out.Grad {
-				b.Grad[i] += g
-			}
-		}
-	}
-	return out
-}
-
 // Sub returns a - b (identical shapes).
 func Sub(a, b *Tensor) *Tensor {
 	assertSameShape("Sub", a, b)
@@ -92,111 +68,6 @@ func Scale(a *Tensor, s float64) *Tensor {
 	return out
 }
 
-// MatMul returns a[m,k] × b[k,n].
-func MatMul(a, b *Tensor) *Tensor {
-	a.want2D()
-	b.want2D()
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("autograd: MatMul inner dims %d vs %d", k, k2))
-	}
-	out := newFrom("matmul", []int{m, n}, a, b)
-	// i-k-j loop order for cache-friendly access of b and out rows.
-	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for kk := 0; kk < k; kk++ {
-			av := arow[kk]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[kk*n : (kk+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
-	out.backFn = func() {
-		// dA = dOut × Bᵀ ; dB = Aᵀ × dOut. Each side is computed only when
-		// its gradient is consumed — dA of the batch-observation leaf (the
-		// widest input of the critic) is pure waste — and each pass skips
-		// zeros: batch observations are mostly padding and post-ReLU
-		// activations are roughly half zeros.
-		doA, doB := a.needsGrad(), b.needsGrad()
-		if doA {
-			a.ensureGrad()
-		}
-		if doB {
-			b.ensureGrad()
-		}
-		for i := 0; i < m; i++ {
-			grow := out.Grad[i*n : (i+1)*n]
-			allZero := true
-			for _, g := range grow {
-				if g != 0 {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				continue
-			}
-			arow := a.Data[i*k : (i+1)*k]
-			if doA {
-				agrow := a.Grad[i*k : (i+1)*k]
-				for kk := 0; kk < k; kk++ {
-					brow := b.Data[kk*n : (kk+1)*n]
-					var s float64
-					for j, g := range grow {
-						s += g * brow[j]
-					}
-					agrow[kk] += s
-				}
-			}
-			if doB {
-				for kk := 0; kk < k; kk++ {
-					if av := arow[kk]; av != 0 {
-						bgrow := b.Grad[kk*n : (kk+1)*n]
-						for j, g := range grow {
-							bgrow[j] += av * g
-						}
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// AddBias adds a bias row b[1,n] to every row of a[m,n].
-func AddBias(a, b *Tensor) *Tensor {
-	a.want2D()
-	b.want2D()
-	m, n := a.Shape[0], a.Shape[1]
-	if b.Shape[0] != 1 || b.Shape[1] != n {
-		panic(fmt.Sprintf("autograd: AddBias bias shape %v for input %v", b.Shape, a.Shape))
-	}
-	out := newFrom("addbias", a.Shape, a, b)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[i*n+j] = a.Data[i*n+j] + b.Data[j]
-		}
-	}
-	out.backFn = func() {
-		a.ensureGrad()
-		b.ensureGrad()
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				g := out.Grad[i*n+j]
-				a.Grad[i*n+j] += g
-				b.Grad[j] += g
-			}
-		}
-	}
-	return out
-}
-
 // ReLU returns max(a, 0).
 func ReLU(a *Tensor) *Tensor {
 	out := newFrom("relu", a.Shape, a)
@@ -211,22 +82,6 @@ func ReLU(a *Tensor) *Tensor {
 			if a.Data[i] > 0 {
 				a.Grad[i] += g
 			}
-		}
-	}
-	return out
-}
-
-// Tanh returns tanh(a).
-func Tanh(a *Tensor) *Tensor {
-	out := newFrom("tanh", a.Shape, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	out.backFn = func() {
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			y := out.Data[i]
-			a.Grad[i] += g * (1 - y*y)
 		}
 	}
 	return out
@@ -372,16 +227,6 @@ func Reshape(a *Tensor, shape ...int) *Tensor {
 	return out
 }
 
-// LogSoftmax applies a numerically stable row-wise log-softmax to a[m,n].
-func LogSoftmax(a *Tensor) *Tensor {
-	a.want2D()
-	out := newFrom("logsoftmax", a.Shape, a)
-	copy(out.Data, a.Data)
-	logSoftmaxRows(out)
-	out.backFn = func() { logSoftmaxBackward(a, out) }
-	return out
-}
-
 // expUnderflow is math.Exp's underflow bound: below it the result is
 // exactly 0.
 const expUnderflow = -7.45133219101941108420e+02
@@ -439,10 +284,6 @@ func logSoftmaxBackward(a, out *Tensor) {
 	}
 }
 
-// Softmax applies a row-wise softmax (exp of LogSoftmax, sharing its
-// stable implementation and gradient).
-func Softmax(a *Tensor) *Tensor { return Exp(LogSoftmax(a)) }
-
 // GatherRows picks one column per row: out[i] = a[i, idx[i]], shape [m,1].
 func GatherRows(a *Tensor, idx []int) *Tensor {
 	a.want2D()
@@ -461,38 +302,6 @@ func GatherRows(a *Tensor, idx []int) *Tensor {
 		a.ensureGrad()
 		for i, j := range idx {
 			a.Grad[i*n+j] += out.Grad[i]
-		}
-	}
-	return out
-}
-
-// Concat stacks 2-D tensors with equal column counts along rows.
-func Concat(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("autograd: Concat of nothing")
-	}
-	cols := ts[0].Cols()
-	rows := 0
-	for _, t := range ts {
-		if t.Cols() != cols {
-			panic("autograd: Concat column mismatch")
-		}
-		rows += t.Rows()
-	}
-	out := newFrom("concat", []int{rows, cols}, ts...)
-	off := 0
-	for _, t := range ts {
-		copy(out.Data[off:], t.Data)
-		off += len(t.Data)
-	}
-	out.backFn = func() {
-		off := 0
-		for _, t := range ts {
-			t.ensureGrad()
-			for i := range t.Data {
-				t.Grad[i] += out.Grad[off+i]
-			}
-			off += len(t.Data)
 		}
 	}
 	return out
@@ -578,11 +387,10 @@ func ScatterRowsFill(a *Tensor, idx []int, m, fill int) *Tensor {
 	return out
 }
 
-// MaskedLogSoftmax is LogSoftmax(a + penalty·(1-mask)) as one fused node:
-// invalid cells (mask[i] false, flat row-major like a) are pushed to
-// penalty before the row-wise stable log-softmax. It replaces the
-// penalty-tensor + Add + LogSoftmax chain on the PPO hot path, saving two
-// full-batch tensors per update iteration.
+// MaskedLogSoftmax is the row-wise log-softmax of a + penalty·(1-mask) as
+// one node: invalid cells (mask[i] false, flat row-major like a) are
+// pushed to penalty before the stable log-softmax, with no penalty tensor
+// or add node. With every cell valid it is the plain log-softmax.
 func MaskedLogSoftmax(a *Tensor, mask []bool, penalty float64) *Tensor {
 	a.want2D()
 	m, n := a.Shape[0], a.Shape[1]
@@ -597,7 +405,7 @@ func MaskedLogSoftmax(a *Tensor, mask []bool, penalty float64) *Tensor {
 		out.Data[i] = v
 	}
 	logSoftmaxRows(out)
-	// Same Jacobian as LogSoftmax: the penalty shift is constant.
+	// The penalty shift is constant, so the Jacobian is log-softmax's.
 	out.backFn = func() { logSoftmaxBackward(a, out) }
 	return out
 }

@@ -81,18 +81,11 @@ func RandParam(rng *rand.Rand, scale float64, shape ...int) *Tensor {
 // Size returns the number of elements.
 func (t *Tensor) Size() int { return len(t.Data) }
 
-// Rows and Cols interpret a 2-D tensor.
-func (t *Tensor) Rows() int { t.want2D(); return t.Shape[0] }
-func (t *Tensor) Cols() int { t.want2D(); return t.Shape[1] }
-
 func (t *Tensor) want2D() {
 	if len(t.Shape) != 2 {
 		panic(fmt.Sprintf("autograd: want 2-D tensor, have shape %v", t.Shape))
 	}
 }
-
-// At returns element (i, j) of a 2-D tensor.
-func (t *Tensor) At(i, j int) float64 { t.want2D(); return t.Data[i*t.Shape[1]+j] }
 
 // item returns the single value of a scalar tensor.
 func (t *Tensor) Item() float64 {
@@ -180,13 +173,6 @@ func (t *Tensor) Backward() {
 			order[i].backFn()
 		}
 	}
-}
-
-// Clone returns an independent deep copy (no graph, no grad tracking).
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
 }
 
 // String summarizes the tensor.

@@ -9,12 +9,12 @@ import (
 
 func TestCreationAndAccessors(t *testing.T) {
 	z := New(2, 3)
-	if z.Size() != 6 || z.Rows() != 2 || z.Cols() != 3 {
-		t.Fatalf("New(2,3): size=%d rows=%d cols=%d", z.Size(), z.Rows(), z.Cols())
+	if z.Size() != 6 || z.Shape[0] != 2 || z.Shape[1] != 3 {
+		t.Fatalf("New(2,3): size=%d shape=%v", z.Size(), z.Shape)
 	}
 	f := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	if f.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %g, want 3", f.At(1, 0))
+	if f.Data[2] != 3 {
+		t.Errorf("row 1, column 0 = %g, want 3", f.Data[2])
 	}
 	p := Param([]float64{5}, 1)
 	if !p.RequiresGrad || p.Grad == nil {
@@ -38,9 +38,16 @@ func TestPanics(t *testing.T) {
 	mustPanic("bad shape", func() { New(0, 2) })
 	mustPanic("FromSlice mismatch", func() { FromSlice([]float64{1}, 2, 2) })
 	mustPanic("Item non-scalar", func() { New(2, 2).Item() })
-	mustPanic("At on 1-D", func() { New(4).At(0, 0) })
-	mustPanic("Add mismatch", func() { Add(New(2, 2), New(2, 3)) })
-	mustPanic("MatMul mismatch", func() { MatMul(New(2, 3), New(2, 3)) })
+	mustPanic("SelectRows on 1-D", func() { SelectRows(New(4), nil) })
+	mustPanic("Sub mismatch", func() { Sub(New(2, 2), New(2, 3)) })
+	mustPanic("Dense mismatch", func() { Dense(New(2, 3), New(2, 3), New(1, 3), DenseActNone) })
+	mustPanic("Dense bias mismatch", func() { Dense(New(2, 3), New(3, 2), New(1, 3), DenseActNone) })
+	mustPanic("SelectRows bad idx", func() { SelectRows(New(2, 2), []int{2}) })
+	mustPanic("ScatterRowsFill bad fill", func() { ScatterRowsFill(New(2, 2), nil, 3, 2) })
+	mustPanic("ScatterRowsFill too many idx", func() { ScatterRowsFill(New(2, 2), []int{0, 1, 2, 3}, 3, 0) })
+	mustPanic("ScatterRowsFill bad idx", func() { ScatterRowsFill(New(2, 2), []int{3}, 3, 0) })
+	mustPanic("ScatterRowsFill idx past input", func() { ScatterRowsFill(New(2, 2), []int{0, 1, 2}, 3, 0) })
+	mustPanic("MaskedLogSoftmax mask length", func() { MaskedLogSoftmax(New(2, 2), []bool{true}, -1) })
 	mustPanic("Backward non-scalar", func() { New(2, 2).Backward() })
 	mustPanic("Gather bad idx", func() { GatherRows(New(2, 2), []int{0, 5}) })
 	mustPanic("Reshape mismatch", func() { Reshape(New(2, 2), 3, 3) })
@@ -50,14 +57,14 @@ func TestPanics(t *testing.T) {
 }
 
 func TestBackwardAccumulatesAcrossUses(t *testing.T) {
-	// y = a + a: dy/da = 2 per element.
+	// y = a ⊙ a: dy/da = 2a per element.
 	a := Param([]float64{1, 2}, 1, 2)
-	Sum(Add(a, a)).Backward()
-	if a.Grad[0] != 2 || a.Grad[1] != 2 {
-		t.Errorf("grad = %v, want [2 2] (shared subexpression)", a.Grad)
+	Sum(Mul(a, a)).Backward()
+	if a.Grad[0] != 2 || a.Grad[1] != 4 {
+		t.Errorf("grad = %v, want [2 4] (shared subexpression)", a.Grad)
 	}
 	// A second Backward without ZeroGrad accumulates further.
-	Sum(Add(a, a)).Backward()
+	Sum(Mul(a, a)).Backward()
 	if a.Grad[0] != 4 {
 		t.Errorf("grad after 2nd backward = %g, want 4", a.Grad[0])
 	}
@@ -67,30 +74,37 @@ func TestBackwardAccumulatesAcrossUses(t *testing.T) {
 	}
 }
 
+// TestCloneIndependent: Param copies its data, so the leaf and the
+// caller's slice never alias.
 func TestCloneIndependent(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	c := a.Clone()
-	c.Data[0] = 99
-	if a.Data[0] != 1 {
-		t.Error("Clone must not share data")
+	data := []float64{1, 2}
+	p := Param(data, 2)
+	data[0] = 99
+	p.Data[1] = -1
+	if p.Data[0] != 1 || data[1] != 2 {
+		t.Errorf("Param shares its data: leaf %v, slice %v", p.Data, data)
 	}
 }
 
+// TestSoftmaxRowsSumToOne: exp of MaskedLogSoftmax is a distribution over
+// each row's valid cells whatever the logits, and with every cell valid it
+// is the plain softmax.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		m, n := 1+r.Intn(5), 2+r.Intn(8)
 		a := New(m, n)
+		mask := make([]bool, m*n)
 		for i := range a.Data {
 			a.Data[i] = r.NormFloat64() * 10
+			mask[i] = seed%2 == 0 || i%n == 0 || r.Intn(2) == 0
 		}
-		s := Softmax(a)
+		s := Exp(MaskedLogSoftmax(a, mask, -1e9))
 		for i := 0; i < m; i++ {
 			sum := 0.0
 			for j := 0; j < n; j++ {
-				v := s.At(i, j)
-				if v < 0 || v > 1 || math.IsNaN(v) {
+				v := s.Data[i*n+j]
+				if v < 0 || v > 1 || math.IsNaN(v) || (!mask[i*n+j] && v != 0) {
 					return false
 				}
 				sum += v
@@ -101,7 +115,6 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 		}
 		return true
 	}
-	_ = rng
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
@@ -110,7 +123,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 func TestLogSoftmaxStability(t *testing.T) {
 	// Huge logits must not overflow.
 	a := FromSlice([]float64{1e6, 1e6 - 1, -1e6}, 1, 3)
-	ls := LogSoftmax(a)
+	ls := MaskedLogSoftmax(a, []bool{true, true, true}, -1e9)
 	for _, v := range ls.Data {
 		if math.IsNaN(v) || math.IsInf(v, 1) {
 			t.Fatalf("unstable logsoftmax: %v", ls.Data)
@@ -123,14 +136,16 @@ func TestLogSoftmaxStability(t *testing.T) {
 	}
 }
 
+// TestMatMulValues: Dense with a zero bias and no activation is the matrix
+// product, checked against hand-computed values.
 func TestMatMulValues(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := Dense(a, b, New(1, 2), DenseActNone)
 	want := []float64{19, 22, 43, 50}
 	for i, w := range want {
 		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
+			t.Fatalf("a×b = %v, want %v", c.Data, want)
 		}
 	}
 }

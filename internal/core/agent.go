@@ -182,14 +182,8 @@ func New(cfg Config) (*Agent, error) {
 	return a, nil
 }
 
-// Config returns the resolved configuration.
-func (a *Agent) Config() Config { return a.cfg }
-
 // PPO exposes the underlying learner (read-mostly: stats, inference).
 func (a *Agent) PPO() *rl.PPO { return a.ppo }
-
-// Filter returns the trajectory filter, or nil when disabled.
-func (a *Agent) Filter() *rl.Filter { return a.filter }
 
 // sampleWindow draws a training sequence, honouring the trajectory filter
 // during phase 1. A bounded number of rejections guards against a filter

@@ -34,7 +34,7 @@ func TestNewDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := a.Config()
+	cfg := a.cfg
 	if cfg.PolicyKind != "kernel" || cfg.MaxObserve != 128 ||
 		cfg.SeqLen != 256 || cfg.TrajPerEpoch != 100 {
 		t.Errorf("defaults wrong: %+v", cfg)
@@ -172,14 +172,14 @@ func TestFilterIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Filter() == nil || !a.Filter().Enabled {
+	if a.filter == nil || !a.filter.Enabled {
 		t.Fatal("filter must be armed")
 	}
 	if _, err := a.Train(3); err != nil {
 		t.Fatal(err)
 	}
 	// After FilterPhase1 epochs the filter must have opened up.
-	if a.Filter().Enabled {
+	if a.filter.Enabled {
 		t.Error("filter must be disabled in phase 2")
 	}
 }

@@ -136,45 +136,6 @@ func (f *Fleet) EnableChurn(plan ChurnPlan) error {
 	return nil
 }
 
-// AddMember permanently extends the fleet with a new member, effective at
-// the next Run (the fleet has no holding state between runs, so there is
-// nothing to do mid-flight). Mid-run joins ride a ChurnPlan instead.
-func (f *Fleet) AddMember(mc MemberConfig) error {
-	if err := f.appendMember(mc, 0); err != nil {
-		return err
-	}
-	f.members[len(f.members)-1].transient = false
-	f.baseN = len(f.members)
-	return nil
-}
-
-// Drain permanently removes a member from service: from the next Run on
-// it starts retired — zero advertised capacity, so no router places there
-// and it schedules nothing. Between runs every member is empty, so there
-// is no backlog to migrate out; a mid-run drain with live migrate-out of
-// the member's pending jobs rides a ChurnPlan (ChurnDrain). The last
-// serving member cannot be drained.
-func (f *Fleet) Drain(name string) error {
-	i := f.findMember(name)
-	if i < 0 {
-		return fmt.Errorf("fleet: Drain: no member named %q", name)
-	}
-	if f.members[i].gone {
-		return fmt.Errorf("fleet: Drain: member %q is already drained", name)
-	}
-	alive := 0
-	for _, m := range f.members {
-		if !m.gone {
-			alive++
-		}
-	}
-	if alive <= 1 {
-		return fmt.Errorf("fleet: Drain: %q is the last serving member", name)
-	}
-	f.members[i].gone = true
-	return nil
-}
-
 // memberState is the run-scoped lifecycle state of a member (see the
 // state machine at the top of this file).
 type memberState uint8
@@ -263,18 +224,14 @@ func (f *Fleet) findMember(name string) int {
 // candidate store append may reallocate, so the cached candidate pointers
 // are rebuilt — they must stay aimed at the live backing array.
 func (f *Fleet) appendMember(mc MemberConfig, now float64) error {
-	if err := mc.validate(); err != nil {
-		return fmt.Errorf("fleet: %w", err)
-	}
 	if f.findMember(mc.Name) >= 0 {
 		return fmt.Errorf("fleet: duplicate member name %q", mc.Name)
 	}
 	m := &member{
-		name:      mc.Name,
-		cfg:       mc.Sim,
-		sim:       sim.New(mc.Sim),
-		sched:     mc.Scheduler,
-		transient: true,
+		name:  mc.Name,
+		cfg:   mc.Sim,
+		sim:   sim.New(mc.Sim),
+		sched: mc.Scheduler,
 	}
 	if f.rec != nil {
 		m.sim.SetRecorder(f.rec, m.name)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rlsched/internal/job"
@@ -273,29 +274,34 @@ func TestHeapFullSweepParityWithChurn(t *testing.T) {
 	}
 }
 
-// TestDrainThenReAddParity pins the between-runs lifecycle API: draining a
-// member and adding an identically sized replacement schedules exactly like
-// a fleet built with the replacement from the start — the drained member is
-// invisible (zero capacity) and placement order is preserved.
+// TestDrainThenReAddParity pins the lifecycle's identity case: a plan that
+// drains a member and joins an identically sized replacement at the first
+// arrival schedules exactly like a fleet built with the replacement from
+// the start — the drained member is invisible (zero capacity) and
+// placement order is preserved.
 func TestDrainThenReAddParity(t *testing.T) {
 	stream := lublinStream(t, 250, 37)
+	replacement := MemberConfig{
+		Name: "small2", Sim: sim.Config{Processors: 64, MaxObserve: 32}, Scheduler: sched.SJF()}
 
 	churned, err := New(heteroMembers(), LeastLoadedPipeline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := churned.Drain("small"); err != nil {
-		t.Fatal(err)
-	}
-	replacement := MemberConfig{
-		Name: "small2", Sim: sim.Config{Processors: 64, MaxObserve: 32}, Scheduler: sched.SJF()}
-	if err := churned.AddMember(replacement); err != nil {
+	t0 := stream[0].SubmitTime
+	if err := churned.EnableChurn(ChurnPlan{
+		{Kind: ChurnDrain, Time: t0, Name: "small"},
+		{Kind: ChurnJoin, Time: t0, Member: replacement},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	churnedStream := cloneStream(stream)
 	churnedRes, err := churned.Run(churnedStream)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if churnedRes.Churn.Forced != 0 {
+		t.Fatalf("draining an idle member forced %d re-placements", churnedRes.Churn.Forced)
 	}
 
 	fresh, err := New([]MemberConfig{
@@ -319,50 +325,48 @@ func TestDrainThenReAddParity(t *testing.T) {
 			t.Fatalf("job %d: placed on %q vs %q", i, an, bn)
 		}
 	}
-	for _, k := range []metrics.Kind{metrics.BoundedSlowdown, metrics.Utilization} {
-		if a, b := metrics.Value(k, churnedRes.Fleet), metrics.Value(k, freshRes.Fleet); a != b {
-			t.Fatalf("%v: %g vs %g", k, a, b)
-		}
+	// Fleet utilization is not compared: the merge weights the drained
+	// member's processors over the whole run.
+	if a, b := metrics.Value(metrics.BoundedSlowdown, churnedRes.Fleet), metrics.Value(metrics.BoundedSlowdown, freshRes.Fleet); a != b {
+		t.Fatalf("bsld: %g vs %g", a, b)
 	}
-	// The drained member served nothing.
+	// The drained member served nothing; its replacement served.
 	for _, c := range churnedRes.Clusters {
-		if c.Name == "small" && c.Placements != 0 {
-			t.Fatalf("drained member served %d placements", c.Placements)
+		if (c.Name == "small") != (c.Placements == 0) {
+			t.Fatalf("member %s served %d placements", c.Name, c.Placements)
 		}
 	}
 }
 
-// TestAddMemberDrainValidation covers the between-runs API error surface.
-func TestAddMemberDrainValidation(t *testing.T) {
-	f, err := New(heteroMembers(), NewRoundRobin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []MemberConfig{
-		{},
-		{Name: "x"},
-		{Name: "x", Scheduler: sched.FCFS()},
-		{Name: "large", Sim: sim.Config{Processors: 64}, Scheduler: sched.FCFS()},
-	}
-	for i, mc := range bad {
-		if err := f.AddMember(mc); err == nil {
-			t.Fatalf("AddMember case %d: bad config accepted", i)
+// TestChurnRunErrors covers the plan errors only firing can find: a join
+// under a name the fleet already has, and a drain, failure or drain notice
+// aimed at a member that is already retired or does not exist.
+func TestChurnRunErrors(t *testing.T) {
+	stream := lublinStream(t, 50, 5)
+	t0 := stream[0].SubmitTime
+	dup := MemberConfig{Name: "mid", Sim: sim.Config{Processors: 64}, Scheduler: sched.FCFS()}
+	drainSmall := ChurnEvent{Kind: ChurnDrain, Time: t0, Name: "small"}
+	for _, c := range []struct {
+		plan ChurnPlan
+		want string
+	}{
+		{ChurnPlan{{Kind: ChurnJoin, Time: t0, Member: dup}}, `duplicate member name "mid"`},
+		{ChurnPlan{drainSmall, {Kind: ChurnDrain, Time: t0 + 1, Name: "small"}}, `"small" already retired`},
+		{ChurnPlan{drainSmall, {Kind: ChurnFail, Time: t0 + 1, Name: "small"}}, `"small" already retired`},
+		{ChurnPlan{drainSmall, {Kind: ChurnDrain, Time: t0 + 9, Name: "small", Notice: 5}}, `"small" already retired at drain notice`},
+		{ChurnPlan{{Kind: ChurnFail, Time: t0, Name: "nope"}}, `no member named "nope" to remove`},
+		{ChurnPlan{{Kind: ChurnDrain, Time: t0 + 9, Name: "nope", Notice: 5}}, `no member named "nope" to drain`},
+	} {
+		f, err := New(heteroMembers(), NewRoundRobin())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := f.Drain("nope"); err == nil {
-		t.Fatal("Drain of unknown member accepted")
-	}
-	if err := f.Drain("small"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Drain("small"); err == nil {
-		t.Fatal("double Drain accepted")
-	}
-	if err := f.Drain("mid"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Drain("large"); err == nil {
-		t.Fatal("draining the last serving member accepted")
+		if err := f.EnableChurn(c.plan); err != nil {
+			t.Fatalf("%v: rejected up front: %v", c.plan, err)
+		}
+		if _, err := f.Run(cloneStream(stream)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%v: run error %v, want one containing %s", c.plan, err, c.want)
+		}
 	}
 }
 
@@ -624,18 +628,18 @@ func TestSamplerChurnSeries(t *testing.T) {
 	}
 
 	failAt := plan[1].Time
-	if sr := set.Get("cluster.mid.util"); sr == nil || len(sr.Points) == 0 {
+	if sr := set.Series("cluster.mid.util"); len(sr.Points) == 0 {
 		t.Fatal("failed member has no series before its failure")
 	} else if last := sr.Last().T; last > failAt {
 		t.Fatalf("failed member's series continues to %g after its failure at %g", last, failAt)
 	}
 	joinAt := plan[0].Time
-	if sr := set.Get("cluster.late.util"); sr == nil || len(sr.Points) == 0 {
+	if sr := set.Series("cluster.late.util"); len(sr.Points) == 0 {
 		t.Fatal("joined member has no series")
 	} else if first := sr.Points[0].T; first < joinAt {
 		t.Fatalf("joined member sampled at %g before its join at %g", first, joinAt)
 	}
-	if got := set.Get("fleet.completed").Last().V; got != float64(len(stream)) {
+	if got := set.Series("fleet.completed").Last().V; got != float64(len(stream)) {
 		t.Fatalf("final completed = %g, want %d", got, len(stream))
 	}
 }

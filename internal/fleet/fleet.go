@@ -100,8 +100,8 @@ type MemberConfig struct {
 	Scheduler sim.Scheduler
 }
 
-// validate is the one check of a member declaration, shared by New,
-// AddMember and ChurnJoin plans: a name, a scheduler and a positive
+// validate is the one check of a member declaration, shared by New and
+// ChurnJoin plans: a name, a scheduler and a positive
 // processor count (sim.New panics without one).
 func (mc MemberConfig) validate() error {
 	switch {
@@ -136,13 +136,8 @@ type member struct {
 	// the idle-members regression test asserts on. Written by at most one
 	// goroutine at a time (stepWake blocks are disjoint).
 	syncs int
-	// state is the run-scoped churn lifecycle state (churn.go); gone marks
-	// a permanently drained member (Fleet.Drain), which starts every run
-	// retired; transient marks a member a ChurnPlan joined mid-run, removed
-	// again at the next reset.
-	state     memberState
-	gone      bool
-	transient bool
+	// state is the run-scoped churn lifecycle state (churn.go).
+	state memberState
 	// drainAt is the announced retirement instant while state is
 	// stateDraining (run-scoped, mirrored into Candidate.DrainTime);
 	// evicting marks the announcement as a failure warning (running jobs
@@ -341,8 +336,7 @@ func (f *Fleet) placeRecorded(j *job.Job, cands []*Candidate) int {
 // stateful-scorer and event-heap state (a Fleet is reusable across Runs).
 // Members a ChurnPlan joined mid-run are transient and dropped here (the
 // per-member arrays shrink back to the permanent prefix, so the cached
-// candidate pointers stay valid); permanently drained members (Drain)
-// start the run retired.
+// candidate pointers stay valid).
 func (f *Fleet) reset() error {
 	f.events = f.events[:0]
 	f.wake = f.wake[:0]
@@ -361,9 +355,6 @@ func (f *Fleet) reset() error {
 		m.state = stateActive
 		m.drainAt = 0
 		m.evicting = false
-		if m.gone {
-			m.state = stateRetired
-		}
 		if err := m.sim.Load(nil); err != nil {
 			return err
 		}
@@ -540,13 +531,6 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 		results[i] = m.sim.Result()
 		results[i].Utilization = m.sim.UtilizationOver(start, end)
 		procs[i] = m.cfg.Processors
-		if m.gone {
-			// A permanently drained member advertised no capacity this
-			// run; weighting its idle processors into the merge would
-			// deflate fleet utilization below what the serving capacity
-			// actually delivered.
-			procs[i] = 0
-		}
 	}
 	if mig != nil {
 		mig.fillMigrationMetrics(results)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"rlsched/internal/job"
@@ -20,6 +21,15 @@ func marshalResult(t *testing.T, res *Result) []byte {
 	}
 	return data
 }
+
+// ringCollector records placement decisions in a Ring, which deep-copies
+// them, and every other event kind in a Collector.
+type ringCollector struct {
+	*obs.Collector
+	ring *obs.Ring
+}
+
+func (r ringCollector) Placement(d *obs.PlacementDecision) { r.ring.Placement(d) }
 
 // TestRecorderParityNoMigration pins the determinism guarantee: a run with
 // a Collector attached must produce byte-identical results to the untraced
@@ -40,7 +50,7 @@ func TestRecorderParityNoMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := obs.NewCollector()
+	rec := ringCollector{obs.NewCollector(), obs.NewRing(len(stream))}
 	traced := build()
 	traced.SetRecorder(rec)
 	tracedRes, err := traced.Run(cloneStream(stream))
@@ -52,7 +62,8 @@ func TestRecorderParityNoMigration(t *testing.T) {
 		t.Fatal("results differ with a recorder attached")
 	}
 
-	places := rec.Placements()
+	places := rec.ring.Last(-1)
+	slices.Reverse(places) // Last is most recent first
 	if len(places) != len(stream) {
 		t.Fatalf("recorded %d placements for %d jobs", len(places), len(stream))
 	}

@@ -64,8 +64,7 @@ type sampler struct {
 	// sampled fleet benchmark).
 	perMember []memberSeries
 	fleet     fleetSeries
-	// retired[i] stops member i's per-cluster series: set at construction
-	// for members that start the run retired (Fleet.Drain) and by retire()
+	// retired[i] stops member i's per-cluster series: set by retire()
 	// when churn removes a member mid-run. The member still contributes to
 	// the fleet-wide sums while its running jobs finish — physical truth —
 	// but its trajectory ends at the retirement instant.
@@ -113,11 +112,6 @@ func (f *Fleet) newSampler(firstArrival float64) *sampler {
 	s.perMember = make([]memberSeries, len(f.members))
 	s.retired = make([]bool, len(f.members))
 	for i, m := range f.members {
-		if m.state == stateRetired {
-			// Permanently drained before the run: no series at all.
-			s.retired[i] = true
-			continue
-		}
 		pre := "cluster." + m.name + "."
 		s.perMember[i] = memberSeries{
 			util:  set.Series(pre + "util"),

@@ -97,7 +97,7 @@ func TestSamplingParityWithMigration(t *testing.T) {
 	// Migration counters must reconcile: the per-interval deltas sum to
 	// the run's total moves (each move lands in exactly one MovedIn).
 	total := 0.0
-	for _, p := range set.Get("fleet.migrations").Points {
+	for _, p := range set.Series("fleet.migrations").Points {
 		total += p.V
 	}
 	moves := 0
@@ -115,7 +115,7 @@ func TestSamplingParityWithMigration(t *testing.T) {
 // sample), and the completion counter ends at the full stream.
 func checkSeries(t *testing.T, set *telemetry.Set, jobs int) {
 	t.Helper()
-	horizon := set.Get("fleet.completed").Last().T
+	horizon := set.Series("fleet.completed").Last().T
 	names := []string{
 		"cluster.large.util", "cluster.mid.queue_depth", "cluster.small.pending_work",
 		"cluster.large.running_work", "fleet.queue_depth", "fleet.pending_work",
@@ -123,8 +123,8 @@ func checkSeries(t *testing.T, set *telemetry.Set, jobs int) {
 		"fleet.fairness_jain", "fleet.migrations",
 	}
 	for _, n := range names {
-		sr := set.Get(n)
-		if sr == nil || len(sr.Points) == 0 {
+		sr := set.Series(n)
+		if len(sr.Points) == 0 {
 			t.Fatalf("series %s missing or empty", n)
 		}
 		for i := 1; i < len(sr.Points); i++ {
@@ -136,13 +136,13 @@ func checkSeries(t *testing.T, set *telemetry.Set, jobs int) {
 			t.Fatalf("series %s ends at %g, horizon is %g", n, last, horizon)
 		}
 	}
-	if got := set.Get("fleet.completed").Last().V; got != float64(jobs) {
+	if got := set.Series("fleet.completed").Last().V; got != float64(jobs) {
 		t.Fatalf("final completed = %g, want %d", got, jobs)
 	}
-	if j := set.Get("fleet.fairness_jain").Last().V; j <= 0 || j > 1 {
+	if j := set.Series("fleet.fairness_jain").Last().V; j <= 0 || j > 1 {
 		t.Fatalf("final Jain index %g outside (0, 1]", j)
 	}
-	for _, p := range set.Get("cluster.large.util").Points {
+	for _, p := range set.Series("cluster.large.util").Points {
 		if p.V < 0 || p.V > 1 {
 			t.Fatalf("utilization sample %g outside [0, 1]", p.V)
 		}

@@ -54,7 +54,7 @@ func TestMLPForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP(rng, []int{6, 8, 4, 2}, ActTanh)
 	y := m.Forward(ag.New(3, 6))
-	if y.Rows() != 3 || y.Cols() != 2 {
+	if y.Shape[0] != 3 || y.Shape[1] != 2 {
 		t.Fatalf("MLP out shape %v", y.Shape)
 	}
 	if got := len(m.Params()); got != 6 {
@@ -78,7 +78,7 @@ func TestPolicyFactoryAndShapes(t *testing.T) {
 		}
 		obs := randObs(rng, 3)
 		logits := p.Logits(obs)
-		if logits.Rows() != 3 || logits.Cols() != testMaxObs {
+		if logits.Shape[0] != 3 || logits.Shape[1] != testMaxObs {
 			t.Fatalf("%s logits shape %v, want [3,%d]", kind, logits.Shape, testMaxObs)
 		}
 		for _, v := range logits.Data {
@@ -156,7 +156,7 @@ func TestValueNet(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	v := NewValueNet(rng, testMaxObs, testFeat, nil)
 	out := v.Value(randObs(rng, 5))
-	if out.Rows() != 5 || out.Cols() != 1 {
+	if out.Shape[0] != 5 || out.Shape[1] != 1 {
 		t.Fatalf("value shape %v, want [5,1]", out.Shape)
 	}
 }

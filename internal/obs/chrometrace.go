@@ -49,23 +49,14 @@ type jobSpan struct {
 	start, end float64
 }
 
-// WriteChromeTrace renders the collected events as Chrome trace-event
+// writeChromeTrace renders the collected events as Chrome trace-event
 // JSON. Clusters become processes (pid = first-appearance order, 1-based),
 // job runs become complete ("X") spans packed onto per-cluster lanes, and
 // accepted migration probes become flow arrows between thin migration
-// instants on the source and destination lanes.
-func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	return c.writeChromeTrace(w, nil)
-}
-
-// WriteChromeTraceSeries renders the timeline with the sampled health
-// series (internal/fleet sampling) added as counter tracks ("C" events) on
-// the fleet's pid-0 lane — Perfetto draws each series as a filled area
-// chart above the job spans, aligned on the same simulated-time axis.
-func (c *Collector) WriteChromeTraceSeries(w io.Writer, set *telemetry.Set) error {
-	return c.writeChromeTrace(w, set)
-}
-
+// instants on the source and destination lanes. A non-nil set adds its
+// sampled health series (internal/fleet sampling) as counter tracks ("C"
+// events) on the fleet's pid-0 lane — Perfetto draws each series as a
+// filled area chart above the job spans, on the same simulated-time axis.
 func (c *Collector) writeChromeTrace(w io.Writer, set *telemetry.Set) error {
 	jobs := c.Jobs()
 	probes := c.Migrations()
@@ -223,7 +214,8 @@ func (c *Collector) writeChromeTrace(w io.Writer, set *telemetry.Set) error {
 	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-// WriteChromeTraceFile writes the timeline to a file path.
+// WriteChromeTraceFile writes the collected events to a file path as a
+// Chrome trace-event timeline (see writeChromeTrace).
 func (c *Collector) WriteChromeTraceFile(path string) error {
 	return c.WriteChromeTraceSeriesFile(path, nil)
 }

@@ -2,13 +2,14 @@ package obs
 
 import "sync"
 
-// Collector is a Recorder that retains a deep copy of every event, in
-// arrival order — the sink exporters (the Chrome trace writer, run
-// reports, tests) read from. It is mutex-guarded, so it is safe to share
-// across goroutines, though fleet runs emit serially anyway.
+// Collector is a Recorder that retains a copy of every migration probe,
+// fairness snapshot and job event, in arrival order — the sink the Chrome
+// trace writer reads from. Placement decisions are discarded: no exporter
+// reads them (a Ring keeps the recent ones). It is mutex-guarded, so it
+// is safe to share across goroutines, though fleet runs emit serially
+// anyway.
 type Collector struct {
 	mu         sync.Mutex
-	placements []PlacementDecision
 	migrations []MigrationProbe
 	fairness   []FairnessSnapshot
 	jobs       []JobEvent
@@ -35,13 +36,8 @@ func copyDecision(d *PlacementDecision) PlacementDecision {
 	return c
 }
 
-// Placement implements Recorder.
-func (c *Collector) Placement(d *PlacementDecision) {
-	cp := copyDecision(d)
-	c.mu.Lock()
-	c.placements = append(c.placements, cp)
-	c.mu.Unlock()
-}
+// Placement implements Recorder (discarded).
+func (c *Collector) Placement(*PlacementDecision) {}
 
 // Migration implements Recorder.
 func (c *Collector) Migration(p *MigrationProbe) {
@@ -62,15 +58,6 @@ func (c *Collector) Job(e *JobEvent) {
 	c.mu.Lock()
 	c.jobs = append(c.jobs, *e)
 	c.mu.Unlock()
-}
-
-// Placements returns the collected placement decisions in arrival order.
-// The returned slice is a snapshot copy; its traces are owned by the
-// collector — read, don't mutate.
-func (c *Collector) Placements() []PlacementDecision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]PlacementDecision(nil), c.placements...)
 }
 
 // Migrations returns the collected migration probes in arrival order.

@@ -62,8 +62,11 @@ func TestExplainResetReuses(t *testing.T) {
 	}
 }
 
+// TestCollectorDeepCopies: the retaining sinks own their copies — the Ring
+// deep-copies placement decisions, which the Collector discards, and the
+// Collector keeps every other event kind.
 func TestCollectorDeepCopies(t *testing.T) {
-	c := NewCollector()
+	c, r := NewCollector(), NewRing(4)
 	d := PlacementDecision{
 		Time: 1, Router: "pipeline", Winner: 0, Cluster: "a",
 		Candidates: []CandidateTrace{{
@@ -73,18 +76,19 @@ func TestCollectorDeepCopies(t *testing.T) {
 		}},
 	}
 	c.Placement(&d)
+	r.Placement(&d)
 	// Mutate the emitter-owned buffers after the fact.
 	d.Candidates[0].Plugins[0].Norm = -1
 	d.Candidates[0].Name = "mutated"
 	d.Cluster = "mutated"
 
-	got := c.Placements()
+	got := r.Last(-1)
 	if len(got) != 1 {
 		t.Fatalf("placements = %d", len(got))
 	}
 	p := got[0]
 	if p.Cluster != "a" || p.Candidates[0].Name != "a" || p.Candidates[0].Plugins[0].Norm != 0.5 {
-		t.Fatalf("collector shares emitter buffers: %+v", p)
+		t.Fatalf("ring shares emitter buffers: %+v", p)
 	}
 
 	c.Migration(&MigrationProbe{Time: 2, From: 0, To: 1, Moved: true, Reason: ReasonMoved})
@@ -159,7 +163,7 @@ func traceFixture() *Collector {
 
 func TestWriteChromeTraceSchema(t *testing.T) {
 	var buf bytes.Buffer
-	if err := traceFixture().WriteChromeTrace(&buf); err != nil {
+	if err := traceFixture().writeChromeTrace(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -230,7 +234,7 @@ func TestWriteChromeTraceSeries(t *testing.T) {
 	set.Series("cluster.a.util").Add(2, 0.5)
 
 	var buf bytes.Buffer
-	if err := traceFixture().WriteChromeTraceSeries(&buf, set); err != nil {
+	if err := traceFixture().writeChromeTrace(&buf, set); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -272,7 +276,7 @@ func TestWriteChromeTraceSeries(t *testing.T) {
 
 	// The series-free writer must not grow counter tracks.
 	var plain bytes.Buffer
-	if err := traceFixture().WriteChromeTrace(&plain); err != nil {
+	if err := traceFixture().writeChromeTrace(&plain, nil); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(plain.Bytes(), []byte("queue_depth")) {

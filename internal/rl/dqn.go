@@ -144,9 +144,6 @@ func NewDQN(q, target nn.PolicyNet, cfg DQNConfig) (*DQN, error) {
 	}, nil
 }
 
-// Epsilon returns the current exploration rate.
-func (d *DQN) Epsilon() float64 { return d.eps }
-
 // Act selects an action epsilon-greedily over the masked Q-values.
 func (d *DQN) Act(rng *rand.Rand, obs []float64, mask []bool) int {
 	valid := validSlots(mask)

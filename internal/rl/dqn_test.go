@@ -90,8 +90,8 @@ func TestDQNEpsilonDecays(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.Observe(rng, Transition{Obs: obs, Mask: mask, Act: 0, Rew: 0, NextObs: obs, NextMask: mask, Done: true})
 	}
-	if d.Epsilon() != 0.1 {
-		t.Errorf("epsilon = %g, want decayed to floor 0.1", d.Epsilon())
+	if d.eps != 0.1 {
+		t.Errorf("epsilon = %g, want decayed to floor 0.1", d.eps)
 	}
 }
 

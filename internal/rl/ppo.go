@@ -88,9 +88,6 @@ func NewPPO(policy nn.PolicyNet, value *nn.ValueNet, cfg PPOConfig) *PPO {
 	}
 }
 
-// Config returns the resolved hyper-parameters.
-func (p *PPO) Config() PPOConfig { return p.cfg }
-
 // Inferer returns the policy's graph-free fast path (shared with rollout
 // collection and serving).
 func (p *PPO) Inferer() nn.Inferer { return p.Policy }

@@ -81,9 +81,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	return &Collector{cfg: cfg, obsDim: cfg.MaxObs * cfg.Feat}
 }
 
-// Workers returns the configured worker count.
-func (c *Collector) Workers() int { return c.cfg.Workers }
-
 // env returns the i-th worker's private environment (lazily grown).
 func (c *Collector) env(i int) *sim.Env {
 	for len(c.envs) <= i {

@@ -47,10 +47,6 @@ func NewBatcher(e Engine, cfg BatcherConfig) *Batcher {
 // Engine returns the currently served engine.
 func (b *Batcher) Engine() Engine { return *b.engine.Load() }
 
-// QueueDepth reports how many callers are waiting for an engine slot right
-// now.
-func (b *Batcher) QueueDepth() int { return int(b.waiting.Load()) }
-
 // Swap atomically replaces the engine. Calls in flight finish on the engine
 // they loaded; waiting and future callers get the new one. None is dropped.
 func (b *Batcher) Swap(e Engine) { b.engine.Store(&e) }

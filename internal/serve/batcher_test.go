@@ -204,7 +204,7 @@ func TestBatcherLimitsConcurrentCalls(t *testing.T) {
 	if peak := eng.peak.Load(); peak != k {
 		t.Fatalf("at most %d engine calls ran at once, want exactly Workers = %d", peak, k)
 	}
-	if got := m.SlotWait.Count(); got != n {
+	if got := m.SlotWait.count.Load(); got != n {
 		t.Fatalf("SlotWait saw %d slot waits, want one per call = %d", got, n)
 	}
 }

@@ -263,9 +263,9 @@ func TestMigrateEndpoint(t *testing.T) {
 	if got := srv.Metrics().MigrateChecksTotal.Load(); got != 2 {
 		t.Fatalf("migrate_checks_total = %d, want 2", got)
 	}
-	counts := srv.Metrics().MigrationCounts()
-	if counts[0] != 0 || counts[1] != 0 || counts[2] != 1 {
-		t.Fatalf("per-cluster migration counts = %v, want [0 0 1]", counts)
+	counts := srv.Metrics().migrateCounts
+	if counts[0].Load() != 0 || counts[1].Load() != 0 || counts[2].Load() != 1 {
+		t.Fatalf("per-cluster migration counts = %d %d %d, want 0 0 1", counts[0].Load(), counts[1].Load(), counts[2].Load())
 	}
 
 	// Counters surface in /metrics.
@@ -545,8 +545,8 @@ func TestConcurrentPlaceDecideReload(t *testing.T) {
 		t.Fatalf("errors_total = %d, want 0", got)
 	}
 	total := uint64(0)
-	for _, n := range srv.Metrics().Placements() {
-		total += n
+	for i := range srv.Metrics().placeCounts {
+		total += srv.Metrics().placeCounts[i].Load()
 	}
 	if total != srv.Metrics().PlaceTotal.Load() || total == 0 {
 		t.Fatalf("per-cluster placements %d != total %d (or zero)",

@@ -73,26 +73,6 @@ func (m *Metrics) CountMigration(i int) {
 	}
 }
 
-// MigrationCounts returns the per-cluster recommended-move counts in
-// registration order (for tests and status pages).
-func (m *Metrics) MigrationCounts() []uint64 {
-	out := make([]uint64, len(m.migrateCounts))
-	for i := range m.migrateCounts {
-		out[i] = m.migrateCounts[i].Load()
-	}
-	return out
-}
-
-// Placements returns the per-cluster placement counts in registration
-// order (for tests and status pages).
-func (m *Metrics) Placements() []uint64 {
-	out := make([]uint64, len(m.placeCounts))
-	for i := range m.placeCounts {
-		out[i] = m.placeCounts[i].Load()
-	}
-	return out
-}
-
 // NewMetrics returns a registry with latency buckets spanning 50µs–1s and
 // slot-wait buckets from 1µs: an idle engine grants a slot in a
 // microsecond or two, which the latency floor would clip.
@@ -146,32 +126,8 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a latency in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Quantile returns an upper-bound estimate of the q-quantile from the
-// bucket counts (the smallest bucket bound covering q of the mass).
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
 
 // writeProm emits the histogram in Prometheus text format.
 func (h *Histogram) writeProm(w io.Writer, name, help string) {

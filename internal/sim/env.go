@@ -53,9 +53,6 @@ func (e *Env) SetReward(fn metrics.RewardFunc) { e.reward = fn }
 // MaxObserve returns the action-space size.
 func (e *Env) MaxObserve() int { return e.sim.cfg.maxObserve() }
 
-// Goal returns the metric the environment rewards.
-func (e *Env) Goal() metrics.Kind { return e.goal }
-
 // Reset loads a sequence (pass freshly cloned jobs, e.g. trace.Window) and
 // returns the initial observation. It returns an error for invalid
 // sequences.

@@ -10,7 +10,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"slices"
 
 	"rlsched/internal/cluster"
 	"rlsched/internal/job"
@@ -181,9 +180,6 @@ func (s *Simulator) QuotaOK(j *job.Job) bool {
 func (s *Simulator) canStart(j *job.Job) bool {
 	return s.cluster.CanAllocate(j.RequestedProcs) && s.QuotaOK(j)
 }
-
-// Done reports whether every loaded job has completed.
-func (s *Simulator) Done() bool { return s.completed == len(s.seq) }
 
 // Now returns the simulation clock.
 func (s *Simulator) Now() float64 { return s.now }
@@ -451,50 +447,4 @@ func (s *Simulator) result() metrics.Result {
 		Jobs:        s.seq,
 		Utilization: s.cluster.Utilization(start, s.now),
 	}
-}
-
-// CheckInvariants verifies simulator and cluster consistency (used by
-// property tests).
-func (s *Simulator) CheckInvariants() error {
-	if err := s.cluster.CheckInvariants(); err != nil {
-		return err
-	}
-	started := 0
-	for _, j := range s.seq {
-		if j.Started() {
-			started++
-			if j.StartTime < j.SubmitTime {
-				return fmt.Errorf("sim: job %d started before submission", j.ID)
-			}
-		}
-	}
-	if inFlight := started - s.completed; inFlight != len(s.running) {
-		return fmt.Errorf("sim: %d in flight but %d running", inFlight, len(s.running))
-	}
-	if c := s.committed; c != nil && (!slices.Contains(s.pending, c) || c.Started()) {
-		return fmt.Errorf("sim: committed job %d is not a pending, unstarted job", c.ID)
-	}
-	// Processors are counts, so conservation is checked against the jobs
-	// holding them: the cluster's busy count and every user's held count
-	// must each equal the sum over the matching running jobs.
-	busy := 0
-	perUser := make(map[int]int, len(s.userProcs))
-	for u := range s.userProcs {
-		perUser[u] = 0
-	}
-	for _, j := range s.running {
-		busy += j.RequestedProcs
-		if j.UserID >= 0 {
-			perUser[j.UserID] += j.RequestedProcs
-		}
-	}
-	if held := s.cfg.Processors - s.cluster.Free(); held != busy {
-		return fmt.Errorf("sim: cluster holds %d procs but running jobs request %d", held, busy)
-	}
-	for u, n := range perUser {
-		if s.userProcs[u] != n {
-			return fmt.Errorf("sim: user %d holds %d procs but runs jobs requesting %d", u, s.userProcs[u], n)
-		}
-	}
-	return nil
 }

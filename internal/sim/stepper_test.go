@@ -74,7 +74,7 @@ func TestSubmitAndEventStepping(t *testing.T) {
 		t.Fatalf("committed job started at %g (committed=%v), want 100", b.StartTime, s.Committed())
 	}
 	s.AdvanceClock(150)
-	if !s.Done() {
+	if s.completed != len(s.seq) {
 		t.Fatal("both jobs completed, Done must be true")
 	}
 	res := s.Result()
@@ -142,7 +142,7 @@ func TestWithdraw(t *testing.T) {
 		t.Fatal("withdrawing a started job must error")
 	}
 	s.AdvanceClock(50)
-	if !s.Done() {
+	if s.completed != len(s.seq) {
 		t.Fatal("the only remaining job completed; Done must account for the withdrawal")
 	}
 	if n := len(s.Result().Jobs); n != 1 {

@@ -144,12 +144,3 @@ func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
 }
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}

@@ -30,16 +30,6 @@ func (p Point) MarshalJSON() ([]byte, error) {
 	return json.Marshal([2]float64{p.T, p.V})
 }
 
-// UnmarshalJSON accepts the [t, v] form MarshalJSON produces.
-func (p *Point) UnmarshalJSON(b []byte) error {
-	var a [2]float64
-	if err := json.Unmarshal(b, &a); err != nil {
-		return err
-	}
-	p.T, p.V = a[0], a[1]
-	return nil
-}
-
 // Series is one named, append-only trajectory of samples.
 type Series struct {
 	// Name identifies the series (e.g. "cluster.large-256.util").
@@ -82,9 +72,6 @@ func (s *Set) Series(name string) *Series {
 	return sr
 }
 
-// Get returns the named series or nil (never creates).
-func (s *Set) Get(name string) *Series { return s.index[name] }
-
 // All returns the series in creation order (shared slices — read-only use
 // intended).
 func (s *Set) All() []*Series { return s.series }
@@ -124,19 +111,4 @@ func (s *Set) WriteFile(path string) error {
 		return fmt.Errorf("telemetry: write %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// ReadJSON parses an artifact produced by WriteJSON into a fresh Set
-// (round-trip surface for tests and offline tooling).
-func ReadJSON(r io.Reader) (*Set, error) {
-	var raw setJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("telemetry: parse artifact: %w", err)
-	}
-	s := NewSet()
-	for _, sr := range raw.Series {
-		dst := s.Series(sr.Name)
-		dst.Points = sr.Points
-	}
-	return s, nil
 }

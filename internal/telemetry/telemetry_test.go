@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -13,10 +14,10 @@ func TestSeriesSetRoundTrip(t *testing.T) {
 	if set.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", set.Len())
 	}
-	if got := set.Series("a.util"); got != set.Get("a.util") {
-		t.Fatal("Series and Get disagree")
+	if got := set.Series("a.util"); got != set.index["a.util"] || got != set.All()[0] {
+		t.Fatal("Series returned a second a.util series")
 	}
-	if last := set.Get("a.util").Last(); last.T != 10 || last.V != 0.75 {
+	if last := set.index["a.util"].Last(); last.T != 10 || last.V != 0.75 {
 		t.Fatalf("Last = %+v", last)
 	}
 
@@ -27,19 +28,19 @@ func TestSeriesSetRoundTrip(t *testing.T) {
 	if !bytes.Contains(buf.Bytes(), []byte(`[10,0.75]`)) {
 		t.Fatalf("points must marshal as [t,v] pairs: %s", buf.Bytes())
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	var back setJSON
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 || len(back.Get("a.util").Points) != 2 {
+	if len(back.Series) != 2 || back.Series[0].Name != "a.util" || len(back.Series[0].Points) != 2 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
-	if p := back.Get("b.queue").Points[0]; p.T != 10 || p.V != 3 {
+	if p := back.Series[1].Points[0]; back.Series[1].Name != "b.queue" || p.T != 10 || p.V != 3 {
 		t.Fatalf("round trip point = %+v", p)
 	}
 
 	set.Reset()
-	if set.Len() != 0 || set.Get("a.util") != nil {
+	if set.Len() != 0 || set.index["a.util"] != nil {
 		t.Fatal("Reset must drop every series")
 	}
 }
@@ -114,7 +115,7 @@ func TestHistogramDefaultWindow(t *testing.T) {
 	}
 	// Overflow mass clamps to the top bound instead of +Inf.
 	h.Observe(61, 50)
-	if got := h.Quantile(61, 1); got != h.Bounds()[len(h.Bounds())-1] {
+	if got := h.Quantile(61, 1); got != h.bounds[len(h.bounds)-1] {
 		t.Fatalf("overflow quantile = %g, want top bound", got)
 	}
 }

@@ -30,8 +30,8 @@ func LogBounds(min, max float64, perDecade int) []float64 {
 
 // Histogram is a fixed-bucket histogram over a sliding window: each ring
 // slot holds a full bucket array for one sub-interval — slot i covers
-// [starts[i], starts[i]+slotW), starts[i] a multiple of slotW — and
-// quantile queries merge the slots still inside the trailing window. Not
+// [starts[i], starts[i]+slotW), starts[i] a multiple of slotW — so the
+// slots still inside the trailing window hold its samples. Not
 // concurrency-safe; concurrent writers add their own lock.
 type Histogram struct {
 	bounds  []float64
@@ -39,7 +39,6 @@ type Histogram struct {
 	slotW   float64
 	starts  []float64
 	buckets [][]uint64
-	scratch []uint64
 }
 
 // NewHistogram returns a windowed histogram over the given bucket upper
@@ -59,7 +58,6 @@ func NewHistogram(bounds []float64, window float64, slots int) *Histogram {
 		slotW:   window / float64(slots),
 		starts:  make([]float64, slots),
 		buckets: make([][]uint64, slots),
-		scratch: make([]uint64, len(bounds)+1),
 	}
 	for i := range h.buckets {
 		h.buckets[i] = make([]uint64, len(bounds)+1)
@@ -91,58 +89,3 @@ func (h *Histogram) Observe(now, v float64) {
 	}
 	h.buckets[h.slot(now)][i]++
 }
-
-// merged accumulates the buckets of the slots inside the trailing window
-// ending at now (the slot covering now is always inside) into the scratch
-// array and returns it with the total count.
-func (h *Histogram) merged(now float64) ([]uint64, uint64) {
-	h.slot(now) // recycle the current slot before reading
-	m := h.scratch
-	clear(m)
-	var total uint64
-	for i, b := range h.buckets {
-		if st := h.starts[i]; st > now-h.window-h.slotW/2 && st <= now {
-			for k, c := range b {
-				m[k] += c
-				total += c
-			}
-		}
-	}
-	return m, total
-}
-
-// Count returns the number of observations inside the trailing window.
-func (h *Histogram) Count(now float64) uint64 {
-	_, total := h.merged(now)
-	return total
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile over the
-// trailing window (the smallest bucket bound covering q of the mass; the
-// top bound for overflow mass; 0 when the window holds no samples).
-func (h *Histogram) Quantile(now, q float64) float64 {
-	m, total := h.merged(now)
-	if total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range m {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	// Overflow mass: clamp to the top bound (understate a pathological
-	// tail instead of answering +Inf).
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Bounds returns the bucket upper bounds (shared slice — read-only use).
-func (h *Histogram) Bounds() []float64 { return h.bounds }

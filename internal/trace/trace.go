@@ -204,22 +204,6 @@ func (t *Trace) ComputeStats() Stats {
 	return s
 }
 
-// UserIDs returns the sorted distinct user IDs present in the trace.
-func (t *Trace) UserIDs() []int {
-	set := map[int]bool{}
-	for _, j := range t.Jobs {
-		if j.UserID >= 0 {
-			set[j.UserID] = true
-		}
-	}
-	ids := make([]int, 0, len(set))
-	for u := range set {
-		ids = append(ids, u)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // LoadSWF reads a trace from an SWF stream. If the header lacks MaxProcs,
 // MaxNodes stands in (single-processor-per-node archives declare only it);
 // failing both, the largest job request is used as the cluster size.

@@ -223,11 +223,18 @@ func TestHPC2NDominantUser(t *testing.T) {
 	}
 }
 
+// TestUserIDs: the distinct user IDs a trace carries, as Stats.Users counts
+// them — each ID once, and jobs without a user (ID -1) not at all.
 func TestUserIDs(t *testing.T) {
 	tr := mkTrace(7)
-	ids := tr.UserIDs()
-	if len(ids) != 3 || ids[0] != 0 || ids[2] != 2 {
-		t.Errorf("UserIDs = %v, want [0 1 2]", ids)
+	if got := tr.ComputeStats().Users; got != 3 {
+		t.Errorf("Users = %d, want 3 (IDs 0, 1, 2)", got)
+	}
+	tr.Jobs[0].UserID = -1
+	tr.Jobs[3].UserID = -1
+	tr.Jobs[6].UserID = -1
+	if got := tr.ComputeStats().Users; got != 2 {
+		t.Errorf("Users = %d with user 0 unset, want 2", got)
 	}
 }
 
