@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -47,12 +48,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if len(exportsAllowlist) > 5 {
 		t.Fatalf("exportsAllowlist has %d entries; the limit is 5", len(exportsAllowlist))
 	}
-	found, err := testOnlyExports("../..")
+	s, err := repoScan()
 	if err != nil {
 		t.Fatal(err)
 	}
 	reported := map[string]bool{}
-	for _, f := range found {
+	for _, f := range s.unreferenced() {
 		reported[f.name] = true
 		if !exportsAllowlist[f.name] {
 			t.Errorf("%s: exported %s is referenced only from tests: delete it, or move it into the package's export_test.go", f.pos, f.name)
@@ -71,6 +72,23 @@ func TestNoTestOnlyExports(t *testing.T) {
 // anonymous type-assertion probe, a String method and a function called
 // from bench/.
 func TestExportsCheckFixture(t *testing.T) {
+	s, err := scanModule(unpackFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range s.unreferenced() {
+		got = append(got, f.name)
+	}
+	if want := []string{"internal/lib.TestOnly"}; !slices.Equal(got, want) {
+		t.Fatalf("reported %q, want %q", got, want)
+	}
+}
+
+// unpackFixture writes each "-- path --" section of testdata/exports.txtar
+// into a temporary directory and returns it.
+func unpackFixture(t *testing.T) string {
+	t.Helper()
 	archive, err := os.ReadFile("testdata/exports.txtar")
 	if err != nil {
 		t.Fatal(err)
@@ -86,17 +104,7 @@ func TestExportsCheckFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	found, err := testOnlyExports(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, f := range found {
-		got = append(got, f.name)
-	}
-	if want := []string{"internal/lib.TestOnly"}; !slices.Equal(got, want) {
-		t.Fatalf("reported %q, want %q", got, want)
-	}
+	return root
 }
 
 // txtarHeader matches a "-- path --" file header line of a txtar archive.
@@ -128,9 +136,12 @@ type scannedPkg struct {
 
 var modulePattern = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
-// testOnlyExports returns, sorted by name, the exported functions and
-// methods under root/internal that no non-test file references.
-func testOnlyExports(root string) ([]export, error) {
+// repoScan is the repository's module scan, shared by the checks.
+var repoScan = sync.OnceValues(func() (*exportScan, error) { return scanModule("../..") })
+
+// scanModule loads and type-checks the non-test files of every package of
+// the module at root.
+func scanModule(root string) (*exportScan, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -171,7 +182,7 @@ func testOnlyExports(root string) ([]export, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.unreferenced(), nil
+	return s, nil
 }
 
 // ImportFrom resolves the module's own packages through load and the
@@ -345,4 +356,158 @@ func receiverName(t types.Type) string {
 		return named.Obj().Name()
 	}
 	return t.String()
+}
+
+// The knobs invariant: every exported field of an exported struct type
+// named …Config under internal/ is written by some non-test file of the
+// module (cmd/ and bench/ included). A field no caller outside the tests
+// sets is an option the product never uses; it goes, with its plumbing.
+//
+// A write is a composite-literal key (or position, in an unkeyed
+// literal), the target of an assignment or increment — x.F, x.F.G and
+// x.F[k] all write F — or the operand of &x.F, as in a flag.…Var
+// binding. A config's own defaulting method counts as a writer.
+
+// configFieldsAllowlist names test-only config fields the check accepts,
+// as "<package dir>.<Type>.<Field>", each with a comment giving its
+// reason. An entry the check no longer reports fails the test.
+var configFieldsAllowlist = map[string]bool{
+	// §V-F's per-user quota. Seven simulator tests and one training test
+	// exercise it, and no experiment reproduces §V-F yet; ROADMAP names
+	// the choice between such an experiment and removing the quota.
+	"internal/core.Config.UserQuota": true,
+}
+
+func TestNoTestOnlyConfigFields(t *testing.T) {
+	s, err := repoScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := map[string]bool{}
+	for _, f := range s.unwrittenConfigFields() {
+		reported[f.name] = true
+		if !configFieldsAllowlist[f.name] {
+			t.Errorf("%s: config field %s is set only by tests: delete it and its plumbing, or make it a constant", f.pos, f.name)
+		}
+	}
+	for name := range configFieldsAllowlist {
+		if !reported[name] {
+			t.Errorf("configFieldsAllowlist entry %s is not test-only any more: drop it", name)
+		}
+	}
+}
+
+// TestConfigFieldsCheckFixture runs the knobs check over
+// testdata/exports.txtar, whose lib.Config has one field only a test sets
+// and three that non-test code sets: by a flag binding, in a preset
+// function and by assignment.
+func TestConfigFieldsCheckFixture(t *testing.T) {
+	s, err := scanModule(unpackFixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range s.unwrittenConfigFields() {
+		got = append(got, f.name)
+	}
+	if want := []string{"internal/lib.Config.TestSet"}; !slices.Equal(got, want) {
+		t.Fatalf("reported %q, want %q", got, want)
+	}
+}
+
+// unwrittenConfigFields lists, sorted by name, the exported fields of the
+// exported …Config structs under internal/ that no non-test file writes.
+func (s *exportScan) unwrittenConfigFields() []export {
+	fields := map[*types.Var]export{}
+	for _, p := range s.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = export{name: p.dir + "." + name + "." + f.Name(), pos: s.fset.Position(f.Pos())}
+				}
+			}
+		}
+	}
+	written := map[*types.Var]bool{}
+	for _, p := range s.pkgs {
+		for _, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markTarget(p.info, lhs, written)
+					}
+				case *ast.IncDecStmt:
+					markTarget(p.info, n.X, written)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						markTarget(p.info, n.X, written)
+					}
+				case *ast.CompositeLit:
+					markLiteral(p.info, n, written)
+				}
+				return true
+			})
+		}
+	}
+	var out []export
+	for f, e := range fields {
+		if !written[f] {
+			out = append(out, e)
+		}
+	}
+	slices.SortFunc(out, func(a, b export) int { return strings.Compare(a.name, b.name) })
+	return out
+}
+
+// markTarget records as written every struct field an assignment target
+// or address-of operand selects: the fields of x.F.G[k] are G and F.
+func markTarget(info *types.Info, e ast.Expr, written map[*types.Var]bool) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+				written[v] = true
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// markLiteral records as written the fields a struct composite literal
+// sets.
+func markLiteral(info *types.Info, lit *ast.CompositeLit, written map[*types.Var]bool) {
+	st, ok := info.Types[lit].Type.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+				written[v] = true
+			}
+		} else {
+			written[st.Field(i)] = true
+		}
+	}
 }

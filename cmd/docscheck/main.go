@@ -12,9 +12,9 @@
 //     and in the internal/trace zoo registry (zoo.go) must carry a doc
 //     comment, so `go doc` stays a complete reference for them.
 //
-// Its tests keep a third, the exports invariant: every exported function
-// and method under internal/ has a caller outside the tests
-// (TestNoTestOnlyExports in exports_test.go, a go/types scan).
+// Its tests keep two more (exports_test.go, go/types scans): every
+// exported function and method under internal/ has a non-test caller, and
+// every exported field of an exported …Config struct a non-test writer.
 //
 // Usage: go run ./cmd/docscheck [repo-root]
 package main

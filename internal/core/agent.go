@@ -57,11 +57,6 @@ type Config struct {
 	Seed int64
 	// PPO overrides PPO hyper-parameters.
 	PPO rl.PPOConfig
-	// RewardWeights, when set, replaces the single-goal reward with the
-	// combined reward Σ weight·Reward(kind) (§V-F/§VII multi-metric
-	// optimization). Goal still selects the metric reported in
-	// EpochStats.
-	RewardWeights map[metrics.Kind]float64
 	// Workers sets the number of goroutines collecting trajectories per
 	// epoch (default GOMAXPROCS). Results are bit-identical for any
 	// worker count: every trajectory owns a deterministic RNG and a
@@ -158,10 +153,6 @@ func New(cfg Config) (*Agent, error) {
 		buf:    rl.NewBuffer(ppoCfg.Gamma, ppoCfg.Lambda),
 		rng:    rng,
 	}
-	var rewardFn metrics.RewardFunc
-	if cfg.RewardWeights != nil {
-		rewardFn = metrics.WeightedReward(cfg.RewardWeights)
-	}
 	a.collector = rl.NewCollector(rl.CollectorConfig{
 		Policy:  a.ppo.Policy,
 		Value:   val,
@@ -169,7 +160,6 @@ func New(cfg Config) (*Agent, error) {
 		Feat:    sim.JobFeatures,
 		Sim:     simCfg,
 		Goal:    cfg.Goal,
-		Reward:  rewardFn,
 		Workers: cfg.Workers,
 	})
 	if cfg.Filter {

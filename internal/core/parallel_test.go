@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -79,46 +78,6 @@ func TestWorkersMoreThanTrajectories(t *testing.T) {
 	}
 	if _, err := a.TrainEpoch(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWeightedRewardTraining(t *testing.T) {
-	tr := trace.Preset("Lublin-2", 300, 19)
-	cfg := tinyConfig(tr, metrics.BoundedSlowdown)
-	// Combined goal: minimize bsld AND maximize utilization (§VII).
-	cfg.RewardWeights = map[metrics.Kind]float64{
-		metrics.BoundedSlowdown: 1,
-		metrics.Utilization:     100,
-	}
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := a.TrainEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reported metric is still the plain goal...
-	if s.MeanMetric < 1 {
-		t.Errorf("MeanMetric = %g, want bsld >= 1", s.MeanMetric)
-	}
-	// ...but the reward is the combination: -bsld + 100·util, which for
-	// a lightly loaded window can even be positive — it just must not
-	// equal the plain -bsld.
-	if math.Abs(s.MeanReward+s.MeanMetric) < 1e-9 {
-		t.Error("reward looks like plain -bsld; weighted reward not applied")
-	}
-}
-
-func TestWeightedRewardFunction(t *testing.T) {
-	fn := metrics.WeightedReward(map[metrics.Kind]float64{
-		metrics.Utilization: 2,
-		metrics.WaitTime:    0.5,
-	})
-	r := metrics.Result{Utilization: 0.8}
-	// No started jobs: wait contributes 0; reward = 2*0.8.
-	if got := fn(r); math.Abs(got-1.6) > 1e-12 {
-		t.Errorf("weighted reward = %g, want 1.6", got)
 	}
 }
 

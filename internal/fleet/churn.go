@@ -228,10 +228,11 @@ func (f *Fleet) appendMember(mc MemberConfig, now float64) error {
 		return fmt.Errorf("fleet: duplicate member name %q", mc.Name)
 	}
 	m := &member{
-		name:  mc.Name,
-		cfg:   mc.Sim,
-		sim:   sim.New(mc.Sim),
-		sched: mc.Scheduler,
+		name:   mc.Name,
+		cfg:    mc.Sim,
+		sim:    sim.New(mc.Sim),
+		sched:  mc.Scheduler,
+		joinAt: now,
 	}
 	if f.rec != nil {
 		m.sim.SetRecorder(f.rec, m.name)
@@ -338,6 +339,7 @@ func (f *Fleet) retireMember(i int, fail bool, sam *sampler, now float64) (int, 
 		moved = append(moved, m.sim.EvictRunning()...)
 	}
 	m.state = stateRetired
+	m.retireAt = now
 	for _, s := range f.stateful {
 		if cr, ok := s.(ClusterRetirer); ok {
 			cr.RetireCluster(i)

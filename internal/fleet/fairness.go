@@ -50,49 +50,9 @@ type StateScorer interface {
 	Observe(cluster int, j *job.Job)
 }
 
-// FairnessConfig parameterizes FairnessScorer. The zero value selects the
-// defaults noted per field.
-//
-// Calibration matters more than any individual knob: the pipeline's
-// per-plugin min-max normalization stretches whatever score differences a
-// plugin emits to the full [0,1] range, so a fairness plugin that emitted
-// *only* fairness terms would have its noise-level preferences amplified
-// into full-strength routing overrides (measurably catastrophic: small
-// clusters drown in rescued jobs). FairnessScorer therefore embeds the
-// binpack signal as its baseline and adds fairness terms scaled by the
-// user's deprivation — for an average user its ordering is exactly
-// Binpack's, and the plugin can stand alone in a pipeline.
+// FairnessConfig parameterizes FairnessScorer. The zero value keeps
+// full-history shares.
 type FairnessConfig struct {
-	// StartBoost scales the rescue term: how strongly a fully deprived
-	// user's jobs prefer a cluster that can start them right now, on the
-	// scale of the plugin's internal [0,1]-normalized load signal.
-	// Default 3: full deprivation outbids any load difference.
-	StartBoost float64
-	// YieldPenalty scales the yield term — the rescue's mirror image: a
-	// fully privileged user (served far better than everyone else) is
-	// steered OFF clusters that could start their job immediately,
-	// leaving drained capacity for the deprived instead of letting the
-	// already-comfortable snap it up. Default 1.
-	YieldPenalty float64
-	// HistPenalty scales the repulsion term: how strongly a fully
-	// deprived user avoids clusters that served them worse than their own
-	// average. Default 1.
-	HistPenalty float64
-	// DepFloor is the user-mean / other-user-mean bounded-slowdown ratio
-	// at which a user starts counting as deprived (and, mirrored, as
-	// privileged). Default 2 — noise around the average triggers nothing.
-	DepFloor float64
-	// DepSpan is the ratio range over which deprivation ramps from 0 to
-	// full strength above DepFloor. Default 2: a user at (DepFloor+2)×
-	// the other-user mean is maximally deprived.
-	DepSpan float64
-	// RelCap caps the per-cluster history excess (cluster mean / user
-	// mean − 1) that maps to a full-strength repulsion. Default 2.
-	RelCap float64
-	// MinObs is the minimum number of completed jobs a user needs on a
-	// cluster before its history repels them (one unlucky job is not a
-	// pattern). Default 2.
-	MinObs int
 	// DecayWindow, when positive, makes every tracked share an
 	// exponentially decayed sum with an effective window of about this many
 	// fleet-wide completions: each Observe multiplies all shares by
@@ -102,31 +62,6 @@ type FairnessConfig struct {
 	// week stops looking privileged forever. 0 (the default) keeps the
 	// full-history behavior, bit-for-bit.
 	DecayWindow float64
-}
-
-func (c FairnessConfig) withDefaults() FairnessConfig {
-	if c.StartBoost <= 0 {
-		c.StartBoost = 3
-	}
-	if c.YieldPenalty <= 0 {
-		c.YieldPenalty = 1
-	}
-	if c.HistPenalty <= 0 {
-		c.HistPenalty = 1
-	}
-	if c.DepFloor <= 0 {
-		c.DepFloor = 2
-	}
-	if c.DepSpan <= 0 {
-		c.DepSpan = 2
-	}
-	if c.RelCap <= 0 {
-		c.RelCap = 2
-	}
-	if c.MinObs <= 0 {
-		c.MinObs = 2
-	}
-	return c
 }
 
 // userShare accumulates one user's realized bounded slowdown: fleet-wide
@@ -153,7 +88,6 @@ type userShare struct {
 // concurrent use (the serving daemon scores and observes from concurrent
 // requests); within a Fleet.Run all calls are serial and deterministic.
 type FairnessScorer struct {
-	cfg   FairnessConfig
 	decay float64 // per-completion share multiplier; 1 = full history
 
 	mu     sync.Mutex
@@ -163,8 +97,7 @@ type FairnessScorer struct {
 	events uint64 // fleet-wide completions observed (decay clock)
 }
 
-// NewFairnessScorer returns a fairness plugin with the config's defaults
-// filled in.
+// NewFairnessScorer returns a fairness plugin.
 func NewFairnessScorer(cfg FairnessConfig) *FairnessScorer {
 	decay := 1.0
 	if cfg.DecayWindow > 0 {
@@ -174,7 +107,7 @@ func NewFairnessScorer(cfg FairnessConfig) *FairnessScorer {
 		}
 		decay = 1 - 1/w
 	}
-	return &FairnessScorer{cfg: cfg.withDefaults(), decay: decay, users: map[int]*userShare{}}
+	return &FairnessScorer{decay: decay, users: map[int]*userShare{}}
 }
 
 // syncLocked brings one user's lazily decayed shares up to the current
@@ -289,6 +222,48 @@ func (f *FairnessScorer) Observe(cluster int, j *job.Job) {
 	f.mu.Unlock()
 }
 
+// The fairness terms' calibration. It matters more than any single
+// constant: the pipeline's per-plugin min-max normalization stretches
+// whatever score differences a plugin emits to the full [0,1] range, so a
+// fairness plugin that emitted *only* fairness terms would have its
+// noise-level preferences amplified into full-strength routing overrides
+// (measurably catastrophic: small clusters drown in rescued jobs). Score
+// therefore embeds the binpack signal as its baseline and adds fairness
+// terms scaled by the user's deprivation — for an average user its
+// ordering is exactly Binpack's, and the plugin can stand alone in a
+// pipeline.
+const (
+	// startBoost scales the rescue term: how strongly a fully deprived
+	// user's jobs prefer a cluster that can start them right now, on the
+	// scale of the plugin's internal [0,1]-normalized load signal. At 3,
+	// full deprivation outbids any load difference.
+	startBoost = 3.0
+	// yieldPenalty scales the yield term — the rescue's mirror image: a
+	// fully privileged user (served far better than everyone else) is
+	// steered OFF clusters that could start their job immediately,
+	// leaving drained capacity for the deprived instead of letting the
+	// already-comfortable snap it up.
+	yieldPenalty = 1.0
+	// histPenalty scales the repulsion term: how strongly a fully
+	// deprived user avoids clusters that served them worse than their own
+	// average.
+	histPenalty = 1.0
+	// depFloor is the user-mean / other-user-mean bounded-slowdown ratio
+	// at which a user starts counting as deprived (and, mirrored, as
+	// privileged): noise around the average triggers nothing.
+	depFloor = 2.0
+	// depSpan is the ratio range over which deprivation ramps from 0 to
+	// full strength above depFloor: a user at (depFloor+depSpan)× the
+	// other-user mean is maximally deprived.
+	depSpan = 2.0
+	// relCap caps the per-cluster history excess (cluster mean / user
+	// mean − 1) that maps to a full-strength repulsion.
+	relCap = 2.0
+	// minObs is the number of completed jobs a user needs on a cluster
+	// before its history repels them (one unlucky job is not a pattern).
+	minObs = 2
+)
+
 // Score implements Scorer. The baseline is the binpack signal — the
 // strongest load-aware placement heuristic on bursty narrow-job streams
 // (start-now clusters first, tightest fit preferred, least-loaded queue as
@@ -373,12 +348,12 @@ func (f *FairnessScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
 	if gN > uN {
 		otherMean = (gSum - uSum) / float64(gN-uN)
 	}
-	// dep ∈ [0,1]: how far above DepFloor× the other-user average bounded
+	// dep ∈ [0,1]: how far above depFloor× the other-user average bounded
 	// slowdown this user's service (realized + committed) runs, ramping
-	// over DepSpan.
+	// over depSpan.
 	dep := 0.0
-	if otherMean > 0 && userMean > f.cfg.DepFloor*otherMean {
-		dep = (userMean/otherMean - f.cfg.DepFloor) / f.cfg.DepSpan
+	if otherMean > 0 && userMean > depFloor*otherMean {
+		dep = (userMean/otherMean - depFloor) / depSpan
 		if dep > 1 {
 			dep = 1
 		}
@@ -395,8 +370,8 @@ func (f *FairnessScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
 	// average this user's service runs. A privileged user yields start-now
 	// capacity to the deprived instead of snapping it up.
 	priv := 0.0
-	if userMean > 0 && otherMean > f.cfg.DepFloor*userMean {
-		priv = (otherMean/userMean - f.cfg.DepFloor) / f.cfg.DepSpan
+	if userMean > 0 && otherMean > depFloor*userMean {
+		priv = (otherMean/userMean - depFloor) / depSpan
 		if priv > 1 {
 			priv = 1
 		}
@@ -411,7 +386,7 @@ func (f *FairnessScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
 	for i, c := range cands {
 		// Rescue / yield on immediately available capacity.
 		if c.Pending == 0 && c.View.FreeProcs >= j.RequestedProcs {
-			out[i] += f.cfg.StartBoost*dep - f.cfg.YieldPenalty*priv
+			out[i] += startBoost*dep - yieldPenalty*priv
 		}
 		if dep == 0 {
 			continue
@@ -422,13 +397,13 @@ func (f *FairnessScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
 		if u == nil || histMean <= 0 {
 			continue
 		}
-		if n := u.clN[c.Index]; n >= float64(f.cfg.MinObs) {
+		if n := u.clN[c.Index]; n >= minObs {
 			rel := (u.clSum[c.Index]/float64(n))/histMean - 1
 			if rel > 0 {
-				if rel > f.cfg.RelCap {
-					rel = f.cfg.RelCap
+				if rel > relCap {
+					rel = relCap
 				}
-				out[i] -= f.cfg.HistPenalty * dep * rel / f.cfg.RelCap
+				out[i] -= histPenalty * dep * rel / relCap
 			}
 		}
 	}

@@ -132,12 +132,12 @@ type member struct {
 	// stamp versions the member's entry in the fleet event heap (heap.go):
 	// entries pushed under an older stamp are stale.
 	stamp uint64
-	// syncs counts syncTo calls on this member — the step-counting hook
-	// the idle-members regression test asserts on. Written by at most one
-	// goroutine at a time (stepWake blocks are disjoint).
-	syncs int
-	// state is the run-scoped churn lifecycle state (churn.go).
-	state memberState
+	// state is the run-scoped churn lifecycle state (churn.go); joinAt
+	// is the instant a ChurnPlan added the member (-Inf for members New
+	// built) and retireAt the instant it drained or failed.
+	state    memberState
+	joinAt   float64
+	retireAt float64
 	// drainAt is the announced retirement instant while state is
 	// stateDraining (run-scoped, mirrored into Candidate.DrainTime);
 	// evicting marks the announcement as a failure warning (running jobs
@@ -178,14 +178,9 @@ type Fleet struct {
 	stateful []StateScorer
 	// churnPlan schedules mid-run membership changes (churn.go; nil = off,
 	// the zero-cost default); baseN is the permanent member count runs
-	// reset to (mid-run joins are transient); lastChurn retains the most
-	// recent run's churn controller for white-box tests.
+	// reset to (mid-run joins are transient).
 	churnPlan ChurnPlan
 	baseN     int
-	lastChurn *churner
-	// lastMig retains the most recent run's migration controller state for
-	// white-box invariant tests.
-	lastMig *migrator
 	// rec is the attached observability recorder (nil = disabled); explain
 	// and placeEvt are its reused emission buffers.
 	rec      obs.Recorder
@@ -194,11 +189,9 @@ type Fleet struct {
 
 	// Event-heap stepping state (heap.go). candStore is the contiguous
 	// backing array of cands; sims mirrors members for pointer-chase-free
-	// hot loops; active[i] records whether member i holds allocations.
-	// fullSweep selects the pre-heap reference path (set by tests only;
-	// see heap.go) and workers the parallel-stepping width (parallel.go).
-	fullSweep bool
-	workers   int
+	// hot loops; active[i] records whether member i holds allocations;
+	// workers is the parallel-stepping width (parallel.go).
+	workers int
 	// clockFree records that the router declared (via the ClockFree
 	// capability) that it never reads Candidate.Now, letting candidatesAt
 	// skip the fleet-wide clock refresh.
@@ -236,10 +229,11 @@ func New(members []MemberConfig, router Router) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		f.members = append(f.members, &member{
-			name:  mc.Name,
-			cfg:   mc.Sim,
-			sim:   sim.New(mc.Sim),
-			sched: mc.Scheduler,
+			name:   mc.Name,
+			cfg:    mc.Sim,
+			sim:    sim.New(mc.Sim),
+			sched:  mc.Scheduler,
+			joinAt: math.Inf(-1),
 		})
 	}
 	n := len(f.members)
@@ -363,7 +357,6 @@ func (f *Fleet) reset() error {
 		m.movedOut = 0
 		m.doneCursor = 0
 		m.stamp++
-		m.syncs = 0
 		f.active[i] = false
 		f.obsFlag[i] = false
 		f.dirtyFlag[i] = false
@@ -423,7 +416,8 @@ type ClusterResult struct {
 type Result struct {
 	Clusters []ClusterResult
 	// Fleet merges the member results (metrics.Merge): job-averaged
-	// metrics span every job; utilization is processor-weighted.
+	// metrics span every job; utilization is weighted by processors × the
+	// share of the run each member served.
 	Fleet metrics.Result
 	// Assignments[i] is the member index stream job i was routed to.
 	Assignments []int
@@ -454,7 +448,6 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 		mig = newMigrator(*f.migCfg, f.router.(ScoredRouter), stream[0].SubmitTime)
 		mig.rec = f.rec
 	}
-	f.lastMig = mig
 	var sam *sampler
 	if f.samCfg != nil {
 		sam = f.newSampler(stream[0].SubmitTime)
@@ -463,7 +456,6 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 	if f.churnPlan != nil {
 		ch = newChurner(f.churnPlan)
 	}
-	f.lastChurn = ch
 	assignments := make([]int, len(stream))
 	prev := stream[0].SubmitTime
 	for i, j := range stream {
@@ -524,13 +516,29 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 		// pass below does anyway).
 		sam.finalSample(f, end, mig)
 	}
+	// Each member is measured over its own lifetime inside the horizon:
+	// from its join (or the run start) to its retirement (or the run
+	// end), and weighted by its processors × the share of the horizon it
+	// served — a member churn adds late or retires early would otherwise
+	// count idle capacity it never had. A drained member's running jobs
+	// finish, so it retires when the last of them ends.
 	results := make([]metrics.Result, len(f.members))
-	procs := make([]int, len(f.members))
+	weights := make([]float64, len(f.members))
 	for i, m := range f.members {
 		m.sim.AdvanceClock(end)
+		from, to := math.Max(start, m.joinAt), end
+		if m.state == stateRetired {
+			to = m.retireAt
+			if done := m.sim.Completions(); len(done) > 0 {
+				to = math.Max(to, done[len(done)-1].EndTime)
+			}
+		}
 		results[i] = m.sim.Result()
-		results[i].Utilization = m.sim.UtilizationOver(start, end)
-		procs[i] = m.cfg.Processors
+		results[i].Utilization = m.sim.UtilizationOver(from, to)
+		weights[i] = float64(m.cfg.Processors)
+		if life := to - from; life < end-start {
+			weights[i] *= math.Max(life, 0) / (end - start)
+		}
 	}
 	if mig != nil {
 		mig.fillMigrationMetrics(results)
@@ -545,7 +553,7 @@ func (f *Fleet) Run(stream []*job.Job) (*Result, error) {
 			Result:     results[i],
 		})
 	}
-	res.Fleet = metrics.Merge(results, procs)
+	res.Fleet = metrics.Merge(results, weights)
 	if ch != nil {
 		res.Churn = ChurnStats{Joins: ch.joins, Drains: ch.drains, Fails: ch.fails, Forced: ch.forced}
 	}

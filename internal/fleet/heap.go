@@ -21,11 +21,9 @@ package fleet
 // every backfill admission test (EASY's ends-in-time bound, conservative's
 // reservation gap) only gets harder as the clock grows — so a member that
 // was at fixpoint stays at fixpoint and advancing it is observationally
-// a no-op. The full-sweep reference path (Fleet.fullSweep) advances every
-// member and rebuilds every candidate at every arrival anyway. It is not a
-// knob: only this package's tests set it, as the oracle the heap path is
-// pinned byte-identical to, and BenchmarkFleetScale, as the baseline the
-// heap's speedup is measured against.
+// a no-op. The tests pin the heap byte-identical to a full-sweep reference
+// router (scale_test.go) that advances every member and rebuilds every
+// candidate before every decision.
 
 import (
 	"sort"
@@ -96,12 +94,8 @@ func (f *Fleet) SetWorkers(n int) { f.workers = n }
 
 // touch re-arms member i's heap entry after an operation that may have
 // changed its next event: the stamp bump invalidates any live entry, and a
-// fresh one is pushed when the member still has an event. No-op in
-// full-sweep mode, which never consults the heap.
+// fresh one is pushed when the member still has an event.
 func (f *Fleet) touch(i int) {
-	if f.fullSweep {
-		return
-	}
 	m := f.members[i]
 	m.stamp++
 	if t, ok := m.sim.NextEventTime(); ok {
@@ -131,20 +125,11 @@ func (f *Fleet) markObs(i int) {
 	}
 }
 
-// advanceMembers brings the fleet to global time t. Heap mode wakes only
-// the members with events due at or before t (in member-index order);
-// full-sweep mode advances everyone. Woken members are marked dirty and
-// observation-pending, and re-armed in the heap.
+// advanceMembers brings the fleet to global time t by waking only the
+// members with events due at or before t (in member-index order). Woken
+// members are marked dirty and observation-pending, and re-armed in the
+// heap.
 func (f *Fleet) advanceMembers(t float64) {
-	if f.fullSweep {
-		for i, m := range f.members {
-			m.syncs++
-			m.syncTo(t)
-			f.markDirty(i)
-			f.markObs(i)
-		}
-		return
-	}
 	wake := f.wake[:0]
 	for len(f.events) > 0 {
 		e := f.events[0]
@@ -217,9 +202,7 @@ func (f *Fleet) candidatesAt(t float64) []*Candidate {
 		f.dirtyFlag[i] = false
 	}
 	f.dirtyList = f.dirtyList[:0]
-	// The full-sweep reference keeps the unconditional rebuild — it is the
-	// faithful pre-heap path benchmarks measure against.
-	if f.clockFree && !f.fullSweep {
+	if f.clockFree {
 		for i, a := range f.active {
 			if a {
 				f.candStore[i].RunningWork = f.sims[i].RunningWorkAt(t)
@@ -240,18 +223,8 @@ func (f *Fleet) candidatesAt(t float64) []*Candidate {
 }
 
 // nextFleetEvent reports the earliest pending internal event across the
-// fleet: a lazy heap peek (discarding stale entries) in heap mode, a full
-// member scan in full-sweep mode.
+// fleet: a lazy heap peek, discarding stale entries.
 func (f *Fleet) nextFleetEvent() (float64, bool) {
-	if f.fullSweep {
-		next, any := 0.0, false
-		for _, m := range f.members {
-			if t, ok := m.sim.NextEventTime(); ok && (!any || t < next) {
-				next, any = t, true
-			}
-		}
-		return next, any
-	}
 	for len(f.events) > 0 {
 		e := f.events[0]
 		if e.stamp != f.members[e.idx].stamp {

@@ -14,11 +14,11 @@ import (
 // interval the controller withdraws each still-pending job, re-scores it
 // through the same filter/score pipeline that placed it, and moves it only
 // when the re-placement wins by more than a hysteresis margin — subject to
-// a per-sweep budget, a per-job cooldown and a per-job lifetime move cap,
-// so thrash is impossible by construction, not by tuning. A job that stays
-// put is resubmitted to its current cluster, which restores its exact
-// queue position (sim.Submit orders by original submit time), making an
-// aborted move a provable no-op.
+// a per-job cooldown and a per-job lifetime move cap, so thrash is
+// impossible by construction, not by tuning. A job that stays put is
+// resubmitted to its current cluster, which restores its exact queue
+// position (sim.Submit orders by original submit time), making an aborted
+// move a provable no-op.
 
 // ScoredRouter is the router capability migration needs: per-candidate
 // total scores, not just an argmax, so the controller can measure the
@@ -44,9 +44,6 @@ type MigrationConfig struct {
 	// job's current cluster, on the pipeline's normalized scale — a move
 	// must clear. 0 moves on any strict improvement (always-rebalance).
 	Hysteresis float64
-	// MaxMovesPerSweep caps the migration budget of one sweep across the
-	// whole fleet (0 = unlimited).
-	MaxMovesPerSweep int
 	// Cooldown is the minimum simulated time between two moves of the
 	// same job (0 = none).
 	Cooldown float64
@@ -86,7 +83,7 @@ func (c MigrationConfig) validate() error {
 	if !(c.Interval > 0) {
 		return fmt.Errorf("fleet: migration interval must be positive, got %g", c.Interval)
 	}
-	if !(c.Hysteresis >= 0) || !(c.Cooldown >= 0) || c.MaxMovesPerSweep < 0 || c.MaxMovesPerJob < 0 {
+	if !(c.Hysteresis >= 0) || !(c.Cooldown >= 0) || c.MaxMovesPerJob < 0 {
 		return fmt.Errorf("fleet: migration config fields must be non-negative: %+v", c)
 	}
 	return nil
@@ -115,13 +112,10 @@ func AlwaysRebalance(interval float64) MigrationConfig {
 	return MigrationConfig{Interval: interval}
 }
 
-// migInfo is the controller's per-job move history. times retains every
-// move instant (bounded by MaxMovesPerJob in any budgeted config) so
-// invariant tests can audit budgets and cooldowns after a run.
+// migInfo is the controller's per-job move history.
 type migInfo struct {
 	moves    int
-	lastMove float64   // global clock of the most recent move
-	times    []float64 // every move instant, in order
+	lastMove float64 // global clock of the most recent move
 }
 
 // migrator is the run-scoped state of the migration controller: the sweep
@@ -177,12 +171,8 @@ func (f *Fleet) sweep(mig *migrator, now float64) error {
 	}
 	mig.snap = snap
 
-	sweepMoves := 0
 	for si, m := range f.members {
 		for _, j := range snap[si] {
-			if mig.cfg.MaxMovesPerSweep > 0 && sweepMoves >= mig.cfg.MaxMovesPerSweep {
-				return nil
-			}
 			// A job an earlier move's pump started is gone; the one the
 			// local policy has committed to (it holds the backfill
 			// reservation) moves only under MigrateCommitted.
@@ -199,12 +189,8 @@ func (f *Fleet) sweep(mig *migrator, now float64) error {
 					continue
 				}
 			}
-			moved, err := f.tryMove(mig, si, j, now)
-			if err != nil {
+			if err := f.tryMove(mig, si, j, now); err != nil {
 				return err
-			}
-			if moved {
-				sweepMoves++
 			}
 		}
 	}
@@ -245,11 +231,11 @@ func MoveVerdict(scores []float64, from, best int, hysteresis float64, startNow 
 // either re-places it (margin over the incumbent exceeds the hysteresis)
 // or resubmits it in place. Withdrawing before scoring keeps the job's own
 // footprint from biasing its current cluster's backlog signals.
-func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, error) {
+func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) error {
 	srcM := f.members[src]
 	wasCommitted := srcM.sim.Committed() == j
 	if _, err := srcM.sim.Withdraw(j.ID); err != nil {
-		return false, fmt.Errorf("fleet: migrate from %s: %w", srcM.name, err)
+		return fmt.Errorf("fleet: migrate from %s: %w", srcM.name, err)
 	}
 	f.markDirty(src)
 	cands := f.candidatesAt(now)
@@ -282,7 +268,7 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 	// at the sweep instant exactly as under the full sweep.
 	m.sim.AdvanceClock(now)
 	if err := m.sim.Submit(j); err != nil {
-		return false, fmt.Errorf("fleet: migrate to %s: %w", m.name, err)
+		return fmt.Errorf("fleet: migrate to %s: %w", m.name, err)
 	}
 	f.markDirty(dst)
 	if dst == src {
@@ -295,7 +281,7 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 		if wasCommitted {
 			m.sim.Commit(j)
 		}
-		return false, nil
+		return nil
 	}
 	inf := mig.info[j]
 	if inf == nil {
@@ -304,7 +290,6 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 	}
 	inf.moves++
 	inf.lastMove = now
-	inf.times = append(inf.times, now)
 	mig.moves++
 	srcM.movedOut++
 	m.movedIn++
@@ -321,7 +306,7 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) (bool, 
 		f.markDirty(src)
 	}
 	f.touch(src)
-	return true, nil
+	return nil
 }
 
 // skipProbe records a sweep skipping j before any re-scoring happened

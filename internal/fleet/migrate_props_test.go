@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rlsched/internal/metrics"
+	"rlsched/internal/obs"
 	"rlsched/internal/sched"
 	"rlsched/internal/sim"
 )
@@ -48,7 +49,6 @@ func randomMigration(rng *rand.Rand) MigrationConfig {
 	return MigrationConfig{
 		Interval:         100 + rng.Float64()*1900,
 		Hysteresis:       []float64{0, 0.1, 0.3}[rng.Intn(3)],
-		MaxMovesPerSweep: rng.Intn(3), // 0 = unlimited
 		Cooldown:         float64(rng.Intn(3)) * 500,
 		MaxMovesPerJob:   1 + rng.Intn(3), // always capped: the audit below needs a bound
 		RequireStartNow:  rng.Intn(2) == 0,
@@ -58,8 +58,9 @@ func randomMigration(rng *rand.Rand) MigrationConfig {
 
 // TestMigrationInvariantsRandom: across random fleets, streams and
 // configs — jobs are conserved exactly, every placement/move counter
-// agrees, and the per-job move cap, per-job cooldown and per-sweep budget
-// hold for every job (audited against the controller's own move log).
+// agrees, and the per-job move cap and per-job cooldown hold for every job
+// (audited against the migration probes of an attached recorder, whose
+// cap and cooldown skips must also be justified by the moves before them).
 func TestMigrationInvariantsRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 10; iter++ {
@@ -72,6 +73,8 @@ func TestMigrationInvariantsRandom(t *testing.T) {
 		if err := f.EnableMigration(cfg); err != nil {
 			t.Fatal(err)
 		}
+		rec := obs.NewCollector()
+		f.SetRecorder(rec)
 		res, err := f.Run(stream)
 		if err != nil {
 			t.Fatalf("iter %d (cfg %+v): %v", iter, cfg, err)
@@ -108,53 +111,37 @@ func TestMigrationInvariantsRandom(t *testing.T) {
 				iter, movedIn, movedOut, res.Fleet.Moves)
 		}
 
-		// Budget audit against the controller's own per-job move log.
-		mig := f.lastMig
-		if mig == nil {
-			t.Fatalf("iter %d: migration enabled but no controller state retained", iter)
-		}
+		// Budget audit against the recorded probes: each job's move
+		// instants, in sweep order.
+		moves := map[int][]float64{}
 		totalMoves := 0
-		perSweep := map[float64]int{}
-		for j, inf := range mig.info {
-			if inf.moves != len(inf.times) {
-				t.Fatalf("iter %d: job %d counts %d moves but logged %d instants",
-					iter, j.ID, inf.moves, len(inf.times))
-			}
-			totalMoves += inf.moves
-			if inf.moves > cfg.MaxMovesPerJob {
-				t.Fatalf("iter %d: job %d moved %d times, cap %d", iter, j.ID, inf.moves, cfg.MaxMovesPerJob)
-			}
-			for k := 1; k < len(inf.times); k++ {
-				if d := inf.times[k] - inf.times[k-1]; d < cfg.Cooldown {
-					t.Fatalf("iter %d: job %d re-moved after %g s, cooldown %g", iter, j.ID, d, cfg.Cooldown)
+		for _, p := range rec.Migrations() {
+			prev := moves[p.Job.ID]
+			switch {
+			case p.Moved:
+				if len(prev) >= cfg.MaxMovesPerJob {
+					t.Fatalf("iter %d: job %d moved again after %d moves, cap %d", iter, p.Job.ID, len(prev), cfg.MaxMovesPerJob)
 				}
-			}
-			for _, at := range inf.times {
-				perSweep[at]++
+				if len(prev) > 0 && p.Time-prev[len(prev)-1] < cfg.Cooldown {
+					t.Fatalf("iter %d: job %d re-moved after %g s, cooldown %g", iter, p.Job.ID, p.Time-prev[len(prev)-1], cfg.Cooldown)
+				}
+				moves[p.Job.ID] = append(prev, p.Time)
+				totalMoves++
+			case p.Reason == obs.ReasonMoveCap && len(prev) < cfg.MaxMovesPerJob:
+				t.Fatalf("iter %d: job %d skipped for the move cap after %d moves", iter, p.Job.ID, len(prev))
+			case p.Reason == obs.ReasonCooldown && (len(prev) == 0 || p.Time-prev[len(prev)-1] >= cfg.Cooldown):
+				t.Fatalf("iter %d: job %d skipped for a cooldown that had run out", iter, p.Job.ID)
 			}
 		}
 		if totalMoves != res.Fleet.Moves {
-			t.Fatalf("iter %d: controller logged %d moves, metrics report %d", iter, totalMoves, res.Fleet.Moves)
+			t.Fatalf("iter %d: probes record %d moves, metrics report %d", iter, totalMoves, res.Fleet.Moves)
 		}
-		if cfg.MaxMovesPerSweep > 0 {
-			for at, n := range perSweep {
-				if n > cfg.MaxMovesPerSweep {
-					t.Fatalf("iter %d: sweep at %g made %d moves, budget %d", iter, at, n, cfg.MaxMovesPerSweep)
-				}
-			}
-		}
-		// MigratedJobs must be exactly the jobs with a non-empty log.
-		migrated := map[int]bool{}
-		for j, inf := range mig.info {
-			if inf.moves > 0 {
-				migrated[j.ID] = true
-			}
-		}
-		if len(res.Fleet.MigratedJobs) != len(migrated) {
-			t.Fatalf("iter %d: %d MigratedJobs vs %d jobs with moves", iter, len(res.Fleet.MigratedJobs), len(migrated))
+		// MigratedJobs must be exactly the jobs with a recorded move.
+		if len(res.Fleet.MigratedJobs) != len(moves) {
+			t.Fatalf("iter %d: %d MigratedJobs vs %d jobs with moves", iter, len(res.Fleet.MigratedJobs), len(moves))
 		}
 		for _, j := range res.Fleet.MigratedJobs {
-			if !migrated[j.ID] {
+			if moves[j.ID] == nil {
 				t.Fatalf("iter %d: job %d in MigratedJobs without a move log", iter, j.ID)
 			}
 		}

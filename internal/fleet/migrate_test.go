@@ -234,10 +234,9 @@ func TestMigrationRescuesStrandedJob(t *testing.T) {
 	}
 }
 
-// TestMigrationBudgetAndCooldown: a per-sweep budget of one move must
-// serialize the rescue of two stranded jobs across sweeps, and a per-job
-// lifetime cap of zero moves... is expressed as MaxMovesPerJob=1 with an
-// aggressive controller never exceeding one move per job.
+// TestMigrationBudgetAndCooldown: under a per-job lifetime cap of one move
+// (MaxMovesPerJob=1) an aggressive controller still rescues the two
+// stranded jobs but never moves any job twice.
 func TestMigrationBudgetAndCooldown(t *testing.T) {
 	mk := func(id int, submit, run float64, procs int, req float64) *job.Job {
 		return job.New(id, submit, run, procs, req)
@@ -255,10 +254,9 @@ func TestMigrationBudgetAndCooldown(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := MigrationConfig{
-		Interval:         200,
-		Hysteresis:       0.25,
-		MaxMovesPerSweep: 1,
-		MaxMovesPerJob:   1,
+		Interval:       200,
+		Hysteresis:     0.25,
+		MaxMovesPerJob: 1,
 	}
 	if err := f.EnableMigration(cfg); err != nil {
 		t.Fatal(err)

@@ -29,9 +29,7 @@ func (f *Fleet) stepWake(t float64, wake []int) {
 	// A recorder is shared across members, so traced runs step serially.
 	if workers <= 1 || len(wake) < minParallelWake || f.rec != nil {
 		for _, i := range wake {
-			m := f.members[i]
-			m.syncs++
-			m.syncTo(t)
+			f.members[i].syncTo(t)
 		}
 		return
 	}
@@ -45,9 +43,7 @@ func (f *Fleet) stepWake(t float64, wake []int) {
 			for b := range ch {
 				lo, hi := b*n/stepBlocks, (b+1)*n/stepBlocks
 				for _, i := range wake[lo:hi] {
-					m := f.members[i]
-					m.syncs++
-					m.syncTo(t)
+					f.members[i].syncTo(t)
 				}
 			}
 		}()

@@ -14,9 +14,84 @@ import (
 )
 
 // Tests of the event-heap stepping path (heap.go, parallel.go): the heap
-// must be invisible in results — byte-identical to the pre-heap full-sweep
+// must be invisible in results — byte-identical to the full-sweep
 // reference for randomized fleets, with and without migration, for any
 // worker count — while never stepping members that have no events.
+
+// fullSweepRouter is the reference the event heap is pinned against: the
+// pre-heap full sweep, which wakes nothing selectively and caches
+// nothing. Before every decision it brings every member to the decision
+// instant, feeds every member's new completions to the stateful scorers,
+// and rebuilds every candidate from the member simulators; it also checks
+// the fleet's next-event peek against a scan of all members. It declares
+// no ClockFree capability, so the fleet refreshes every candidate's clock
+// too. runVariant binds it to its fleet.
+type fullSweepRouter struct {
+	Router
+	tb testing.TB
+	f  *Fleet
+}
+
+// referenceOf wraps a router constructor in the full-sweep reference.
+func referenceOf(tb testing.TB, router func() Router) func() Router {
+	return func() Router { return &fullSweepRouter{Router: router(), tb: tb} }
+}
+
+func (r *fullSweepRouter) bind(f *Fleet) { r.f = f }
+
+func (r *fullSweepRouter) Place(j *job.Job, cands []*Candidate) int {
+	r.sweep(cands)
+	return r.Router.Place(j, cands)
+}
+
+// PlaceScored makes the reference a ScoredRouter, for migration sweeps.
+func (r *fullSweepRouter) PlaceScored(j *job.Job, cands []*Candidate, scores []float64) int {
+	r.sweep(cands)
+	return r.Router.(ScoredRouter).PlaceScored(j, cands, scores)
+}
+
+func (r *fullSweepRouter) StateScorers() []StateScorer {
+	if sp, ok := r.Router.(interface{ StateScorers() []StateScorer }); ok {
+		return sp.StateScorers()
+	}
+	return nil
+}
+
+// sweep brings the whole fleet to the decision instant (every candidate's
+// Now, the fleet having refreshed it) and rebuilds cands in place, so the
+// fleet's own reads after the decision see the rebuilt state as well.
+func (r *fullSweepRouter) sweep(cands []*Candidate) {
+	f := r.f
+	now := cands[0].Now
+	for i, m := range f.members {
+		m.syncTo(now)
+		f.markObs(i)
+	}
+	f.observeCompletions()
+	next, any := 0.0, false
+	for i, m := range f.members {
+		if t, ok := m.sim.NextEventTime(); ok && (!any || t < next) {
+			next, any = t, true
+		}
+		c := cands[i]
+		if m.state == stateRetired {
+			*c = Candidate{Index: c.Index, Name: c.Name, Now: now}
+			continue
+		}
+		c.View = m.sim.View()
+		c.Visible = m.sim.Visible()
+		c.Pending = m.sim.PendingCount()
+		c.PendingWork = m.sim.PendingWork()
+		c.RunningWork = m.sim.RunningWorkAt(now)
+		c.Draining = m.state == stateDraining
+		c.DrainTime = m.drainAt
+		c.Evicting = m.evicting
+	}
+	if t, ok := f.nextFleetEvent(); t != next || ok != any {
+		r.tb.Fatalf("at %g the event heap's next event is (%g, %v), a scan of all members finds (%g, %v)",
+			now, t, ok, next, any)
+	}
+}
 
 // randomScaleMembers builds n members with randomized sizes, policies and
 // backfill disciplines. Scheduler instances are fresh per member.
@@ -42,14 +117,18 @@ func randomScaleMembers(rng *rand.Rand, n int) []MemberConfig {
 	return members
 }
 
-// runVariant builds a fleet over members, applies cfg, and returns the
-// marshaled result of running stream through it.
+// runVariant builds a fleet over members, binds a fleet-reading test
+// router to it, applies cfg, and returns the marshaled result of running
+// stream through it.
 func runVariant(t *testing.T, members []MemberConfig, router func() Router,
 	stream []*job.Job, cfg func(*Fleet)) []byte {
 	t.Helper()
 	f, err := New(members, router())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b, ok := f.router.(interface{ bind(*Fleet) }); ok {
+		b.bind(f)
 	}
 	if cfg != nil {
 		cfg(f)
@@ -65,8 +144,8 @@ func runVariant(t *testing.T, members []MemberConfig, router func() Router,
 // refactor: for fleets of 50–200 members with mixed policies, the
 // heap-driven run (serial and parallel) must be byte-identical — every
 // per-job field, every metric, every assignment and migration move — to
-// the full-sweep reference path, with and without migration sweeps, and
-// for stateless and stateful (fairness) routers. Each seed also runs on a
+// the full-sweep reference (fullSweepRouter), with and without migration
+// sweeps, and for stateless and stateful (fairness) routers. Each seed also runs on a
 // one-minute time grid (gridTimes) with a grid-aligned sweep interval, so
 // completions, arrivals and sweeps share instants.
 func TestHeapFullSweepParityProperty(t *testing.T) {
@@ -111,14 +190,12 @@ func TestHeapFullSweepParityProperty(t *testing.T) {
 					}
 				}
 				variants := map[string]func(*Fleet){
-					"fullsweep":     func(f *Fleet) { f.fullSweep = true },
 					"heap":          nil,
 					"heap-workers4": func(f *Fleet) { f.SetWorkers(4) },
-					"mig-fullsweep": func(f *Fleet) { f.fullSweep = true; migrate(f) },
 					"mig-heap":      migrate,
 					"mig-workers4":  func(f *Fleet) { f.SetWorkers(4); migrate(f) },
 				}
-				ref := runVariant(t, members, router, stream, variants["fullsweep"])
+				ref := runVariant(t, members, referenceOf(t, router), stream, nil)
 				for _, variant := range []string{"heap", "heap-workers4"} {
 					got := runVariant(t, members, router, stream, variants[variant])
 					if !bytes.Equal(ref, got) {
@@ -126,7 +203,7 @@ func TestHeapFullSweepParityProperty(t *testing.T) {
 							name, variant, n, seed)
 					}
 				}
-				migRef := runVariant(t, members, router, stream, variants["mig-fullsweep"])
+				migRef := runVariant(t, members, referenceOf(t, router), stream, migrate)
 				for _, variant := range []string{"mig-heap", "mig-workers4"} {
 					got := runVariant(t, members, router, stream, variants[variant])
 					if !bytes.Equal(migRef, got) {
@@ -139,11 +216,40 @@ func TestHeapFullSweepParityProperty(t *testing.T) {
 	}
 }
 
+// idleClockProbe wraps a router and, before every decision, records the
+// latest simulator clock among members 1..n-1. It forwards the wrapped
+// router's ClockFree capability, so the fleet's stepping path is the one
+// the wrapped router gets on its own.
+type idleClockProbe struct {
+	Router
+	f      *Fleet
+	latest float64
+}
+
+func (p *idleClockProbe) bind(f *Fleet) {
+	p.f = f
+	if b, ok := p.Router.(interface{ bind(*Fleet) }); ok {
+		b.bind(f)
+	}
+}
+
+func (p *idleClockProbe) ClockFree() bool {
+	cf, ok := p.Router.(ClockFree)
+	return ok && cf.ClockFree()
+}
+
+func (p *idleClockProbe) Place(j *job.Job, cands []*Candidate) int {
+	for _, m := range p.f.members[1:] {
+		p.latest = math.Max(p.latest, m.sim.Now())
+	}
+	return p.Router.Place(j, cands)
+}
+
 // TestIdleMembersNotStepped pins the sublinearity claim behaviorally: in a
 // fleet where capacity filtering routes every job onto the one member big
 // enough to run it, the other members have no events and must never be
-// syncTo'd — the step-counting hook records zero syncs for them on the
-// heap path (and non-zero on the full-sweep reference, proving the hook
+// stepped — their simulator clocks stay at 0 through every decision on the
+// heap path (and advance under the full-sweep reference, proving the probe
 // observes what it claims to).
 func TestIdleMembersNotStepped(t *testing.T) {
 	members := make([]MemberConfig, 100)
@@ -169,40 +275,30 @@ func TestIdleMembersNotStepped(t *testing.T) {
 		}
 	}
 
-	f, err := New(members, BinpackPipeline())
-	if err != nil {
-		t.Fatal(err)
+	run := func(router Router) (*idleClockProbe, *Result) {
+		probe := &idleClockProbe{Router: router}
+		f, err := New(members, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe.bind(f)
+		res, err := f.Run(cloneStream(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return probe, res
 	}
-	res, err := f.Run(cloneStream(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe, res := run(BinpackPipeline())
 	for i, k := range res.Assignments {
 		if k != 0 {
 			t.Fatalf("job %d routed to member %d; binpack should stack member 0", i, k)
 		}
 	}
-	if f.members[0].syncs == 0 {
-		t.Fatal("member 0 received placements but recorded no syncs")
+	if probe.latest != 0 {
+		t.Fatalf("an idle member's clock reached %g; events never touched it", probe.latest)
 	}
-	for i := 1; i < len(f.members); i++ {
-		if n := f.members[i].syncs; n != 0 {
-			t.Fatalf("idle member %d was stepped %d times; events never touched it", i, n)
-		}
-	}
-
-	ref, err := New(members, BinpackPipeline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.fullSweep = true
-	if _, err := ref.Run(cloneStream(stream)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(ref.members); i++ {
-		if ref.members[i].syncs == 0 {
-			t.Fatalf("full-sweep reference did not step member %d; the hook is broken", i)
-		}
+	if ref, _ := run(referenceOf(t, func() Router { return BinpackPipeline() })()); ref.latest == 0 {
+		t.Fatal("the full-sweep reference never advanced an idle member; the probe is broken")
 	}
 }
 
@@ -247,8 +343,9 @@ func TestWorkerCountParity(t *testing.T) {
 }
 
 // The fleet scalability suite (DESIGN.md §10): end-to-end Run at 1k, 5k
-// and 10k members on the event heap, and at 10k on the full-sweep
-// reference. The ratio of the two 10k placements/s is the heap's speedup.
+// and 10k members on the event heap, and at 10k under the full-sweep
+// reference (fullSweepRouter). The ratio of the two 10k placements/s is
+// the heap's speedup.
 
 // scaleBenchMembers synthesizes an n-member fleet from the experiment size
 // template ([256, 128, 64] cycling, SJF + EASY backfill, a fresh scheduler
@@ -315,11 +412,17 @@ func BenchmarkFleetScale(b *testing.B) {
 		{"n=10k", 10000, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			f, err := New(scaleBenchMembers(c.n), BinpackPipeline())
+			router := Router(BinpackPipeline())
+			if c.fullSweep {
+				router = &fullSweepRouter{Router: router, tb: b}
+			}
+			f, err := New(scaleBenchMembers(c.n), router)
 			if err != nil {
 				b.Fatal(err)
 			}
-			f.fullSweep = c.fullSweep
+			if r, ok := router.(*fullSweepRouter); ok {
+				r.bind(f)
+			}
 			b.ReportMetric(benchRun(b, f, scaleBenchStream())*1e6, "sweep-µs")
 		})
 	}

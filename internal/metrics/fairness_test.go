@@ -127,7 +127,7 @@ func TestFairnessMergeEquivalence(t *testing.T) {
 		},
 		Utilization: 0.5,
 	}
-	m := Merge([]Result{a, b}, []int{100, 100})
+	m := Merge([]Result{a, b}, []float64{100, 100})
 	merged := Fairness(m.Jobs, BoundedSlowdown)
 	concat := Fairness(append(append([]*job.Job{}, a.Jobs...), b.Jobs...), BoundedSlowdown)
 	if merged != concat {

@@ -146,27 +146,27 @@ func FairMax(jobs []*job.Job, base Kind) float64 {
 
 // Merge combines per-cluster scheduling results into one fleet-wide
 // result: the job sets concatenate (so job-averaged metrics weight every
-// job equally, wherever it ran) and utilization is the processor-weighted
-// mean of the member utilizations — the busy fraction of the whole fleet
-// when members share one arrival horizon, as they do under the fleet
-// simulator's global clock. procs[i] is member i's cluster size.
-func Merge(rs []Result, procs []int) Result {
-	if len(rs) != len(procs) {
-		panic("metrics: Merge needs one processor count per result")
+// job equally, wherever it ran) and utilization is the weighted mean of
+// the member utilizations — the busy fraction of the whole fleet when
+// weights[i] is member i's capacity over the fleet's horizon: its cluster
+// size, scaled by the share of the horizon it was a member for.
+func Merge(rs []Result, weights []float64) Result {
+	if len(rs) != len(weights) {
+		panic("metrics: Merge needs one weight per result")
 	}
 	var merged Result
-	totalProcs := 0
+	total := 0.0
 	weighted := 0.0
 	for i, r := range rs {
 		merged.Jobs = append(merged.Jobs, r.Jobs...)
-		weighted += r.Utilization * float64(procs[i])
-		totalProcs += procs[i]
+		weighted += r.Utilization * weights[i]
+		total += weights[i]
 		merged.MigratedJobs = append(merged.MigratedJobs, r.MigratedJobs...)
 		merged.Moves += r.Moves
 		merged.MigrationDelaySum += r.MigrationDelaySum
 	}
-	if totalProcs > 0 {
-		merged.Utilization = weighted / float64(totalProcs)
+	if total > 0 {
+		merged.Utilization = weighted / total
 	}
 	return merged
 }
@@ -213,28 +213,4 @@ func Reward(k Kind, r Result) float64 {
 		return v
 	}
 	return -v
-}
-
-// RewardFunc maps a finished sequence to the scalar reward the agent
-// maximizes. Custom reward functions are how the paper handles combined
-// goals ("RLScheduler can still work via configuring its reward
-// functions", §V-F / §VII).
-type RewardFunc func(Result) float64
-
-// WeightedReward combines several goals into one reward:
-// Σ weight·Reward(kind). Positive weights mean "optimize this goal";
-// relative magnitudes set the trade-off (e.g. minimize slowdown while
-// maximizing utilization: {BoundedSlowdown: 1, Utilization: 1000}).
-func WeightedReward(weights map[Kind]float64) RewardFunc {
-	ks := make([]Kind, 0, len(weights))
-	for k := range weights {
-		ks = append(ks, k)
-	}
-	return func(r Result) float64 {
-		total := 0.0
-		for _, k := range ks {
-			total += weights[k] * Reward(k, r)
-		}
-		return total
-	}
 }

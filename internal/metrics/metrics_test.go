@@ -107,7 +107,7 @@ func TestMergeResults(t *testing.T) {
 		Jobs:        []*job.Job{startedJob(3, 0, 0, 10, 1)},
 		Utilization: 0.2,
 	}
-	m := Merge([]Result{a, b}, []int{300, 100})
+	m := Merge([]Result{a, b}, []float64{300, 100})
 	if len(m.Jobs) != 3 {
 		t.Fatalf("merged jobs = %d, want 3", len(m.Jobs))
 	}
@@ -128,7 +128,7 @@ func TestMergeResults(t *testing.T) {
 			t.Fatal("mismatched lengths must panic")
 		}
 	}()
-	Merge([]Result{a}, []int{1, 2})
+	Merge([]Result{a}, []float64{1, 2})
 }
 
 // TestMergeEdgeCases pins the degenerate Merge inputs: empty slices,
@@ -136,7 +136,7 @@ func TestMergeResults(t *testing.T) {
 // of the length-mismatch panic.
 func TestMergeEdgeCases(t *testing.T) {
 	// Empty (non-nil) input: a zero result, no panic.
-	if got := Merge([]Result{}, []int{}); got.Utilization != 0 || len(got.Jobs) != 0 {
+	if got := Merge([]Result{}, []float64{}); got.Utilization != 0 || len(got.Jobs) != 0 {
 		t.Fatalf("empty-slice merge = %+v", got)
 	}
 
@@ -148,20 +148,20 @@ func TestMergeEdgeCases(t *testing.T) {
 		Moves:             3,
 		MigrationDelaySum: 17,
 	}
-	m := Merge([]Result{solo}, []int{128})
+	m := Merge([]Result{solo}, []float64{128})
 	if len(m.Jobs) != 1 || m.Utilization != 0.4 ||
 		len(m.MigratedJobs) != 1 || m.Moves != 3 || m.MigrationDelaySum != 17 {
 		t.Fatalf("single merge is not the identity: %+v", m)
 	}
 
 	// Zero total processors: utilization must stay 0, not divide by zero.
-	z := Merge([]Result{{Utilization: 0.9}}, []int{0})
+	z := Merge([]Result{{Utilization: 0.9}}, []float64{0})
 	if z.Utilization != 0 {
 		t.Fatalf("zero-proc merge utilization = %g, want 0", z.Utilization)
 	}
 
 	// Mismatched proc counts panic in both directions.
-	for _, procs := range [][]int{{1, 2}, nil} {
+	for _, procs := range [][]float64{{1, 2}, nil} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -188,7 +188,7 @@ func TestMergeMigrationRoundTrip(t *testing.T) {
 		MigrationDelaySum: 120,
 	}
 	b := Result{Jobs: []*job.Job{nat2}, Utilization: 0.5}
-	m := Merge([]Result{a, b}, []int{100, 100})
+	m := Merge([]Result{a, b}, []float64{100, 100})
 	if m.Moves != 2 || len(m.MigratedJobs) != 1 || m.MigrationDelaySum != 120 {
 		t.Fatalf("migration fields lost in merge: %+v", m)
 	}

@@ -23,7 +23,6 @@ type PPOConfig struct {
 	TargetKL     float64 // early stop when KL > 1.5×TargetKL, default 0.01
 	Gamma        float64 // discount, default 1 (single terminal reward)
 	Lambda       float64 // GAE lambda, default 0.97
-	EntCoef      float64 // entropy bonus coefficient, default 0
 	MaxGradNorm  float64 // global grad-norm clip, default 5
 }
 
@@ -70,7 +69,6 @@ type PPO struct {
 	piOpt  *optim.Adam
 	vOpt   *optim.Adam
 	obsDim int
-	maxObs int
 }
 
 // NewPPO wires the agent together.
@@ -84,7 +82,6 @@ func NewPPO(policy nn.PolicyNet, value *nn.ValueNet, cfg PPOConfig) *PPO {
 		piOpt:  optim.NewAdam(policy.Params(), cfg.PiLR),
 		vOpt:   optim.NewAdam(value.Params(), cfg.VLR),
 		obsDim: maxObs * feat,
-		maxObs: maxObs,
 	}
 }
 
@@ -152,20 +149,13 @@ func (p *PPO) Update(batch Batch) UpdateStats {
 		loss := ag.Scale(objective, -1)
 
 		// Entropy of the masked distribution, averaged per row:
-		// H = −Σ p·log p. With no entropy bonus in the loss it is pure
+		// H = −Σ p·log p. The loss carries no entropy bonus, so it is pure
 		// reporting, computed without touching the graph.
-		var entropy float64
-		if p.cfg.EntCoef != 0 {
-			ent := ag.Scale(ag.Mean(ag.Mul(ag.Exp(logProbs), logProbs)), -float64(p.maxObs))
-			loss = ag.Sub(loss, ag.Scale(ent, p.cfg.EntCoef))
-			entropy = ent.Item()
-		} else {
-			var s float64
-			for _, lp := range logProbs.Data {
-				s += ag.ExpOrZero(lp) * lp
-			}
-			entropy = -s / float64(n)
+		var s float64
+		for _, lp := range logProbs.Data {
+			s += ag.ExpOrZero(lp) * lp
 		}
+		entropy := -s / float64(n)
 
 		kl := mean(sub(batch.Logps, logp.Data))
 		stats.KL = kl

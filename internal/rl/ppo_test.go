@@ -58,7 +58,8 @@ func TestConfigDefaults(t *testing.T) {
 // Collector takes it (§IV-B1: "during training, it is sampled ... to keep
 // exploring").
 func selectAction(p *PPO, rng *rand.Rand, obs []float64, mask []bool) (act int, logp, val float64) {
-	logits := make([]float64, p.maxObs)
+	maxObs, _ := p.Policy.Dims()
+	logits := make([]float64, maxObs)
 	p.Policy.InferLogits(obs, 1, logits)
 	act, logp = sampleMasked(rng, logits, mask)
 	var v [1]float64

@@ -31,9 +31,6 @@ type CollectorConfig struct {
 	Sim sim.Config
 	// Goal is the metric the environments reward and report.
 	Goal metrics.Kind
-	// Reward optionally overrides the terminal reward (weighted
-	// multi-goal training).
-	Reward metrics.RewardFunc
 	// Workers is the number of collection goroutines (<= 1 means serial).
 	Workers int
 }
@@ -84,11 +81,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 // env returns the i-th worker's private environment (lazily grown).
 func (c *Collector) env(i int) *sim.Env {
 	for len(c.envs) <= i {
-		e := sim.NewEnv(c.cfg.Sim, c.cfg.Goal)
-		if c.cfg.Reward != nil {
-			e.SetReward(c.cfg.Reward)
-		}
-		c.envs = append(c.envs, e)
+		c.envs = append(c.envs, sim.NewEnv(c.cfg.Sim, c.cfg.Goal))
 		c.logits = append(c.logits, make([]float64, c.cfg.MaxObs))
 	}
 	return c.envs[i]

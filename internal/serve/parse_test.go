@@ -139,11 +139,7 @@ func TestParseFastAcceptsEdgeShapes(t *testing.T) {
 // whichever check stops a body (the scanner, validation, size caps), the
 // endpoint must answer 4xx — never 200, never a hang or panic.
 func TestDecideNegativePaths(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		PolicyName:          "SJF",
-		MaxBodyBytes:        4 << 10,
-		MaxStatesPerRequest: 8,
-	})
+	_, ts := newTestServer(t, Config{PolicyName: "SJF"})
 	cases := []struct {
 		name string
 		body []byte
@@ -156,8 +152,8 @@ func TestDecideNegativePaths(t *testing.T) {
 		{"empty batch", []byte(`{"states":[]}`), 400},
 		{"empty state in batch", []byte(`{"states":[{"jobs":[[0,60,2]],"total_procs":8,"free_procs":4},{"jobs":[]}]}`), 400},
 		{"six-field job row", []byte(`{"now":0,"free_procs":4,"total_procs":8,"jobs":[[0,60,2,1,7,9]]}`), 400},
-		{"oversized queue (states cap)", oversizedStates(t, 9), 400},
-		{"oversized body (byte cap)", bytes.Repeat([]byte("x"), 5<<10), 413},
+		{"oversized queue (states cap)", oversizedStates(t, maxStatesPerRequest+1), 400},
+		{"oversized body (byte cap)", bytes.Repeat([]byte("x"), maxBodyBytes+1), 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -445,15 +445,13 @@ func TestQueueLenCutoff(t *testing.T) {
 // TestMaxStatesPerRequest proves the batch-size guard rejects oversized
 // requests instead of forcing an unbounded forward pass.
 func TestMaxStatesPerRequest(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		PolicyName: "SJF", MaxStatesPerRequest: 4,
-	})
-	states := testStates(t, 5, 2)
+	_, ts := newTestServer(t, Config{PolicyName: "SJF"})
+	states := testStates(t, maxStatesPerRequest+1, 2)
 	code, out := postJSON(t, ts.URL+"/v1/decide", EncodeStates(states))
-	if code != http.StatusBadRequest || !bytes.Contains(out, []byte("limit 4")) {
+	if code != http.StatusBadRequest || !bytes.Contains(out, []byte("limit 1024")) {
 		t.Fatalf("oversized batch got %d %s, want 400 naming the limit", code, out)
 	}
-	if code, _ := postJSON(t, ts.URL+"/v1/decide", EncodeStates(states[:4])); code != http.StatusOK {
+	if code, _ := postJSON(t, ts.URL+"/v1/decide", EncodeStates(states[:maxStatesPerRequest])); code != http.StatusOK {
 		t.Fatalf("at-limit batch got %d, want 200", code)
 	}
 }

@@ -29,12 +29,6 @@ type Config struct {
 	PolicyName string
 	// Workers caps the engine calls in flight per engine (0 = GOMAXPROCS).
 	Workers int
-	// MaxBodyBytes caps decision request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxStatesPerRequest caps the queue states one request may carry
-	// (default 1024) — without it a single tiny-job batch request could
-	// force an unboundedly large forward pass.
-	MaxStatesPerRequest int
 	// Shards, when set, runs the daemon in fleet mode: one engine per
 	// cluster (served via /v1/decide?cluster=NAME, hot-swapped via
 	// /reload with a "cluster" field) plus the POST /place placement
@@ -95,6 +89,15 @@ type Config struct {
 	DecisionLog int
 }
 
+// maxBodyBytes caps the request bodies of /v1/decide, /place and /migrate
+// (413 above it).
+const maxBodyBytes = 8 << 20
+
+// maxStatesPerRequest caps the queue states one /v1/decide request may
+// carry — without it a single tiny-job batch request could force an
+// unboundedly large forward pass.
+const maxStatesPerRequest = 1024
+
 // Server is the decision service: an http.Handler that runs a swappable
 // Engine under a Batcher's limit. NewServer, mount Handler, Close when done.
 type Server struct {
@@ -102,8 +105,6 @@ type Server struct {
 	metrics   *Metrics
 	mux       *http.ServeMux
 	modelPath string
-	maxBody   int64
-	maxStates int
 	reloadMu  sync.Mutex // serializes /reload (swap itself is atomic)
 
 	// Fleet mode (nil/empty otherwise): per-cluster shards, the
@@ -138,15 +139,7 @@ func NewServer(cfg Config) (*Server, error) {
 		metrics:   NewMetrics(),
 		mux:       http.NewServeMux(),
 		modelPath: cfg.ModelPath,
-		maxBody:   cfg.MaxBodyBytes,
-		maxStates: cfg.MaxStatesPerRequest,
 		start:     time.Now(),
-	}
-	if s.maxBody <= 0 {
-		s.maxBody = 8 << 20
-	}
-	if s.maxStates <= 0 {
-		s.maxStates = 1024
 	}
 	if err := s.initFleet(cfg); err != nil {
 		s.Close()
@@ -286,9 +279,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(rb.states) > s.maxStates {
+	if len(rb.states) > maxStatesPerRequest {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("serve: request carries %d states, limit %d", len(rb.states), s.maxStates))
+			fmt.Errorf("serve: request carries %d states, limit %d", len(rb.states), maxStatesPerRequest))
 		return
 	}
 	states := rb.stPtr
@@ -578,12 +571,12 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, parse func(
 	rb := reqBufPool.Get().(*reqBuf)
 	rb.reset()
 	var err error
-	rb.body, err = readAllInto(rb.body[:0], io.LimitReader(r.Body, s.maxBody+1))
+	rb.body, err = readAllInto(rb.body[:0], io.LimitReader(r.Body, maxBodyBytes+1))
 	switch {
 	case err != nil:
 		s.fail(w, http.StatusBadRequest, err)
-	case int64(len(rb.body)) > s.maxBody:
-		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", s.maxBody))
+	case len(rb.body) > maxBodyBytes:
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("serve: body over %d bytes", maxBodyBytes))
 	default:
 		if err = parse(rb, rb.body); err == nil {
 			return rb

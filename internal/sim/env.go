@@ -34,9 +34,8 @@ type Obs []float64
 // every intermediate action, the full (negated for minimization) sequence
 // metric on the final action.
 type Env struct {
-	sim    *Simulator
-	goal   metrics.Kind
-	reward metrics.RewardFunc
+	sim  *Simulator
+	goal metrics.Kind
 }
 
 // NewEnv returns an environment for the cluster config and optimization
@@ -44,11 +43,6 @@ type Env struct {
 func NewEnv(cfg Config, goal metrics.Kind) *Env {
 	return &Env{sim: New(cfg), goal: goal}
 }
-
-// SetReward overrides the terminal reward with a custom function — the
-// hook for combined goals (metrics.WeightedReward) and quota-style shaping
-// (§V-F). A nil fn restores the plain goal reward.
-func (e *Env) SetReward(fn metrics.RewardFunc) { e.reward = fn }
 
 // MaxObserve returns the action-space size.
 func (e *Env) MaxObserve() int { return e.sim.cfg.maxObserve() }
@@ -114,11 +108,7 @@ func (e *Env) StepOnly(action int) (float64, bool) {
 	if e.toDecision() {
 		return 0, false
 	}
-	res := e.sim.result()
-	if e.reward != nil {
-		return e.reward(res), true
-	}
-	return metrics.Reward(e.goal, res), true
+	return metrics.Reward(e.goal, e.sim.result()), true
 }
 
 // Mask returns validity flags for each action slot: true where a real

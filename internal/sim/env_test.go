@@ -49,6 +49,9 @@ func TestEnvEpisode(t *testing.T) {
 			t.Fatal("all jobs must have run")
 		}
 	}
+	if want := metrics.Reward(metrics.BoundedSlowdown, res); reward != want {
+		t.Errorf("final reward = %g, want the goal reward %g", reward, want)
+	}
 }
 
 func TestEnvUtilizationRewardPositive(t *testing.T) {
@@ -179,28 +182,6 @@ func TestEnvResetReusable(t *testing.T) {
 	}
 	if len(rewards) != 3 {
 		t.Fatal("env must be reusable across episodes")
-	}
-}
-
-func TestEnvSetReward(t *testing.T) {
-	jobs := []*job.Job{job.New(1, 0, 10, 1, 10)}
-	env := NewEnv(Config{Processors: 2, MaxObserve: 4}, metrics.BoundedSlowdown)
-	env.SetReward(func(r metrics.Result) float64 { return 42 })
-	if _, err := env.Reset(jobs); err != nil {
-		t.Fatal(err)
-	}
-	_, rew, done := env.Step(0)
-	if !done || rew != 42 {
-		t.Errorf("custom reward = %g done=%v, want 42 true", rew, done)
-	}
-	// Restoring the nil reward goes back to the goal metric.
-	env.SetReward(nil)
-	if _, err := env.Reset([]*job.Job{job.New(1, 0, 10, 1, 10)}); err != nil {
-		t.Fatal(err)
-	}
-	_, rew, _ = env.Step(0)
-	if rew != -1 { // idle machine: bsld clamps at 1, reward −1
-		t.Errorf("default reward = %g, want -1", rew)
 	}
 }
 
