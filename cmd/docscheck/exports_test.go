@@ -368,32 +368,13 @@ func receiverName(t types.Type) string {
 // x.F[k] all write F — or the operand of &x.F, as in a flag.…Var
 // binding. A config's own defaulting method counts as a writer.
 
-// configFieldsAllowlist names test-only config fields the check accepts,
-// as "<package dir>.<Type>.<Field>", each with a comment giving its
-// reason. An entry the check no longer reports fails the test.
-var configFieldsAllowlist = map[string]bool{
-	// §V-F's per-user quota. Seven simulator tests and one training test
-	// exercise it, and no experiment reproduces §V-F yet; ROADMAP names
-	// the choice between such an experiment and removing the quota.
-	"internal/core.Config.UserQuota": true,
-}
-
 func TestNoTestOnlyConfigFields(t *testing.T) {
 	s, err := repoScan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reported := map[string]bool{}
 	for _, f := range s.unwrittenConfigFields() {
-		reported[f.name] = true
-		if !configFieldsAllowlist[f.name] {
-			t.Errorf("%s: config field %s is set only by tests: delete it and its plumbing, or make it a constant", f.pos, f.name)
-		}
-	}
-	for name := range configFieldsAllowlist {
-		if !reported[name] {
-			t.Errorf("configFieldsAllowlist entry %s is not test-only any more: drop it", name)
-		}
+		t.Errorf("%s: config field %s is set only by tests: delete it and its plumbing, or make it a constant", f.pos, f.name)
 	}
 }
 

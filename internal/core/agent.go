@@ -39,10 +39,6 @@ type Config struct {
 	MaxObserve int
 	// Backfill enables EASY backfilling in the environment.
 	Backfill bool
-	// UserQuota caps the processors a single user may hold concurrently
-	// (0 = unlimited); quota-violating actions are masked illegal
-	// (§V-F).
-	UserQuota int
 	// SeqLen is the trajectory length in jobs (default 256).
 	SeqLen int
 	// TrajPerEpoch is the number of trajectories per epoch (default 100).
@@ -144,7 +140,6 @@ func New(cfg Config) (*Agent, error) {
 		Processors: cfg.Trace.Processors,
 		Backfill:   cfg.Backfill,
 		MaxObserve: cfg.MaxObserve,
-		UserQuota:  cfg.UserQuota,
 	}
 	a := &Agent{
 		cfg:    cfg,

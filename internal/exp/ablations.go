@@ -136,23 +136,8 @@ func AblationDQN(o Options) ([]Artifact, error) {
 	for epoch := 0; epoch < o.Epochs; epoch++ {
 		metricSum := 0.0
 		for traj := 0; traj < o.TrajPerEpoch; traj++ {
-			win := tr.SampleWindow(rng, o.SeqLen)
-			obs, err := env.Reset(win)
-			if err != nil {
+			if _, err := dqn.Episode(rng, env, tr.SampleWindow(rng, o.SeqLen)); err != nil {
 				return nil, err
-			}
-			for {
-				mask := env.Mask()
-				act := dqn.Act(rng, obs, mask)
-				nextObs, rew, done := env.Step(act)
-				dqn.Observe(rng, rl.Transition{
-					Obs: obs, Mask: mask, Act: act, Rew: rew,
-					NextObs: nextObs, NextMask: env.Mask(), Done: done,
-				})
-				obs = nextObs
-				if done {
-					break
-				}
 			}
 			metricSum += metrics.Value(goal, env.Result())
 		}

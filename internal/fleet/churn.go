@@ -415,8 +415,7 @@ func (AvoidDraining) Score(j *job.Job, cands []*Candidate, out []float64) {
 // safeOnDrainer reports whether the job would start immediately on the
 // draining candidate and finish before its announced retirement.
 func safeOnDrainer(j *job.Job, c *Candidate) bool {
-	return c.View.FreeProcs >= j.RequestedProcs && c.Pending == 0 &&
-		c.DrainTime > 0 && c.Now+j.RequestedTime <= c.DrainTime
+	return StartsNow(c, j) && c.DrainTime > 0 && c.Now+j.RequestedTime <= c.DrainTime
 }
 
 // ChurnAwarePipeline spreads by committed work like LeastLoadedPipeline

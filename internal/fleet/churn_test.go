@@ -591,7 +591,8 @@ func TestFairnessScorerRetireCluster(t *testing.T) {
 // TestSamplerChurnSeries is the regression for stale sampler state: a
 // retired member's per-cluster series must stop at the retirement instant
 // (not decay toward zero over the rest of the run), a joined member's
-// series must exist from the join on, and sampling must stay invisible to
+// series must exist from the join on and end at the utilization Run
+// measures over its lifetime, and sampling must stay invisible to
 // scheduling under churn.
 func TestSamplerChurnSeries(t *testing.T) {
 	stream := lublinStream(t, 300, 43)
@@ -637,6 +638,8 @@ func TestSamplerChurnSeries(t *testing.T) {
 		t.Fatal("joined member has no series")
 	} else if first := sr.Points[0].T; first < joinAt {
 		t.Fatalf("joined member sampled at %g before its join at %g", first, joinAt)
+	} else if got, want := sr.Last().V, sampledRes.Clusters[len(sampledRes.Clusters)-1]; want.Name != "late" || got != want.Result.Utilization {
+		t.Fatalf("joined member's last util sample = %g, Run measures %g for %s over its lifetime", got, want.Result.Utilization, want.Name)
 	}
 	if got := set.Series("fleet.completed").Last().V; got != float64(len(stream)) {
 		t.Fatalf("final completed = %g, want %d", got, len(stream))

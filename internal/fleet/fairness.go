@@ -385,7 +385,7 @@ func (f *FairnessScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
 	}
 	for i, c := range cands {
 		// Rescue / yield on immediately available capacity.
-		if c.Pending == 0 && c.View.FreeProcs >= j.RequestedProcs {
+		if StartsNow(c, j) {
 			out[i] += startBoost*dep - yieldPenalty*priv
 		}
 		if dep == 0 {

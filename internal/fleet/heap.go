@@ -17,13 +17,13 @@ package fleet
 //
 // Correctness of skipping members rests on the pump fixpoint being
 // monotone between events: with no submissions and no completions, free
-// processors, quota headroom and the visible queue are all unchanged, and
-// every backfill admission test (EASY's ends-in-time bound, conservative's
-// reservation gap) only gets harder as the clock grows — so a member that
-// was at fixpoint stays at fixpoint and advancing it is observationally
-// a no-op. The tests pin the heap byte-identical to a full-sweep reference
-// router (scale_test.go) that advances every member and rebuilds every
-// candidate before every decision.
+// processors and the visible queue are unchanged, and every backfill
+// admission test (EASY's ends-in-time bound, conservative's reservation
+// gap) only gets harder as the clock grows — so a member that was at
+// fixpoint stays at fixpoint and advancing it is observationally a no-op.
+// The tests pin the heap byte-identical to a full-sweep reference router
+// (scale_test.go) that advances every member and rebuilds every candidate
+// before every decision.
 
 import (
 	"sort"

@@ -197,6 +197,12 @@ func (f *Fleet) sweep(mig *migrator, now float64) error {
 	return nil
 }
 
+// StartsNow reports whether c can start j now — cluster.CanAllocate behind
+// an empty queue: the start-now gate of the sweep, /migrate and scorers.
+func StartsNow(c *Candidate, j *job.Job) bool {
+	return c.Pending == 0 && j.RequestedProcs > 0 && j.RequestedProcs <= c.View.FreeProcs
+}
+
 // MoveVerdict is the move-or-stay decision for one re-scored pending job —
 // the only place the hysteresis margin and the start-now gate are compared,
 // shared by the sweep controller (tryMove) and the serving daemon's
@@ -246,8 +252,7 @@ func (f *Fleet) tryMove(mig *migrator, src int, j *job.Job, now float64) error {
 	best := mig.router.PlaceScored(j, cands, scores)
 
 	dst, reason, margin := MoveVerdict(scores, src, best, mig.cfg.Hysteresis, func() bool {
-		return !mig.cfg.RequireStartNow ||
-			(cands[best].Pending == 0 && f.members[best].sim.CanStartNow(j))
+		return !mig.cfg.RequireStartNow || StartsNow(cands[best], j)
 	})
 	if mig.rec != nil {
 		p := &mig.probe

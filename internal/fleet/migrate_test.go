@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"rlsched/internal/cluster"
 	"rlsched/internal/job"
 	"rlsched/internal/metrics"
+	"rlsched/internal/obs"
 	"rlsched/internal/sched"
 	"rlsched/internal/sim"
 )
@@ -287,5 +291,94 @@ func TestMigrationBudgetAndCooldown(t *testing.T) {
 	}
 	if math.IsNaN(metrics.Value(metrics.BoundedSlowdown, res.Fleet)) {
 		t.Fatal("bsld must stay finite")
+	}
+}
+
+// flipScorer sends job k (k < 3) to member k-1 and job 3 to member 0
+// before t=50, to member 1 in [50, 150) and back to member 0 from t=150 on.
+type flipScorer struct{}
+
+func (flipScorer) Name() string { return "flip" }
+func (flipScorer) Score(j *job.Job, cands []*Candidate, out []float64) {
+	want := j.ID - 1
+	if j.ID == 3 {
+		want = 0
+		if now := cands[0].Now; now >= 50 && now < 150 {
+			want = 1
+		}
+	}
+	for i, c := range cands {
+		out[i] = 0
+		if c.Index == want {
+			out[i] = 1
+		}
+	}
+}
+
+// TestMigrationCooldownDefersReMove: job 3 waits behind full-width work on
+// both members while the scorer's preference flips under it. The sweep at
+// 100 moves it A → B; at 200 the scorer wants it back, but it moved 100 s
+// ago and the cooldown is 150 s, so the probe is skipped for the cooldown;
+// at 300 the cooldown has run out and it moves back to A.
+func TestMigrationCooldownDefersReMove(t *testing.T) {
+	f, err := New(strandedMembers(), NewPipeline("flip", []Filter{CapacityFilter{}}, []WeightedScorer{{flipScorer{}, 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MigrationConfig{Interval: 100, Hysteresis: 0.25, Cooldown: 150, MigrateCommitted: true}
+	if err := f.EnableMigration(cfg); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewCollector()
+	f.SetRecorder(rec)
+	stream := []*job.Job{
+		job.New(1, 0, 10000, 64, 10000), // fills A
+		job.New(2, 0, 10000, 64, 10000), // fills B
+		job.New(3, 1, 60, 32, 60),       // waits on A
+	}
+	if _, err := f.Run(stream); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range rec.Migrations() {
+		if p.Job.ID == 3 && p.Time <= 300 {
+			got = append(got, fmt.Sprintf("%g %s %s moved=%v", p.Time, p.FromName, p.Reason, p.Moved))
+		}
+	}
+	want := []string{
+		"100 A " + obs.ReasonMoved + " moved=true",
+		"200 B " + obs.ReasonCooldown + " moved=false",
+		"300 B " + obs.ReasonMoved + " moved=true",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("job 3's probes:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if stream[2].StartTime != 10000 {
+		t.Fatalf("job 3 started at %g, want 10000 when A frees", stream[2].StartTime)
+	}
+}
+
+// TestStartsNowMatchesCanAllocate: behind an empty queue the start-now gate
+// answers what the member's cluster.CanAllocate answers, for every job
+// width (zero included) and free count; behind a queued job it says no.
+func TestStartsNowMatchesCanAllocate(t *testing.T) {
+	const total = 8
+	for free := 0; free <= total; free++ {
+		cl := cluster.New(total)
+		if free < total {
+			if err := cl.Allocate(99, total-free); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for procs := 0; procs <= total+1; procs++ {
+			j := &job.Job{RequestedProcs: procs}
+			c := &Candidate{View: sim.ClusterView{FreeProcs: cl.Free(), TotalProcs: total}}
+			if got, want := StartsNow(c, j), cl.CanAllocate(procs); got != want {
+				t.Errorf("free %d, procs %d: StartsNow = %v, CanAllocate = %v", free, procs, got, want)
+			}
+			if c.Pending = 1; StartsNow(c, j) {
+				t.Errorf("free %d, procs %d: StartsNow behind a queued job", free, procs)
+			}
+		}
 	}
 }

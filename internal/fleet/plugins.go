@@ -527,7 +527,7 @@ func (Binpack) Name() string { return "binpack" }
 // Score implements Scorer.
 func (Binpack) Score(j *job.Job, cands []*Candidate, out []float64) {
 	for i, c := range cands {
-		if c.View.FreeProcs >= j.RequestedProcs && c.Pending == 0 {
+		if StartsNow(c, j) {
 			// Fits now: tighter leftover → higher score, always above
 			// any queued cluster.
 			out[i] = 1 + 1/float64(1+c.View.FreeProcs-j.RequestedProcs)
@@ -552,7 +552,7 @@ func (QueueWait) Name() string { return "queue-wait" }
 // Score implements Scorer.
 func (QueueWait) Score(j *job.Job, cands []*Candidate, out []float64) {
 	for i, c := range cands {
-		if c.View.FreeProcs >= j.RequestedProcs && c.Pending == 0 {
+		if StartsNow(c, j) {
 			out[i] = 0
 			continue
 		}

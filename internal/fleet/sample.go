@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rlsched/internal/metrics"
@@ -222,7 +223,8 @@ func (s *sampler) sample(f *Fleet, ts float64, mig *migrator) {
 			continue
 		}
 		sr := &s.perMember[i]
-		sr.util.Add(ts, m.sim.UtilizationOver(s.start, ts))
+		// Over the member's lifetime so far, as Run's merge measures it.
+		sr.util.Add(ts, m.sim.UtilizationOver(math.Max(s.start, m.joinAt), ts))
 		sr.depth.Add(ts, float64(depth))
 		sr.pend.Add(ts, pend)
 		sr.run.Add(ts, run)

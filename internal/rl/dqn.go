@@ -4,8 +4,10 @@ import (
 	"math/rand"
 
 	ag "rlsched/internal/autograd"
+	"rlsched/internal/job"
 	"rlsched/internal/nn"
 	"rlsched/internal/optim"
+	"rlsched/internal/sim"
 )
 
 // DQN is the value-based baseline the paper considers and rejects
@@ -192,6 +194,37 @@ func (d *DQN) Observe(rng *rand.Rand, t Transition) float64 {
 		}
 	}
 	return loss
+}
+
+// Episode runs env on seq under the learner, observing each transition as
+// it happens, and returns the summed TD loss. Observations and masks go
+// into fresh slices at every decision, the terminal one too: the replay
+// buffer keeps them.
+func (d *DQN) Episode(rng *rand.Rand, env *sim.Env, seq []*job.Job) (float64, error) {
+	if err := env.ResetOnly(seq); err != nil {
+		return 0, err
+	}
+	state := func() (sim.Obs, []bool) {
+		obs, mask := make(sim.Obs, env.MaxObserve()*sim.JobFeatures), make([]bool, env.MaxObserve())
+		env.ObserveInto(obs)
+		env.MaskInto(mask)
+		return obs, mask
+	}
+	obs, mask := state()
+	loss := 0.0
+	for {
+		act := d.Act(rng, obs, mask)
+		rew, done := env.StepOnly(act)
+		nextObs, nextMask := state()
+		loss += d.Observe(rng, Transition{
+			Obs: obs, Mask: mask, Act: act, Rew: rew,
+			NextObs: nextObs, NextMask: nextMask, Done: done,
+		})
+		if done {
+			return loss, nil
+		}
+		obs, mask = nextObs, nextMask
+	}
 }
 
 // trainStep samples a batch and minimizes the TD error

@@ -147,25 +147,12 @@ func TestDQNOnSchedulingEnv(t *testing.T) {
 	d := newTestDQN(t, DQNConfig{WarmupBuffer: 16, TrainEvery: 2, BatchSize: 16})
 	rng := rand.New(rand.NewSource(12))
 	for ep := 0; ep < 3; ep++ {
-		obs, err := env.Reset(tr.SampleWindow(rng, 32))
+		loss, err := d.Episode(rng, env, tr.SampleWindow(rng, 32))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			mask := env.Mask()
-			act := d.Act(rng, obs, mask)
-			next, rew, done := env.Step(act)
-			loss := d.Observe(rng, Transition{
-				Obs: obs, Mask: mask, Act: act, Rew: rew,
-				NextObs: next, NextMask: env.Mask(), Done: done,
-			})
-			if math.IsNaN(loss) {
-				t.Fatal("NaN TD loss on the scheduling env")
-			}
-			obs = next
-			if done {
-				break
-			}
+		if math.IsNaN(loss) {
+			t.Fatal("NaN TD loss on the scheduling env")
 		}
 		for _, j := range env.Result().Jobs {
 			if !j.Started() {

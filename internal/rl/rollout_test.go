@@ -103,23 +103,24 @@ func TestCollectMatchesSelectAction(t *testing.T) {
 	rolls := c.Collect(wins, seeds)
 
 	env := sim.NewEnv(simCfg, metrics.BoundedSlowdown)
+	obs, mask := make(sim.Obs, cMaxObs*sim.JobFeatures), make([]bool, cMaxObs)
 	for i, r := range rolls {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		stepRng := rand.New(rand.NewSource(seeds[i]))
-		obs, err := env.Reset(wins[i])
-		if err != nil {
+		if err := env.ResetOnly(wins[i]); err != nil {
 			t.Fatal(err)
 		}
 		for s := 0; s < r.Steps(); s++ {
-			mask := env.Mask()
+			env.ObserveInto(obs)
+			env.MaskInto(mask)
 			act, logp, v := selectAction(ppo, stepRng, obs, mask)
 			if act != r.Acts[s] || logp != r.Logps[s] || v != r.Vals[s] {
 				t.Fatalf("traj %d step %d: collector (%d,%g,%g) != selectAction (%d,%g,%g)",
 					i, s, r.Acts[s], r.Logps[s], r.Vals[s], act, logp, v)
 			}
-			obs, _, _ = env.Step(act)
+			env.StepOnly(act)
 		}
 	}
 }

@@ -14,14 +14,12 @@ var errShutDown = fmt.Errorf("serve: batcher is shut down")
 // Batcher is a hot-swappable engine behind one concurrency limit. Decide
 // runs the engine on the calling goroutine, one call per request: a batched
 // forward pass costs no less per state than a solo one (DESIGN.md §14), so
-// there is nothing to coalesce. What is left is the limit — at most Workers
-// calls in flight, which bounds the per-call scratch — and the count of
-// callers waiting their turn.
+// there is nothing to coalesce. What is left is the limit: at most Workers
+// calls in flight, which bounds the per-call scratch.
 type Batcher struct {
 	engine  atomic.Pointer[Engine]
 	slots   chan struct{} // counting semaphore: a token per engine call in flight
 	quit    chan struct{} // closed by Close
-	waiting atomic.Int64
 	closing sync.Once
 	metrics *Metrics
 }
@@ -73,7 +71,6 @@ func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision,
 	}
 	var err error
 	start := time.Now()
-	b.waiting.Add(1)
 	select {
 	case b.slots <- struct{}{}:
 	case <-b.quit:
@@ -81,7 +78,6 @@ func (b *Batcher) Decide(ctx context.Context, states []*QueueState) ([]Decision,
 	case <-ctx.Done():
 		err = fmt.Errorf("serve: waiting for an engine slot: %w", ctx.Err())
 	}
-	b.waiting.Add(-1)
 	if err != nil {
 		return nil, "", err
 	}

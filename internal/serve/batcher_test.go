@@ -119,12 +119,33 @@ func await(t *testing.T, ch <-chan answer) answer {
 	}
 }
 
+// parkedInDecide counts the goroutines blocked in Decide's select, waiting
+// for an engine slot, by reading every goroutine's stack.
+func parkedInDecide() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	parked := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		header, _, _ := bytes.Cut(g, []byte("\n"))
+		if bytes.Contains(header, []byte(" [select")) && bytes.Contains(g, []byte("serve.(*Batcher).Decide(")) {
+			parked++
+		}
+	}
+	return parked
+}
+
 // awaitDepth waits until exactly n callers are waiting for a slot.
-func awaitDepth(t *testing.T, b *Batcher, n int) {
+func awaitDepth(t *testing.T, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(hang); b.QueueDepth() != n; runtime.Gosched() {
+	for deadline := time.Now().Add(hang); parkedInDecide() != n; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			t.Fatalf("QueueDepth() = %d, never reached %d", b.QueueDepth(), n)
+			t.Fatalf("%d callers wait for a slot, never %d", parkedInDecide(), n)
 		}
 	}
 }
@@ -174,7 +195,7 @@ func (e hookEngine) DecideBatch(states []*QueueState, out []Decision) {
 }
 
 // TestBatcherLimitsConcurrentCalls: with Workers k and N > k callers, k
-// engine calls run, N-k callers wait (QueueDepth), and each finished call
+// engine calls run, N-k callers wait (awaitDepth), and each finished call
 // admits exactly one waiter — never more than k at once.
 func TestBatcherLimitsConcurrentCalls(t *testing.T) {
 	const k, n = 3, 8
@@ -191,12 +212,12 @@ func TestBatcherLimitsConcurrentCalls(t *testing.T) {
 		eng.nextCall(t)
 	}
 	for waiting := n - k; waiting > 0; waiting-- {
-		awaitDepth(t, b, waiting)
+		awaitDepth(t, waiting)
 		eng.noCall(t) // all k slots are taken
 		eng.release <- struct{}{}
 		eng.nextCall(t) // the freed slot admits one waiter
 	}
-	awaitDepth(t, b, 0)
+	awaitDepth(t, 0)
 	close(eng.release)
 	for i, ch := range callers {
 		wantAnswer(t, await(t, ch), "A", 100+i)
@@ -221,15 +242,15 @@ func TestBatcherCancelledWaiter(t *testing.T) {
 	eng.nextCall(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := decideAsync(ctx, b, 2)
-	awaitDepth(t, b, 1)
+	awaitDepth(t, 1)
 	cancel()
 	if got := await(t, waiter); !errors.Is(got.err, context.Canceled) {
 		t.Fatalf("cancelled waiter returned err %v, want context.Canceled", got.err)
 	}
-	awaitDepth(t, b, 0)
+	awaitDepth(t, 0)
 
 	next := decideAsync(context.Background(), b, 3)
-	awaitDepth(t, b, 1)
+	awaitDepth(t, 1)
 	eng.noCall(t) // the one slot is still the holder's
 	eng.release <- struct{}{}
 	wantAnswer(t, await(t, holder), "A", 101)
@@ -252,7 +273,7 @@ func TestBatcherSwapMidFlight(t *testing.T) {
 	inFlight := decideAsync(context.Background(), b, 1, 2)
 	oldEng.nextCall(t)
 	waiting := decideAsync(context.Background(), b, 3)
-	awaitDepth(t, b, 1)
+	awaitDepth(t, 1)
 	b.Swap(newEng)
 	if b.Engine() != Engine(newEng) {
 		t.Fatal("Engine() does not report the swapped-in engine")
@@ -275,7 +296,7 @@ func TestBatcherClose(t *testing.T) {
 	inFlight := decideAsync(context.Background(), b, 1)
 	eng.nextCall(t)
 	waiting := decideAsync(context.Background(), b, 2)
-	awaitDepth(t, b, 1)
+	awaitDepth(t, 1)
 
 	closed := make(chan struct{})
 	go func() {

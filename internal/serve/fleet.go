@@ -448,11 +448,8 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	defer reqBufPool.Put(rb)
 	j, cands, scores := &rb.job, rb.cands, rb.scores
 	best := s.placer.PlaceScored(j, cands, scores)
-	// The wire carries no per-user quota, so "can start now" is free
-	// capacity behind an empty queue — sim.CanStartNow without a quota.
-	dst, reason, margin := fleet.MoveVerdict(scores, from, best, s.migrateMargin, func() bool {
-		return cands[best].Pending == 0 && cands[best].View.FreeProcs >= j.RequestedProcs
-	})
+	// The start-now gate is the sweep's own, asked of the posted state.
+	dst, reason, margin := fleet.MoveVerdict(scores, from, best, s.migrateMargin, func() bool { return fleet.StartsNow(cands[best], j) })
 	move := dst != from
 
 	resp := append(rb.resp[:0], `{"migrate":`...)

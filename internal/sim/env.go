@@ -28,11 +28,14 @@ const maxReqTimeCap = 7 * 24 * 3600
 // Obs is a flattened MaxObserve×JobFeatures observation matrix.
 type Obs []float64
 
-// Env is the Gym-style interface SchedGym exposes to RL agents: Reset loads
-// a job sequence and returns the first observation; Step applies a job
-// selection and returns the next observation. Rewards follow §IV-A: zero on
-// every intermediate action, the full (negated for minimization) sequence
-// metric on the final action.
+// Env is the Gym-style interface SchedGym exposes to RL agents: ResetOnly
+// loads a job sequence and runs to the first decision; StepOnly applies a
+// job selection, runs to the next decision, and returns the reward.
+// ObserveInto and MaskInto read the state at a decision into caller-owned
+// buffers, so a caller that keeps observations (a replay buffer) passes a
+// fresh slice and one that does not reuses its own. Rewards follow §IV-A:
+// zero on every intermediate action, the full (negated for minimization)
+// sequence metric on the final action.
 type Env struct {
 	sim  *Simulator
 	goal metrics.Kind
@@ -47,19 +50,9 @@ func NewEnv(cfg Config, goal metrics.Kind) *Env {
 // MaxObserve returns the action-space size.
 func (e *Env) MaxObserve() int { return e.sim.cfg.maxObserve() }
 
-// Reset loads a sequence (pass freshly cloned jobs, e.g. trace.Window) and
-// returns the initial observation. It returns an error for invalid
+// ResetOnly loads a sequence (pass freshly cloned jobs, e.g. trace.Window)
+// and advances to the first decision. It returns an error for invalid
 // sequences.
-func (e *Env) Reset(seq []*job.Job) (Obs, error) {
-	if err := e.ResetOnly(seq); err != nil {
-		return nil, err
-	}
-	return e.observe(), nil
-}
-
-// ResetOnly is Reset without materializing the initial observation — the
-// rollout collector builds observations into its own buffers via
-// ObserveInto instead.
 func (e *Env) ResetOnly(seq []*job.Job) error {
 	if err := e.sim.Load(seq); err != nil {
 		return err
@@ -83,18 +76,10 @@ func (e *Env) toDecision() bool {
 	}
 }
 
-// Step schedules the visible job at slot action (invalid or padded slots
-// fall back to slot 0), advances to the next decision point, and returns
-// the next observation, the reward, and whether the sequence is finished.
-func (e *Env) Step(action int) (Obs, float64, bool) {
-	rew, done := e.StepOnly(action)
-	return e.observe(), rew, done
-}
-
-// StepOnly is Step without materializing the next observation. Rollout
-// collection calls it in a tight loop, reading state through ObserveInto
-// only when a decision is actually needed (in particular the terminal
-// observation, which no learner consumes, is never built).
+// StepOnly schedules the visible job at slot action (invalid or padded
+// slots fall back to slot 0), advances to the next decision point, and
+// returns the reward and whether the sequence is finished. It builds no
+// observation: callers read one through ObserveInto when they need it.
 func (e *Env) StepOnly(action int) (float64, bool) {
 	visible := e.sim.Visible()
 	if len(visible) == 0 {
@@ -111,43 +96,21 @@ func (e *Env) StepOnly(action int) (float64, bool) {
 	return metrics.Reward(e.goal, e.sim.result()), true
 }
 
-// Mask returns validity flags for each action slot: true where a real
-// pending job occupies the slot and starting it would not violate the
-// per-user quota (§V-F). If quotas would mask every slot, all real slots
-// are re-enabled — the simulator then simply waits for quota to free up,
-// so the agent never faces an all-invalid action space.
-func (e *Env) Mask() []bool {
-	m := make([]bool, e.MaxObserve())
-	e.MaskInto(m)
-	return m
-}
-
-// MaskInto is Mask writing into a caller-owned buffer of MaxObserve flags.
+// MaskInto writes the action-slot validity flags into a caller-owned
+// buffer of MaxObserve flags: a slot is valid exactly when a visible
+// pending job occupies it.
 func (e *Env) MaskInto(m []bool) {
 	if len(m) != e.MaxObserve() {
 		panic("sim: MaskInto buffer has wrong size")
 	}
+	n := len(e.sim.Visible())
 	for i := range m {
-		m[i] = false
-	}
-	visible := e.sim.Visible()
-	any := false
-	for i, j := range visible {
-		if e.sim.QuotaOK(j) {
-			m[i] = true
-			any = true
-		}
-	}
-	if !any {
-		for i := range visible {
-			m[i] = true
-		}
+		m[i] = i < n
 	}
 }
 
 // ObserveInto builds the current observation into a caller-owned buffer of
-// MaxObserve·JobFeatures values, the zero-allocation twin of the
-// observation Reset/Step return.
+// MaxObserve·JobFeatures values (BuildObsInto over the visible queue).
 func (e *Env) ObserveInto(dst Obs) {
 	BuildObsInto(dst, e.sim.Visible(), e.sim.Now(), e.sim.View(), e.sim.PendingCount(), e.MaxObserve())
 }
@@ -155,25 +118,12 @@ func (e *Env) ObserveInto(dst Obs) {
 // Result returns the finished run's jobs and utilization.
 func (e *Env) Result() metrics.Result { return e.sim.result() }
 
-// observe builds a fresh fixed-size observation matrix. Each call
-// allocates so callers (e.g. trajectory buffers) may retain the slice.
-func (e *Env) observe() Obs {
-	return BuildObs(e.sim.Visible(), e.sim.Now(), e.sim.View(), e.sim.PendingCount(), e.MaxObserve())
-}
-
-// BuildObs embeds up to maxObs visible jobs into the fixed observation
-// matrix described by JobFeatures. It is shared by the training Env and by
-// inference-time schedulers that wrap a trained policy network.
-// pendingCount is the full pending-queue length (may exceed len(visible)).
-func BuildObs(visible []*job.Job, now float64, view ClusterView, pendingCount, maxObs int) Obs {
-	obs := make(Obs, maxObs*JobFeatures)
-	BuildObsInto(obs, visible, now, view, pendingCount, maxObs)
-	return obs
-}
-
-// BuildObsInto is BuildObs writing into a caller-owned buffer of
-// maxObs·JobFeatures values, so hot serving paths can reuse allocations.
-// dst is fully overwritten (padding rows zeroed).
+// BuildObsInto embeds up to maxObs visible jobs into the fixed observation
+// matrix described by JobFeatures, written into a caller-owned buffer of
+// maxObs·JobFeatures values; dst is fully overwritten (padding rows
+// zeroed). It is shared by the training Env and by inference-time
+// schedulers that wrap a trained policy network. pendingCount is the full
+// pending-queue length (may exceed len(visible)).
 func BuildObsInto(dst Obs, visible []*job.Job, now float64, view ClusterView, pendingCount, maxObs int) {
 	if len(dst) != maxObs*JobFeatures {
 		panic("sim: BuildObsInto buffer has wrong size")

@@ -10,31 +10,40 @@ import (
 	"rlsched/internal/trace"
 )
 
+// observe returns a fresh copy of the env's current observation.
+func observe(e *Env) Obs {
+	o := make(Obs, e.MaxObserve()*JobFeatures)
+	e.ObserveInto(o)
+	return o
+}
+
+// finish steps slot 0 until the episode ends and returns the final reward.
+func finish(e *Env) float64 {
+	for {
+		if r, done := e.StepOnly(0); done {
+			return r
+		}
+	}
+}
+
 func TestEnvEpisode(t *testing.T) {
 	tr := trace.Preset("Lublin-1", 100, 2)
 	env := NewEnv(Config{Processors: tr.Processors, MaxObserve: 16}, metrics.BoundedSlowdown)
-	obs, err := env.Reset(tr.Window(0, 100))
-	if err != nil {
+	if err := env.ResetOnly(tr.Window(0, 100)); err != nil {
 		t.Fatal(err)
-	}
-	if len(obs) != 16*JobFeatures {
-		t.Fatalf("obs len = %d, want %d", len(obs), 16*JobFeatures)
 	}
 	steps := 0
 	var reward float64
 	done := false
 	for !done {
 		// Always act on slot 0 (valid by construction).
-		obs, reward, done = env.Step(0)
+		reward, done = env.StepOnly(0)
 		steps++
 		if steps > 200 {
 			t.Fatal("episode did not terminate")
 		}
 		if !done && reward != 0 {
 			t.Fatalf("intermediate reward = %g, want 0 (§IV-A)", reward)
-		}
-		if len(obs) != 16*JobFeatures {
-			t.Fatal("observation size must be constant")
 		}
 	}
 	if reward >= 0 {
@@ -57,15 +66,10 @@ func TestEnvEpisode(t *testing.T) {
 func TestEnvUtilizationRewardPositive(t *testing.T) {
 	tr := trace.Preset("Lublin-2", 60, 4)
 	env := NewEnv(Config{Processors: tr.Processors, MaxObserve: 8}, metrics.Utilization)
-	if _, err := env.Reset(tr.Window(0, 60)); err != nil {
+	if err := env.ResetOnly(tr.Window(0, 60)); err != nil {
 		t.Fatal(err)
 	}
-	var reward float64
-	done := false
-	for !done {
-		_, reward, done = env.Step(0)
-	}
-	if reward <= 0 || reward > 1 {
+	if reward := finish(env); reward <= 0 || reward > 1 {
 		t.Errorf("util reward = %g, want in (0,1]", reward)
 	}
 }
@@ -78,10 +82,14 @@ func TestEnvMask(t *testing.T) {
 		job.New(3, 0, 10, 1, 10),
 	}
 	env := NewEnv(Config{Processors: 4, MaxObserve: 8}, metrics.BoundedSlowdown)
-	if _, err := env.Reset(jobs); err != nil {
+	if err := env.ResetOnly(jobs); err != nil {
 		t.Fatal(err)
 	}
-	m := env.Mask()
+	m := make([]bool, env.MaxObserve())
+	for i := range m {
+		m[i] = i%2 == 0 // stale flags from an earlier decision
+	}
+	env.MaskInto(m)
 	if len(m) != 8 {
 		t.Fatalf("mask len = %d, want 8", len(m))
 	}
@@ -103,10 +111,10 @@ func TestObservationFeatures(t *testing.T) {
 		job.New(2, 0, 200, 8, 200),
 	}
 	env := NewEnv(Config{Processors: 8, MaxObserve: 4}, metrics.BoundedSlowdown)
-	obs, err := env.Reset(jobs)
-	if err != nil {
+	if err := env.ResetOnly(jobs); err != nil {
 		t.Fatal(err)
 	}
+	obs := observe(env)
 	// Row 0: job 1. wait=0 -> f0=0; fits (2<=8) -> f4=1; valid f6=1.
 	r0 := obs[0:JobFeatures]
 	if r0[0] != 0 {
@@ -146,19 +154,19 @@ func TestObservationFeatures(t *testing.T) {
 func TestEnvInvalidActionFallsBack(t *testing.T) {
 	jobs := []*job.Job{job.New(1, 0, 10, 1, 10), job.New(2, 0, 10, 1, 10)}
 	env := NewEnv(Config{Processors: 2, MaxObserve: 4}, metrics.BoundedSlowdown)
-	if _, err := env.Reset(jobs); err != nil {
+	if err := env.ResetOnly(jobs); err != nil {
 		t.Fatal(err)
 	}
-	_, _, done := env.Step(99) // padding slot: falls back to 0
+	_, done := env.StepOnly(99) // padding slot: falls back to 0
 	if done {
 		t.Fatal("one job left, must not be done")
 	}
-	_, _, done = env.Step(-1)
+	_, done = env.StepOnly(-1)
 	if !done {
 		t.Fatal("episode must finish after both jobs scheduled")
 	}
 	// Stepping a finished env is a harmless terminal no-op.
-	_, r, done := env.Step(0)
+	r, done := env.StepOnly(0)
 	if !done || r != 0 {
 		t.Error("stepping terminal env must stay done with zero reward")
 	}
@@ -170,15 +178,10 @@ func TestEnvResetReusable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var rewards []float64
 	for ep := 0; ep < 3; ep++ {
-		if _, err := env.Reset(tr.SampleWindow(rng, 40)); err != nil {
+		if err := env.ResetOnly(tr.SampleWindow(rng, 40)); err != nil {
 			t.Fatal(err)
 		}
-		done := false
-		var r float64
-		for !done {
-			_, r, done = env.Step(0)
-		}
-		rewards = append(rewards, r)
+		rewards = append(rewards, finish(env))
 	}
 	if len(rewards) != 3 {
 		t.Fatal("env must be reusable across episodes")
@@ -187,18 +190,19 @@ func TestEnvResetReusable(t *testing.T) {
 
 func TestEnvRejectsBadSequence(t *testing.T) {
 	env := NewEnv(Config{Processors: 1, MaxObserve: 4}, metrics.BoundedSlowdown)
-	if _, err := env.Reset([]*job.Job{job.New(1, 0, 10, 5, 10)}); err == nil {
-		t.Error("oversized job must fail Reset")
+	if err := env.ResetOnly([]*job.Job{job.New(1, 0, 10, 5, 10)}); err == nil {
+		t.Error("oversized job must fail ResetOnly")
 	}
 }
 
-func TestBuildObsIntoMatchesBuildObs(t *testing.T) {
+func TestBuildObsIntoOverwritesBuffer(t *testing.T) {
 	jobs := []*job.Job{
 		job.New(1, 0, 100, 4, 200),
 		job.New(2, 10, 50, 2, 60),
 	}
 	view := ClusterView{FreeProcs: 32, TotalProcs: 64}
-	want := BuildObs(jobs, 40, view, 5, 8)
+	want := make(Obs, 8*JobFeatures)
+	BuildObsInto(want, jobs, 40, view, 5, 8)
 	dst := make(Obs, 8*JobFeatures)
 	// Dirty the buffer to prove it is fully overwritten.
 	for i := range dst {
@@ -207,7 +211,7 @@ func TestBuildObsIntoMatchesBuildObs(t *testing.T) {
 	BuildObsInto(dst, jobs, 40, view, 5, 8)
 	for i := range want {
 		if dst[i] != want[i] {
-			t.Fatalf("BuildObsInto[%d] = %g, BuildObs = %g", i, dst[i], want[i])
+			t.Fatalf("BuildObsInto into a dirty buffer [%d] = %g, into a fresh one = %g", i, dst[i], want[i])
 		}
 	}
 }

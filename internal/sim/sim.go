@@ -22,7 +22,9 @@ import (
 // same order of magnitude Slurm uses for its pending-job window.
 const DefaultMaxObserve = 128
 
-// Config parameterizes a simulation run.
+// Config parameterizes a simulation run. A job can start exactly when the
+// free processors cover its request; there is no per-user quota (§V-F's
+// remark is not reproduced, DESIGN.md §1).
 type Config struct {
 	// Processors is the cluster size; it must match the trace.
 	Processors int
@@ -36,12 +38,6 @@ type Config struct {
 	Conservative bool
 	// MaxObserve caps the scheduler-visible queue (default 128).
 	MaxObserve int
-	// UserQuota, when positive, caps the processors any single user may
-	// hold concurrently. Scheduling decisions that would violate the
-	// quota are treated like insufficient resources — for RL agents the
-	// corresponding action slots are masked illegal (§V-F: "RLScheduler
-	// can also work with quota-based fairness").
-	UserQuota int
 }
 
 func (c Config) maxObserve() int {
@@ -96,7 +92,6 @@ type Simulator struct {
 	completed  int
 	done       []*job.Job // append-only completion log, in completion order
 	now        float64
-	userProcs  map[int]int // processors currently held per user
 
 	// rec receives job lifecycle events (nil = disabled); recName tags
 	// them with the cluster's name. Both survive Load — a recorder watches
@@ -158,27 +153,8 @@ func (s *Simulator) Load(seq []*job.Job) error {
 	s.completed = 0
 	s.done = s.done[:0]
 	s.now = 0
-	s.userProcs = map[int]int{}
 	s.cluster.Reset()
 	return nil
-}
-
-// QuotaOK reports whether starting j now would respect the per-user quota.
-// A job larger than the quota itself is admitted only while its user holds
-// nothing (it could otherwise never run).
-func (s *Simulator) QuotaOK(j *job.Job) bool {
-	if s.cfg.UserQuota <= 0 || j.UserID < 0 {
-		return true
-	}
-	if j.RequestedProcs > s.cfg.UserQuota {
-		return s.userProcs[j.UserID] == 0
-	}
-	return s.userProcs[j.UserID]+j.RequestedProcs <= s.cfg.UserQuota
-}
-
-// canStart combines resource availability and quota.
-func (s *Simulator) canStart(j *job.Job) bool {
-	return s.cluster.CanAllocate(j.RequestedProcs) && s.QuotaOK(j)
 }
 
 // Now returns the simulation clock.
@@ -230,9 +206,6 @@ func (s *Simulator) advanceTo(t float64) {
 			if err := s.cluster.Release(j.ID); err != nil {
 				panic(fmt.Sprintf("sim: release: %v", err))
 			}
-			if j.UserID >= 0 {
-				s.userProcs[j.UserID] -= j.RequestedProcs
-			}
 			s.completed++
 			s.done = append(s.done, j)
 			if s.rec != nil {
@@ -265,9 +238,6 @@ func (s *Simulator) start(j *job.Job) {
 	}
 	j.StartTime = s.now
 	j.EndTime = s.now + j.RunTime
-	if j.UserID >= 0 {
-		s.userProcs[j.UserID] += j.RequestedProcs
-	}
 	heap.Push(&s.running, j)
 	for i, p := range s.pending {
 		if p == j {
@@ -301,7 +271,7 @@ func (s *Simulator) Pump(sched Scheduler) {
 			}
 			s.committed = vis[idx]
 		}
-		if !s.canStart(s.committed) {
+		if !s.cluster.CanAllocate(s.committed.RequestedProcs) {
 			if s.cfg.Backfill {
 				if s.cfg.Conservative {
 					s.conservativeBackfill(s.committed)
@@ -309,7 +279,7 @@ func (s *Simulator) Pump(sched Scheduler) {
 					s.backfill(s.committed)
 				}
 			}
-			if !s.canStart(s.committed) {
+			if !s.cluster.CanAllocate(s.committed.RequestedProcs) {
 				return
 			}
 		}
@@ -328,27 +298,13 @@ func (s *Simulator) Committed() *job.Job { return s.committed }
 func (s *Simulator) Commit(j *job.Job) { s.committed = j }
 
 // shadow computes the EASY reservation for the chosen job: the earliest
-// time enough processors will be free — and, when quotas are active, the
-// chosen user's quota headroom suffices — assuming running jobs end at
-// their recorded EndTime. It also returns the processors spare at that
-// instant beyond the reservation ("extra" nodes usable by long backfill
+// time enough processors will be free, assuming running jobs end at their
+// recorded EndTime. It also returns the processors spare at that instant
+// beyond the reservation ("extra" nodes usable by long backfill
 // candidates).
 func (s *Simulator) shadow(chosen *job.Job) (shadowTime float64, extra int) {
 	free := s.cluster.Free()
-	held := 0
-	if s.cfg.UserQuota > 0 && chosen.UserID >= 0 {
-		held = s.userProcs[chosen.UserID]
-	}
-	quotaOK := func(held int) bool {
-		if s.cfg.UserQuota <= 0 || chosen.UserID < 0 {
-			return true
-		}
-		if chosen.RequestedProcs > s.cfg.UserQuota {
-			return held == 0
-		}
-		return held+chosen.RequestedProcs <= s.cfg.UserQuota
-	}
-	if free >= chosen.RequestedProcs && quotaOK(held) {
+	if free >= chosen.RequestedProcs {
 		return s.now, free - chosen.RequestedProcs
 	}
 	ends := append(runHeap(nil), s.running...)
@@ -356,10 +312,7 @@ func (s *Simulator) shadow(chosen *job.Job) (shadowTime float64, extra int) {
 	for len(ends) > 0 {
 		j := heap.Pop(&ends).(*job.Job)
 		free += j.RequestedProcs
-		if j.UserID >= 0 && j.UserID == chosen.UserID {
-			held -= j.RequestedProcs
-		}
-		if free >= chosen.RequestedProcs && quotaOK(held) {
+		if free >= chosen.RequestedProcs {
 			return j.EndTime, free - chosen.RequestedProcs
 		}
 	}
@@ -380,7 +333,7 @@ func (s *Simulator) backfill(chosen *job.Job) {
 			i++
 			continue
 		}
-		fits := s.canStart(j)
+		fits := s.cluster.CanAllocate(j.RequestedProcs)
 		endsInTime := s.now+j.RequestedTime <= shadowTime
 		inExtra := j.RequestedProcs <= extra
 		if fits && (endsInTime || inExtra) {
@@ -409,7 +362,7 @@ func (s *Simulator) conservativeBackfill(chosen *job.Job) {
 	}
 	for _, j := range order {
 		start := prof.earliest(s.now, j.RequestedTime, j.RequestedProcs)
-		if start <= s.now && s.canStart(j) && j != chosen {
+		if start <= s.now && s.cluster.CanAllocate(j.RequestedProcs) && j != chosen {
 			s.start(j)
 			prof.reserve(s.now, j.RequestedTime, j.RequestedProcs)
 			continue

@@ -288,14 +288,11 @@ func TestCheckInvariantsCatchesCountDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"running job's user holds one proc too many": func(s *Simulator) { s.userProcs[0]++ },
-		"user with no running job holds procs":       func(s *Simulator) { s.userProcs[7] = 3 },
-		"running job's user holds nothing":           func(s *Simulator) { delete(s.userProcs, 1) },
-		"committed pick is running":                  func(s *Simulator) { s.Commit(s.running[0]) },
-		"committed pick never arrived":               func(s *Simulator) { s.Commit(userJob(9, 0, 10, 1, 0)) },
+		"committed pick is running":    func(s *Simulator) { s.Commit(s.running[0]) },
+		"committed pick never arrived": func(s *Simulator) { s.Commit(job.New(9, 0, 10, 1, 10)) },
 	} {
 		s := New(Config{Processors: 8})
-		if err := s.Load(seq(userJob(1, 0, 100, 3, 0), userJob(2, 0, 100, 2, 1))); err != nil {
+		if err := s.Load(seq(job.New(1, 0, 100, 3, 100), job.New(2, 0, 100, 2, 100))); err != nil {
 			t.Fatal(err)
 		}
 		s.advanceTo(0) // admit both arrivals

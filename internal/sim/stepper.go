@@ -52,9 +52,6 @@ func (s *Simulator) Submit(j *job.Job) error {
 		return fmt.Errorf("sim: job %d submitted in the future (%g > clock %g)",
 			j.ID, j.SubmitTime, s.now)
 	}
-	if s.userProcs == nil {
-		s.userProcs = map[int]int{}
-	}
 	j.Reset()
 	// Both the sequence history and the pending queue keep (SubmitTime,
 	// ID) order — the history so that metric summation order (and thus
@@ -135,14 +132,14 @@ func (s *Simulator) PendingJobs() []*job.Job { return s.pending }
 
 // EvictRunning forcibly terminates every running job at the current clock
 // — the member-failure primitive of fleet churn. Each job's processors are
-// released, its user's quota share is returned, it is removed from the
-// sequence history (it did not complete here; the fleet resubmits it to a
-// surviving member, where it re-enters that member's history with its
-// original submit time), and its start state is reset so it can run again
-// from scratch. The cluster's busy-time integral keeps the cycles burned
-// before the eviction — the capacity genuinely was consumed. Evicted jobs
-// are returned in (SubmitTime, ID) order so re-placement is deterministic;
-// each one is recorded as a withdraw event when a recorder is attached.
+// released, it is removed from the sequence history (it did not complete
+// here; the fleet resubmits it to a surviving member, where it re-enters
+// that member's history with its original submit time), and its start
+// state is reset so it can run again from scratch. The cluster's busy-time
+// integral keeps the cycles burned before the eviction — the capacity
+// genuinely was consumed. Evicted jobs are returned in (SubmitTime, ID)
+// order so re-placement is deterministic; each one is recorded as a
+// withdraw event when a recorder is attached.
 func (s *Simulator) EvictRunning() []*job.Job {
 	if len(s.running) == 0 {
 		return nil
@@ -153,9 +150,6 @@ func (s *Simulator) EvictRunning() []*job.Job {
 		j := heap.Pop(&s.running).(*job.Job)
 		if err := s.cluster.Release(j.ID); err != nil {
 			panic(fmt.Sprintf("sim: evict release: %v", err))
-		}
-		if j.UserID >= 0 {
-			s.userProcs[j.UserID] -= j.RequestedProcs
 		}
 		evicted = append(evicted, j)
 		gone[j] = true
@@ -209,10 +203,6 @@ func (s *Simulator) NextEventTime() (float64, bool) {
 	}
 	return t, true
 }
-
-// CanStartNow reports whether the pending job could start at the current
-// instant (free processors and, when quotas are active, quota headroom).
-func (s *Simulator) CanStartNow(j *job.Job) bool { return s.canStart(j) }
 
 // Result snapshots the run's metrics at the current instant (final once no
 // events remain).

@@ -28,7 +28,7 @@ func TestSubmitAndEventStepping(t *testing.T) {
 	if got := s.PendingWork(); got != 400 {
 		t.Fatalf("PendingWork = %g, want 400", got)
 	}
-	if !s.CanStartNow(a) {
+	if !s.cluster.CanAllocate(a.RequestedProcs) {
 		t.Fatal("job fits an idle cluster")
 	}
 	s.Pump(fcfsPick{})
@@ -44,7 +44,7 @@ func TestSubmitAndEventStepping(t *testing.T) {
 	if err := s.Submit(b); err != nil {
 		t.Fatal(err)
 	}
-	if s.CanStartNow(b) {
+	if s.cluster.CanAllocate(b.RequestedProcs) {
 		t.Fatal("6 procs cannot start with 4 free")
 	}
 	s.Pump(fcfsPick{})
@@ -65,7 +65,7 @@ func TestSubmitAndEventStepping(t *testing.T) {
 		t.Fatalf("clock moved backwards to %g", s.Now())
 	}
 	s.AdvanceClock(100)
-	if !s.CanStartNow(b) {
+	if !s.cluster.CanAllocate(b.RequestedProcs) {
 		t.Fatal("completion must free processors")
 	}
 	// Starting an existing pick needs no scheduler.
