@@ -294,13 +294,13 @@ func expCmd(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			o.TimeseriesPath = perIDPath(ov.TimeseriesPath, id, len(ids) > 1)
 			o.ReportPath = perIDPath(ov.ReportPath, id, len(ids) > 1)
 			start := time.Now()
-			arts, err := exp.Run(id, o)
-			if err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
+			arts, err := exp.Run(id, o) // a failed self-check's tables print too
 			fmt.Fprintf(stdout, "### %s (scale=%s, %.1fs)\n\n", id, *scale, time.Since(start).Seconds())
 			for _, a := range arts {
 				a.Print(stdout)
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
 			}
 		}
 		return nil

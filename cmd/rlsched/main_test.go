@@ -135,6 +135,23 @@ func TestExpList(t *testing.T) {
 	}
 }
 
+// TestExpSelfCheckFailure: a fleet experiment whose verdict cannot hold —
+// 8-job streams leave hysteresis nothing to move — exits 1, prints the
+// table with the violated verdict's evidence, and names the experiment
+// once in the error.
+func TestExpSelfCheckFailure(t *testing.T) {
+	code, out, errOut := rlsched(t, "exp", "-run", "fleet-migration", "-eval-nseq", "1", "-eval-seqlen", "8")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errOut)
+	}
+	if !strings.Contains(out, "== Fleet migration") || !strings.Contains(out, "verdict VIOLATED: hysteresis beats no-migration on per-stream fleet bsld: won ") {
+		t.Errorf("stdout lacks the table and its violated verdict:\n%s", out)
+	}
+	if want := "rlsched exp: fleet-migration: self-check failed: "; !strings.HasPrefix(errOut, want) || strings.Count(errOut, "fleet-migration") != 1 {
+		t.Errorf("stderr = %q, want one line starting %q", errOut, want)
+	}
+}
+
 // TestUsageErrors: a wrong command line exits 2, a failed run exits 1.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {

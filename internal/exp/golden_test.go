@@ -20,17 +20,11 @@ type goldenCase struct {
 }
 
 // goldenCases pins every registered experiment at ultraQuick, and the
-// fleet experiments again at Quick (the scale their self-checks are
-// calibrated for). fleet-migration's win check does not hold at
-// ultraQuick, so its ultraQuick golden uses migrationOptions instead.
+// fleet experiments again at Quick.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, id := range IDs() {
-		o := ultraQuick()
-		if id == "fleet-migration" {
-			o = migrationOptions()
-		}
-		cases = append(cases, goldenCase{id, id + ".golden", o})
+		cases = append(cases, goldenCase{id, id + ".golden", ultraQuick()})
 	}
 	for _, id := range IDs() {
 		if strings.HasPrefix(id, "fleet-") {

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"rlsched/internal/fleet"
 	"rlsched/internal/job"
-	"rlsched/internal/metrics"
 	"rlsched/internal/obs"
 	"rlsched/internal/sched"
 	"rlsched/internal/sim"
@@ -37,21 +37,17 @@ func migrationMembers(o Options) []fleet.MemberConfig {
 // strands work. Streams are identical across policies for a fixed seed.
 func migrationStreams(o Options, steady, shift *trace.Trace) [][]*job.Job {
 	streams := fleetStreams(o, steady, shift)[1]
-	out := make([][]*job.Job, len(streams))
-	for s, st := range streams {
-		n := len(st.Jobs)
-		h := n / 2
-		// Re-compress the shifted half's interarrivals 4× in place
-		// (st.Jobs are fresh clones owned by this call).
-		if h < n {
-			base := st.Jobs[h].SubmitTime
-			for _, j := range st.Jobs[h:] {
+	for _, st := range streams {
+		// Re-compress the shifted half's interarrivals 4× in place (the
+		// jobs are fresh clones owned by this call).
+		if h := len(st) / 2; h < len(st) {
+			base := st[h].SubmitTime
+			for _, j := range st[h:] {
 				j.SubmitTime = base + (j.SubmitTime-base)/4
 			}
 		}
-		out[s] = st.Jobs
 	}
-	return out
+	return streams
 }
 
 // sweepInterval derives the migration sweep period from the stream: ~8
@@ -67,12 +63,6 @@ func sweepInterval(stream []*job.Job) float64 {
 		iv = 1
 	}
 	return iv
-}
-
-// migrationPolicy names one row of the comparison.
-type migrationPolicy struct {
-	name string
-	cfg  func(interval float64) *fleet.MigrationConfig
 }
 
 // migrationConfigFor maps a -migrate policy name to a controller config
@@ -91,134 +81,83 @@ func migrationConfigFor(policy string, interval float64) (*fleet.MigrationConfig
 	return nil, fmt.Errorf("exp: unknown migration policy %q (off|hysteresis|always)", policy)
 }
 
+// migrationSeeds is how many seeds fleet-migration's campaign spans.
+const migrationSeeds = 20
+
 // FleetMigration compares one-shot placement against hysteresis migration
 // and greedy always-rebalance on the burst-sharpened workload-shift
 // stream, over a heuristic [256 FCFS, 128 SJF, 64 F1] fleet routed by the
-// least-loaded pipeline. It self-checks the claim that motivates the
-// subsystem: under a workload shift, hysteresis migration must strictly
-// improve fleet-wide mean bounded slowdown over no migration.
+// least-loaded pipeline, across migrationSeeds seeds. It self-checks the
+// claim that motivates the subsystem: under a workload shift, hysteresis
+// migration beats no migration on per-stream fleet bounded slowdown.
 func FleetMigration(o Options) ([]Artifact, error) {
-	cache := newTraceCache(o)
-	policies := []migrationPolicy{
-		{"no-migration", func(float64) *fleet.MigrationConfig { return nil }},
-		{"hysteresis", func(iv float64) *fleet.MigrationConfig {
-			cfg := fleet.HysteresisMigration(iv)
-			return &cfg
-		}},
-		{"always-rebalance", func(iv float64) *fleet.MigrationConfig {
-			cfg := fleet.AlwaysRebalance(iv)
-			return &cfg
-		}},
+	leastLoaded := func() (fleet.Router, error) { return fleet.LeastLoadedPipeline(), nil }
+	routers := []routerCase{
+		{"no-migration", "", leastLoaded},
+		{"hysteresis", "hysteresis", leastLoaded},
+		{"always-rebalance", "always", leastLoaded},
 	}
-
-	t := &Table{
-		Title: fmt.Sprintf("Fleet migration, workload shift + burst: %d × %d-job streams over [256 FCFS, 128 SJF, 64 F1], least-loaded router",
-			o.EvalNSeq, o.EvalSeqLen),
-		Header: []string{"Policy", "fleet bsld", "fleet util", "moves", "migrated", "mean delay", "bsld mig/native"},
-	}
-	bslds := map[string]float64{}
-	// With -trace set, every hysteresis stream runs with its own collector
-	// attached and the first recording that contains an actual move becomes
-	// the exported timeline (falling back to the first stream when nothing
-	// moved). Recording is passive (pinned by parity tests), so the table
-	// is unaffected.
-	var timeline *obs.Collector
+	members := migrationMembers(o)
+	// With -trace-out set, every recorded hysteresis stream carries its own
+	// collector, and the first recording that contains an actual move
+	// becomes the exported timeline (the first stream when nothing moved).
+	var timeline, col *obs.Collector
 	hasMove := func(c *obs.Collector) bool {
-		for _, p := range c.Migrations() {
-			if p.Moved {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(c.Migrations(), func(p obs.MigrationProbe) bool { return p.Moved })
 	}
-	for _, pol := range policies {
-		donePhase := o.phase("evaluate/" + pol.name)
-		streams := migrationStreams(o, cache.get("Lublin-1"), cache.get("Lublin-2"))
-		var bsldSum, utilSum, delaySum float64
-		var moves, migrated, native int
-		var migBsldSum, natBsldSum float64
-		for si, stream := range streams {
-			f, err := fleet.New(migrationMembers(o), fleet.LeastLoadedPipeline())
-			if err != nil {
-				return nil, err
-			}
-			if cfg := pol.cfg(sweepInterval(stream)); cfg != nil {
-				if err := f.EnableMigration(*cfg); err != nil {
-					return nil, err
-				}
-			}
-			var col *obs.Collector
-			if o.TracePath != "" && pol.name == "hysteresis" {
+	run := func(o Options, seed int64, rc routerCase) ([]outcome, []int, error) {
+		so := o
+		so.Seed = seed
+		cache := newTraceCache(so)
+		streams := migrationStreams(so, cache.get("Lublin-1"), cache.get("Lublin-2"))
+		return runStreams(streams, rc, members, func(_ int, f *fleet.Fleet, _ []*job.Job) error {
+			col = nil
+			if o.TracePath != "" && rc.name == "hysteresis" {
 				col = obs.NewCollector()
 				f.SetRecorder(col)
 			}
-			res, err := f.Run(stream)
-			if err != nil {
-				return nil, fmt.Errorf("fleet-migration: %s: %w", pol.name, err)
-			}
+			return nil
+		}, func(i int, _ []*job.Job, res *fleet.Result) error {
 			if col != nil && (timeline == nil || (!hasMove(timeline) && hasMove(col))) {
 				timeline = col
 			}
-			o.addResult(fmt.Sprintf("%s/stream%d", pol.name, si), res.Fleet)
-			bsldSum += metrics.Value(metrics.BoundedSlowdown, res.Fleet)
-			utilSum += res.Fleet.Utilization
-			moves += res.Fleet.Moves
-			// The migrated/native aggregates are job-weighted across
-			// streams (a stream that migrated nothing contributes no
-			// mass), so the split and the mean delay describe the jobs
-			// that actually moved, not a per-stream average diluted by
-			// zero-migration streams.
-			nm := len(res.Fleet.MigratedJobs)
-			nn := len(res.Fleet.Jobs) - nm
-			migrated += nm
-			native += nn
-			delaySum += res.Fleet.MigrationDelaySum
-			mb, nb := metrics.MigrationSplit(metrics.BoundedSlowdown, res.Fleet)
-			migBsldSum += mb * float64(nm)
-			natBsldSum += nb * float64(nn)
-		}
-		n := float64(len(streams))
-		bslds[pol.name] = bsldSum / n
+			o.addResult(fmt.Sprintf("%s/seed%d/stream%d", rc.name, seed, i), res.Fleet)
+			return nil
+		})
+	}
+	cases, deterministic, err := campaign(o, migrationSeeds, routers, run)
+	if err != nil {
+		return nil, err
+	}
+
+	t := &Table{
+		Title: fmt.Sprintf("Fleet migration, workload shift + burst: %d seeds × %d × %d-job streams over [256 FCFS, 128 SJF, 64 F1], least-loaded router",
+			migrationSeeds, o.EvalNSeq, o.EvalSeqLen),
+		Header: []string{"Policy", "fleet bsld", "fleet util", "moves", "migrated", "mean delay", "bsld mig/native"},
+	}
+	for _, rc := range routers {
+		sum, bsld := total(cases[rc.name])
+		n := float64(len(bsld))
 		split, delay := "—", "—"
-		if migrated > 0 {
-			split = fmt.Sprintf("%.2f/%.2f",
-				migBsldSum/float64(migrated), natBsldSum/float64(native))
-			delay = fmt.Sprintf("%.0fs", delaySum/float64(migrated))
+		if sum.migrated > 0 {
+			split = fmt.Sprintf("%.2f/%.2f", sum.migBsld/float64(sum.migrated), sum.natBsld/float64(sum.native))
+			delay = fmt.Sprintf("%.0fs", sum.delay/float64(sum.migrated))
 		}
-		t.AddRow(pol.name,
-			fmt.Sprintf("%.2f", bsldSum/n),
-			fmt.Sprintf("%.3f", utilSum/n),
-			fmt.Sprintf("%d", moves),
-			fmt.Sprintf("%d", migrated),
-			delay,
-			split)
-		donePhase()
+		t.AddRow(rc.name, fmt.Sprintf("%.2f", sum.bsld/n), fmt.Sprintf("%.3f", sum.util/n),
+			fmt.Sprintf("%d", sum.moves), fmt.Sprintf("%d", sum.migrated), delay, split)
+	}
+	_, hyst := total(cases["hysteresis"])
+	_, none := total(cases["no-migration"])
+	win := judge("hysteresis beats no-migration on per-stream fleet bsld", hyst, none)
+	arts, err := selfCheck(o, []verdict{win}, deterministic,
+		"determinism: assignments reproduced exactly across rebuilt fleets", nil, t)
+	if err != nil {
+		return arts, err
 	}
 	if timeline != nil {
 		if err := timeline.WriteChromeTraceFile(o.TracePath); err != nil {
-			return nil, fmt.Errorf("fleet-migration: write trace: %w", err)
+			return nil, fmt.Errorf("write trace: %w", err)
 		}
 	}
-
-	if bslds["hysteresis"] < bslds["no-migration"] {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"migration win verified: hysteresis %.2f < no-migration %.2f fleet bsld under the shift stream",
-			bslds["hysteresis"], bslds["no-migration"]))
-	} else if o.Clusters > 0 {
-		// The migration-win check pins the default three-member scenario.
-		// A -clusters synthesized fleet spreads the same workload over
-		// more capacity, so stranding (and thus any migration win) may
-		// legitimately vanish; report, don't fail.
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"migration win not expected at %d synthesized clusters: hysteresis %.2f vs no-migration %.2f",
-			o.Clusters, bslds["hysteresis"], bslds["no-migration"]))
-	} else {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"migration win VIOLATED: hysteresis %.2f >= no-migration %.2f",
-			bslds["hysteresis"], bslds["no-migration"]))
-		return []Artifact{t}, fmt.Errorf(
-			"fleet-migration: hysteresis (%.3f) did not improve on no-migration (%.3f)",
-			bslds["hysteresis"], bslds["no-migration"])
-	}
-	return []Artifact{t}, nil
+	return arts, nil
 }

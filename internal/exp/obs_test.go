@@ -21,13 +21,13 @@ func renderArts(arts []Artifact) []byte {
 }
 
 // TestFleetMigrationTraceAndReport is the end-to-end acceptance check of
-// the observability layer: a quick-scale fleet-migration run with tracing
+// the observability layer: a fleet-migration run with tracing
 // and reporting enabled must (a) print byte-identical artifacts to the
 // untraced run, (b) write valid Chrome trace-event JSON containing at
 // least one migration arrow, and (c) write a run report with phases and
 // per-policy results.
 func TestFleetMigrationTraceAndReport(t *testing.T) {
-	o := migrationOptions()
+	o := ultraQuick()
 	baseArts, err := Run("fleet-migration", o)
 	if err != nil {
 		t.Fatal(err)
@@ -81,16 +81,16 @@ func TestFleetMigrationTraceAndReport(t *testing.T) {
 		t.Fatal("trace contains no job spans")
 	}
 
-	// Report: round-trips, carries the run identity, phase timings and one
-	// row per policy × stream.
+	// Report: round-trips, carries the run identity, one phase per seed ×
+	// policy and one row per seed × policy × stream.
 	rep := readReport(t, o.ReportPath)
 	if rep.Experiment != "fleet-migration" || rep.Seed != o.Seed {
 		t.Fatalf("report identity = %s/%d", rep.Experiment, rep.Seed)
 	}
-	if len(rep.Phases) != 3 {
-		t.Fatalf("report has %d phases, want 3 (one per policy)", len(rep.Phases))
+	if len(rep.Phases) != 3*migrationSeeds {
+		t.Fatalf("report has %d phases, want %d (seeds × policies)", len(rep.Phases), 3*migrationSeeds)
 	}
-	wantRows := 3 * o.EvalNSeq
+	wantRows := 3 * migrationSeeds * o.EvalNSeq
 	if len(rep.Results) != wantRows {
 		t.Fatalf("report has %d result rows, want %d", len(rep.Results), wantRows)
 	}

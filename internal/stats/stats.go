@@ -1,6 +1,7 @@
-// Package stats provides the small set of descriptive statistics the
-// RLScheduler pipeline needs: moments, quantiles, skewness and fixed-width
-// histograms (used to derive the trajectory-filtering range of §IV-C).
+// Package stats provides the small set of statistics the RLScheduler
+// pipeline needs: moments, quantiles, skewness, fixed-width histograms
+// (used to derive the trajectory-filtering range of §IV-C) and the paired
+// sign test the fleet experiments judge their claims with.
 package stats
 
 import (
@@ -102,6 +103,36 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// SignTest is the exact two-sided sign test over paired outcomes where
+// lower is better: pair i is a win when a[i] < b[i], a loss when
+// a[i] > b[i], and a tie, which is dropped, otherwise. p is the chance of a
+// split at least as lopsided as wins:losses when either side of a decided
+// pair wins with probability 1/2 (1 when no pair is decided). The binomial
+// tail is summed by recurrence from its largest term, scaled in log space,
+// so p stays finite for any number of pairs.
+func SignTest(a, b []float64) (wins, losses int, p float64) {
+	if len(a) != len(b) {
+		panic("stats: SignTest needs paired slices of equal length")
+	}
+	for i := range a {
+		if a[i] < b[i] {
+			wins++
+		} else if a[i] > b[i] {
+			losses++
+		}
+	}
+	n, k := wins+losses, min(wins, losses)
+	lg := func(x int) float64 { v, _ := math.Lgamma(float64(x) + 1); return v }
+	// P(X = i) / P(X = k) for X ~ Binomial(n, 1/2), walking i down from k.
+	sum, term := 0.0, 1.0
+	for i := k; i >= 0; i-- {
+		sum += term
+		term *= float64(i) / float64(n-i+1)
+	}
+	logTop := lg(n) - lg(k) - lg(n-k) - float64(n)*math.Ln2
+	return wins, losses, math.Min(1, 2*math.Exp(logTop)*sum)
 }
 
 // Histogram is a fixed-width histogram over [Lo, Hi).

@@ -147,3 +147,39 @@ func TestHistogramDegenerateArgs(t *testing.T) {
 		t.Error("hi must be forced above lo")
 	}
 }
+
+// TestSignTest pins exact two-sided p values, computed independently from
+// the binomial distribution, across the range the fleet experiments use.
+func TestSignTest(t *testing.T) {
+	// pairs builds w wins, l losses and one tie for a against b.
+	pairs := func(w, l int) (a, b []float64) {
+		for i := 0; i < w; i++ {
+			a, b = append(a, 1), append(b, 2)
+		}
+		for i := 0; i < l; i++ {
+			a, b = append(a, 3), append(b, 2)
+		}
+		return append(a, 5), append(b, 5)
+	}
+	for _, tc := range []struct {
+		w, l int
+		p    float64
+	}{
+		{9, 5, 0.42395}, {8, 9, 1}, {77, 32, 1.93805e-05},
+		{5, 0, 0.0625}, {6, 0, 0.03125}, {0, 0, 1},
+	} {
+		a, b := pairs(tc.w, tc.l)
+		w, l, p := SignTest(a, b)
+		if w != tc.w || l != tc.l || math.Abs(p-tc.p) > 5e-6*tc.p {
+			t.Errorf("SignTest(%d won, %d lost) = %d, %d, p %.6g; want p %.6g", tc.w, tc.l, w, l, p, tc.p)
+		}
+		// Swapping the sides swaps wins and losses and keeps p.
+		if lb, wb, pb := SignTest(b, a); wb != w || lb != l || pb != p {
+			t.Errorf("SignTest swapped = %d won, %d lost, p %g; want %d, %d, %g", lb, wb, pb, l, w, p)
+		}
+	}
+	a, b := pairs(2364, 1337)
+	if _, _, p := SignTest(a, b); !(p > 0 && p < 1e-60) {
+		t.Errorf("SignTest(2364 won, 1337 lost) p = %g, want finite and below 1e-60", p)
+	}
+}

@@ -13,7 +13,7 @@ set -euo pipefail
 
 CEILING=6352
 SIM_CEILING=1297
-EXP_CEILING=2166
+EXP_CEILING=2047
 CMD_CEILING=858
 
 sum=0
